@@ -1,11 +1,24 @@
 """Desk-scale conditional video diffusion for character animation and replacement.
 
-The stack, bottom up: a numpy-backed tensor core with reverse-mode
-differentiation, a toy causal video autoencoder, condition-pack construction
-for the two generation modes, skeleton and face conditioning pipelines, a
-small diffusion transformer with low-rank relighting adapters, a five-stage
-training curriculum over procedurally generated puppet clips, and a
-segment-based long-video inference orchestrator.
+The modules, bottom up:
+
+- `tensor`: numpy-backed tensors with reverse-mode differentiation, the ops
+  the models use, and the `no_grad`, `finite_checks` and `profile_ops`
+  contexts; `gradcheck` verifies its gradients by finite differences.
+- `video`: clips, latent timelines and frame files; `vae`: a toy causal
+  video autoencoder.
+- `skeleton`, `retarget`, `rasterize`: pose sequences, retargeting onto a
+  reference character, and drawing poses as conditioning frames.
+- `face`: face crops, augmentation, a motion-coefficient encoder and its
+  causal temporal downsampler.
+- `packs`: the (noise, condition, mask) latent packs for animation and
+  replacement.
+- `model`: the diffusion transformer with pose injection, face blocks and a
+  low-rank relighting adapter; `flow`: the flow-matching loss and Euler
+  sampling.
+- `puppet`: procedural puppet scenes, the synthetic corpus.
+
+There is no training loop or long-video orchestrator yet.
 """
 
 __version__ = "0.1.0"

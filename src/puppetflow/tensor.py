@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import struct
+import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +49,7 @@ class NumericalError(ArithmeticError):
 _ids = itertools.count()
 _grad_enabled = True
 _finite_checks = False
+_profile = None
 
 
 @contextmanager
@@ -71,6 +74,74 @@ def finite_checks():
         yield
     finally:
         _finite_checks = prev
+
+
+@dataclass
+class OpStats:
+    calls: int = 0
+    fwd_s: float = 0.0
+    bwd_s: float = 0.0
+    out_bytes: int = 0
+
+
+class OpProfile:
+    """Per-op-name totals recorded inside `profile_ops`.
+
+    An op's forward time is the wall time from the previous recorded event
+    (entering the block, another op's output, a backward closure returning)
+    to its own output, so numpy work a caller does between ops is charged to
+    the next op. Backward time is each op's own closure, timed on its own,
+    including closures replayed after the block has exited.
+    """
+
+    def __init__(self):
+        self.ops: dict[str, OpStats] = {}
+        self._mark = time.perf_counter()
+
+    def _forward(self, op, out, bwd):
+        now = time.perf_counter()
+        st = self.ops.setdefault(op, OpStats())
+        st.calls += 1
+        st.fwd_s += now - self._mark
+        st.out_bytes += out.nbytes
+        self._mark = now
+        if bwd is None:
+            return None
+
+        def timed(g):
+            t0 = time.perf_counter()
+            bwd(g)
+            self._mark = time.perf_counter()
+            st.bwd_s += self._mark - t0
+
+        return timed
+
+    def table(self) -> str:
+        """One line per op, slowest (forward + backward) first."""
+        rows = sorted(self.ops.items(), key=lambda kv: kv[1].fwd_s + kv[1].bwd_s, reverse=True)
+        lines = [f"{'op':<14}{'calls':>7}{'fwd_s':>10}{'bwd_s':>10}{'out_mb':>10}"]
+        for op, st in rows:
+            lines.append(f"{op:<14}{st.calls:>7}{st.fwd_s:>10.4f}{st.bwd_s:>10.4f}{st.out_bytes / 1e6:>10.1f}")
+        return "\n".join(lines)
+
+
+@contextmanager
+def profile_ops():
+    """Record calls, forward and backward seconds and output bytes per op.
+
+    Yields the `OpProfile` being filled. A nested block fills its own
+    profile only. Outside any block the only cost is one flag check in
+    `_make`.
+    """
+    global _profile
+    prev = _profile
+    _profile = OpProfile()
+    try:
+        yield _profile
+    finally:
+        _profile = prev
+        if prev is not None:
+            prev._mark = time.perf_counter()
 
 
 class Tensor:
@@ -206,6 +277,8 @@ def _make(data, parents, bwd, op):
     if _finite_checks and not np.isfinite(data).all():
         raise NumericalError(f"non-finite output of op '{op}'")
     track = _grad_enabled and any(p.requires_grad for p in parents)
+    if _profile is not None:
+        bwd = _profile._forward(op, data, bwd if track else None)
     if not track:
         return Tensor(data, _op=op)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _bwd=bwd, _op=op)
@@ -475,17 +548,21 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU.
+
+    Powers are written as products: float32 `x**3` runs numpy's generic
+    `power` loop, about 200x slower than `x * x * x`.
+    """
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x**3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     th = np.tanh(u)
     out = 0.5 * x * (1.0 + th)
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        a.accumulate_grad(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du))
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+        a.accumulate_grad(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du))
 
-    return _make(out.astype(x.dtype), (a,), bwd, "gelu")
+    return _make(out.astype(x.dtype, copy=False), (a,), bwd, "gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -586,22 +663,32 @@ def attention_weights(q: Tensor, k: Tensor, mask: np.ndarray | None = None) -> n
 # convolutions
 
 
-def _im2col(xp, n, ci, ho, wo, kh, kw, stride):
-    sN, sC, sH, sW = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, ci, ho, wo, kh, kw), (sN, sC, sH * stride, sW * stride, sH, sW)
-    )
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, ci * kh * kw)
+def _columns(xp, kh, kw, stride):
+    """Copy every kernel window of padded `xp` into columns [N, Ci*K*K, Ho*Wo]."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, ci, ho, wo = win.shape[:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * kh * kw, ho * wo)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2D convolution, x [N,Ci,H,W], w [Co,Ci,K,K].
 
-    The im2col buffer is rebuilt in backward instead of being saved; at face
-    and VAE batch sizes it is far larger than the activations themselves.
+    Every layout is channel-major, so GEMM results land in NCHW without a
+    transpose copy. Stride 1 builds no column buffer: one GEMM of the stacked
+    taps [K*K*Co, Ci] over the flat padded input [N, Ci, Hp*Wp], then a sum of
+    the K*K shifted slices. Larger strides copy the windows into columns
+    [N, Ci*K*K, Ho*Wo] and run one GEMM per image. Stride-1 output therefore
+    sums in a different order from a direct dot product over (Ci, K, K).
+
+    Backward rebuilds the columns, for the weight gradient only; they are not
+    saved because at face and VAE batch sizes they are far larger than the
+    activations. The input gradient is one GEMM of the taps [K*K*Ci, Co] over
+    the output gradient, scattered back with one contiguous add per tap.
     """
     if stride <= 0:
         raise ConfigError(f"conv2d: stride must be positive, got {stride}")
+    if pad < 0:
+        raise ConfigError(f"conv2d: pad must be non-negative, got {pad}")
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape} incompatible")
     n, ci, h, wd = x.shape
@@ -610,31 +697,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} with pad {pad}")
+    hp, wp = h + 2 * pad, wd + 2 * pad
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, n, ci, ho, wo, kh, kw, stride)
-    wf = w.data.reshape(co, -1)
-    out = (cols @ wf.T).reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    if stride == 1:
+        taps = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+        y = np.matmul(taps, xp.reshape(n, ci, hp * wp)).reshape(n, kh, kw, co, hp, wp)
+        out = y[:, 0, 0, :, :ho, :wo].copy()
+        for ky in range(kh):
+            for kx in range(kw):
+                if ky or kx:
+                    out += y[:, ky, kx, :, ky : ky + ho, kx : kx + wo]
+    else:
+        out = np.matmul(w.data.reshape(co, -1), _columns(xp, kh, kw, stride)).reshape(n, co, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
-    del cols
 
     def bwd(g):
-        gf = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, co)
+        gf = g.reshape(n, co, ho * wo)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(gf.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             xpb = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-            cols_b = _im2col(xpb, n, ci, ho, wo, kh, kw, stride)
-            w.accumulate_grad((gf.T @ cols_b).reshape(w.shape))
+            gw = np.matmul(gf, _columns(xpb, kh, kw, stride).transpose(0, 2, 1)).sum(axis=0)
+            w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad:
-            gcols = (gf @ wf).reshape(n, ho, wo, ci, kh, kw)
-            gxp = np.zeros((n, ci, h + 2 * pad, wd + 2 * pad), dtype=g.dtype)
+            taps = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
+            gcols = np.matmul(taps, gf).reshape(n, kh, kw, ci, ho, wo)
+            gxp = np.zeros((n, ci, hp, wp), dtype=g.dtype)
             for ky in range(kh):
                 for kx in range(kw):
-                    gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += (
-                        gcols[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
-                    )
+                    gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += gcols[:, ky, kx]
             x.accumulate_grad(gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp)
 
     parents = (x, w) if b is None else (x, w, b)

@@ -99,6 +99,8 @@ class LatentVideo:
 
     @property
     def total_frames(self) -> int:
+        if not self.frame_map:
+            raise ShapeError(f"total_frames needs a frame_map; none is set for {self.t_z} latents")
         return self.frame_map[-1][1] - self.frame_map[0][0]
 
 

@@ -109,6 +109,39 @@ def test_conv2d_grads(seed):
     assert grad_check(f, [x, w, b], eps=1e-6) <= 1e-6
 
 
+# (stride, pad, kernel, H, W): the VAE decoder, the VAE 1x1 heads, the face
+# and VAE encoders, then no padding, pad 2, stride 3 with an even kernel, and
+# odd and non-square frames.
+CONV_CASES = [
+    (1, 1, 3, 5, 6),
+    (1, 0, 1, 4, 5),
+    (2, 1, 3, 5, 6),
+    (2, 0, 3, 7, 7),
+    (1, 2, 3, 3, 5),
+    (2, 2, 3, 5, 4),
+    (3, 1, 2, 7, 5),
+]
+
+
+@pytest.mark.parametrize("case", CONV_CASES, ids=[f"s{s}-p{p}-k{k}-{h}x{w}" for s, p, k, h, w in CONV_CASES])
+@pytest.mark.parametrize("seed", range(3))
+def test_conv2d_grads_every_case(seed, case):
+    # Stride 1 sums ~6x more outputs into f (about 200 here), so at eps=1e-6
+    # the central differences alone carry up to 1.7e-5 relative error on
+    # entries near 1e-3. eps=1e-5 cuts that tenfold; a wrong gradient term
+    # gives errors near 1.
+    stride, pad, k, h, wd = case
+    rng = np.random.default_rng(400 + seed)
+    x = wt(rng, (2, 2, h, wd))
+    w = wt(rng, (3, 2, k, k))
+    b = wt(rng, (3,))
+
+    def f(x_, w_, b_):
+        return pt.sum_all(pt.silu(pt.conv2d(x_, w_, b_, stride=stride, pad=pad)))
+
+    assert grad_check(f, [x, w, b], eps=1e-5) <= 1e-5
+
+
 @pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("seed", range(2))
 def test_causal_conv1d_grads(stride, seed):

@@ -1,5 +1,7 @@
 """Tensor core: op oracles, shape errors, serialization round-trips."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,6 +297,29 @@ class TestElementwise:
         s = softmax(x).data
         np.testing.assert_allclose(s.sum(axis=-1), np.ones(5), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, WIDE])
+    def test_gelu_keeps_dtype(self, dtype):
+        x = Tensor(np.linspace(-3, 3, 7).astype(dtype), requires_grad=True)
+        y = pt.gelu(x)
+        y.backward(np.ones_like(y.data))
+        assert y.dtype == dtype and x.grad.dtype == dtype
+
+    def test_gelu_float32_matches_float64(self):
+        # rtol: a few float32 ulps over the ~10 roundings of the formula.
+        # atol: for large |x|, tanh is within an ulp of +-1, so 1 + tanh and
+        # 1 - tanh**2 keep only about 6e-8 absolute accuracy. The forward
+        # scales that by |x| <= 8; the derivative by |x| * du <= 61.
+        x = np.linspace(-8.0, 8.0, 4001).astype(np.float32)
+        results = []
+        for dtype in (np.float32, WIDE):
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            y = pt.gelu(xt)
+            y.backward(np.ones_like(y.data))
+            results.append((y.data, xt.grad))
+        (y32, d32), (y64, d64) = results
+        np.testing.assert_allclose(y32, y64, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(d32, d64, rtol=1e-5, atol=1e-5)
+
     def test_finite_after_extreme_inputs(self):
         x = wide(np.array([[1e4, -1e4, 0.0]]))
         with pt.finite_checks():
@@ -307,27 +332,135 @@ class TestElementwise:
 # conv2d against a direct oracle
 
 
+# (stride, pad, kernel, H, W): the VAE decoder, the VAE 1x1 heads, the face
+# and VAE encoders, then no padding, pad 2, stride 3 with an even kernel, and
+# odd and non-square frames.
+CONV_CASES = [
+    (1, 1, 3, 6, 7),
+    (1, 0, 1, 5, 5),
+    (2, 1, 3, 6, 7),
+    (2, 0, 3, 7, 7),
+    (1, 2, 3, 5, 8),
+    (2, 2, 3, 9, 4),
+    (3, 1, 2, 8, 5),
+]
+CONV_IDS = [f"s{s}-p{p}-k{k}-{h}x{w}" for s, p, k, h, w in CONV_CASES]
+
+
+def conv_oracle(x, w, stride, pad):
+    """Direct float64 convolution, one output element at a time."""
+    n, _, h, wd = x.shape
+    co, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    out = np.zeros((n, co, ho, wo))
+    for b in range(n):
+        for o in range(co):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[b, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                    out[b, o, i, j] = (patch * w[o]).sum()
+    return out
+
+
+def gamma32(terms):
+    """Worst-case relative error of a float32 dot product of `terms` products."""
+    u = 2.0**-24
+    return terms * u / (1 - terms * u)
+
+
 class TestConv2d:
-    def test_against_nested_loop_oracle(self):
+    @pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
+    def test_against_nested_loop_oracle(self, case):
+        stride, pad, k, h, wd = case
         r = rng(30)
-        x = r.standard_normal((2, 3, 6, 7))
-        w = r.standard_normal((4, 3, 3, 3))
-        out = conv2d(wide(x), wide(w), stride=2, pad=1).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        n, co = 2, 4
-        ho, wo = out.shape[2], out.shape[3]
-        expect = np.zeros((n, co, ho, wo))
-        for b in range(n):
-            for o in range(co):
-                for i in range(ho):
-                    for j in range(wo):
-                        patch = xp[b, :, i * 2 : i * 2 + 3, j * 2 : j * 2 + 3]
-                        expect[b, o, i, j] = (patch * w[o]).sum()
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        x = r.standard_normal((2, 3, h, wd))
+        w = r.standard_normal((4, 3, k, k))
+        out = conv2d(wide(x), wide(w), stride=stride, pad=pad).data
+        np.testing.assert_allclose(out, conv_oracle(x, w, stride, pad), atol=1e-12)
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
+    def test_float32_within_dot_product_bound_of_float64(self, case):
+        # Each output, input-grad and weight-grad entry is a dot product of
+        # `terms` float32 products, so whatever the summation order its error
+        # is at most gamma32(terms) times the same sum over absolute values.
+        stride, pad, k, h, wd = case
+        r = rng(31)
+        n, ci, co = 2, 16, 8
+        x = r.standard_normal((n, ci, h, wd)).astype(np.float32)
+        w = r.standard_normal((co, ci, k, k)).astype(np.float32)
+
+        def run(xa, wa, dtype):
+            xt = Tensor(xa.astype(dtype), requires_grad=True)
+            wt = Tensor(wa.astype(dtype), requires_grad=True)
+            y = conv2d(xt, wt, stride=stride, pad=pad)
+            y.backward(np.ones_like(y.data))
+            return y.data, xt.grad, wt.grad
+
+        got = run(x, w, np.float32)
+        ref = run(x, w, WIDE)
+        mag = run(np.abs(x), np.abs(w), WIDE)
+        ho, wo = ref[0].shape[2:]
+        for a, b, m, terms in zip(got, ref, mag, (ci * k * k, co * k * k, n * ho * wo)):
+            assert a.dtype == np.float32
+            assert (np.abs(a - b) <= gamma32(terms) * m).all()
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d(wide(np.zeros((1, 3, 8, 8))), wide(np.zeros((4, 2, 3, 3))))
+
+    def test_negative_pad_raises(self):
+        with pytest.raises(ConfigError, match="pad"):
+            conv2d(wide(np.zeros((1, 2, 8, 8))), wide(np.zeros((4, 2, 3, 3))), pad=-1)
+
+
+# ---------------------------------------------------------------------------
+# op profiler
+
+
+class TestProfileOps:
+    def test_nested_ops_are_counted(self):
+        r = rng(33)
+        x, w, b = wide(r.standard_normal((6, 4))), wide(r.standard_normal((4, 3))), wide(r.standard_normal(3))
+        with pt.profile_ops() as prof:
+            y = linear(x, w, b)
+            pt.mean_axis(y, 0)
+        calls = {op: st.calls for op, st in prof.ops.items()}
+        assert calls == {"reshape": 2, "matmul": 1, "add": 1, "sum_axis": 1, "scale": 1}
+        assert prof.ops["matmul"].out_bytes == 6 * 3 * 8
+        assert prof.ops["sum_axis"].out_bytes == 3 * 8
+        assert all(st.bwd_s == 0.0 for st in prof.ops.values())
+
+    def test_backward_time_lands_on_its_op(self):
+        def slow_double(a):
+            def bwd(g):
+                time.sleep(0.05)
+                a.accumulate_grad(2.0 * g)
+
+            return pt._make(a.data * 2.0, (a,), bwd, "slow_double")
+
+        x = Tensor(np.ones((3, 3)), requires_grad=True)
+        with pt.profile_ops() as prof:
+            loss = pt.sum_all(pt.tanh(slow_double(x)))
+            loss.backward()
+            pt.neg(x)
+        assert prof.ops["slow_double"].bwd_s >= 0.05
+        assert prof.ops["tanh"].bwd_s < 0.05 and prof.ops["sum"].bwd_s < 0.05
+        # the op after backward is not charged with the replay
+        assert prof.ops["neg"].fwd_s < 0.05
+        assert "slow_double" in prof.table().splitlines()[1]
+
+    def test_off_outside_block_and_restored_after_nesting(self):
+        a = wide(np.ones(3))
+        with pt.profile_ops() as outer:
+            pt.neg(a)
+            with pt.profile_ops() as inner:
+                pt.tanh(a)
+            pt.neg(a)
+        pt.tanh(a)
+        assert set(inner.ops) == {"tanh"}
+        assert set(outer.ops) == {"neg"} and outer.ops["neg"].calls == 2
+        assert pt._profile is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,16 @@ class TestTemporalLaw:
         ranges = frame_ranges(8, first_frame_alone=False)
         assert ranges == [(0, 4), (4, 8)]
 
+    def test_total_frames(self):
+        z = Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32))
+        assert LatentVideo(z, frame_ranges(9)).total_frames == 9
+        assert LatentVideo(z, [(4, 8), (8, 12), (12, 16)], first_frame_alone=False).total_frames == 12
+
+    def test_total_frames_without_frame_map_raises(self):
+        lat = LatentVideo(Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32)))
+        with pytest.raises(ShapeError, match="frame_map"):
+            lat.total_frames
+
 
 def small_clip(t=5, hw=16, seed=0):
     rng = np.random.default_rng(seed)
