@@ -4,11 +4,13 @@ Input is the channel-concatenated (noisy latent, condition, mask) triple,
 patchified to tokens. Pose conditioning is spatially aligned: projected pose
 latents are added to the tokens of every window position, never to the
 reference latent's tokens. Expression conditioning enters through face blocks
-inserted after every k-th transformer block; their cross-attention is masked
-so the tokens of latent step t see exactly the face latent of step t (the
-reference step sees a learned null latent instead). Face-block gates and the
-low-rank adapter's up-projections start at zero, so each new pathway begins
-as the identity over whatever the previous training stage produced.
+inserted after every k-th transformer block. Each is the paper's temporally
+masked face cross-attention: the tokens of latent step t may attend to the
+face latent of step t only (the reference step to a learned null latent), so
+the softmax is one-hot and the block reduces exactly to a row gather of the
+projected face values. Face-block gates and the low-rank adapter's
+up-projections start at zero, so each new pathway begins as the identity over
+whatever the previous training stage produced.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class DiTConfig:
             raise ConfigError(
                 f"n_layers {self.n_layers} not divisible by face stride {self.face_stride}"
             )
+        if self.n_heads < 1 or self.dim % self.n_heads:
+            raise ConfigError(f"{self.n_heads} heads do not divide model dim {self.dim}")
         if self.lora_rank >= self.dim:
             raise ConfigError(f"lora rank {self.lora_rank} must be below model dim {self.dim}")
 
@@ -121,20 +125,19 @@ def _const_ln(x: Tensor, dim: int) -> Tensor:
 
 
 class FaceBlock:
-    """Temporally confined cross-attention from video tokens to face latents.
+    """Temporally confined face conditioning, as a row gather.
 
-    One face latent per latent step plus a trailing null key; the mask routes
-    every token to its own step's key only, which makes the confinement exact
-    (the single allowed key takes softmax weight 1.0). The output enters
-    through a zero-initialized gate.
+    The values are one face latent per latent step plus a trailing null
+    latent, projected by `v`. Masked cross-attention would let every token
+    see its own step's value only; that single key takes softmax weight 1.0
+    whatever the query, so the block gathers the token's value row, projects
+    it by `o` and adds it through a zero-initialized gate. Confinement is
+    exact by construction, and no query or key projection exists.
     """
 
     def __init__(self, rng, cfg: DiTConfig, dtype=np.float32):
         d, fw = cfg.dim, cfg.face_width
-        self.dim = d
         self.params = {
-            "q": _init(rng, (d, d), 0.02, dtype),
-            "k": _init(rng, (fw, d), 1.0 / np.sqrt(fw), dtype),
             "v": _init(rng, (fw, d), 1.0 / np.sqrt(fw), dtype),
             "o": _init(rng, (d, d), 0.02, dtype),
             "gate": _zeros((d,), dtype),
@@ -154,20 +157,15 @@ class FaceBlock:
             raise AlignmentError(
                 f"face latents cover {face.shape[0]} steps, window has {n_window}"
             )
-        # keys: per-step face latents then the null latent (key index n_window)
+        # values: per-step face latents then the null latent (row n_window)
         null = pt.reshape(self.null_latent, (1, self.null_latent.shape[0]))
         if face is None or force_null:
-            kv_src = pt.tile_rows(null, n_window + 1)
+            src = pt.tile_rows(null, n_window + 1)
         else:
-            kv_src = pt.concat([face, null], axis=0)
-        q = lora_forward(_const_ln(tokens, self.dim), self.params["q"], adapter, f"{name}.q")
-        k = lora_forward(kv_src, self.params["k"], adapter, f"{name}.k")
-        v = lora_forward(kv_src, self.params["v"], adapter, f"{name}.v")
+            src = pt.concat([face, null], axis=0)
+        v = lora_forward(src, self.params["v"], adapter, f"{name}.v")
         key_of_token = np.where(step_of_token == 0, n_window, step_of_token - 1)
-        mask = np.zeros((tokens.shape[0], n_window + 1), dtype=bool)
-        mask[np.arange(tokens.shape[0]), key_of_token] = True
-        att = pt.attention(q, k, v, mask)
-        out = lora_forward(att, self.params["o"], adapter, f"{name}.o")
+        out = lora_forward(pt.take_rows(v, key_of_token), self.params["o"], adapter, f"{name}.o")
         return pt.add(tokens, pt.mul(out, self.params["gate"]))
 
 
@@ -232,8 +230,6 @@ class AnimationModel:
             for proj in ("q", "k", "v", "o"):
                 targets[f"blocks.{i}.attn.{proj}"] = (d, d)
         for j in range(self.cfg.face_block_count):
-            targets[f"face_blocks.{j}.q"] = (d, d)
-            targets[f"face_blocks.{j}.k"] = (self.cfg.face_width, d)
             targets[f"face_blocks.{j}.v"] = (self.cfg.face_width, d)
             targets[f"face_blocks.{j}.o"] = (d, d)
         self.lora = LoRAAdapter(rng, targets, self.cfg.lora_rank, self.cfg.lora_alpha, self.dtype)
@@ -283,23 +279,10 @@ class AnimationModel:
         return [pt.reshape(pt.slice_axis(raw, 1, i * d, (i + 1) * d), (d,)) for i in range(n_chunks)]
 
     def _self_attention(self, x: Tensor, layer: int, adapter) -> Tensor:
-        cfg = self.cfg
-        d, heads = cfg.dim, cfg.n_heads
-        dh = d // heads
-        L = x.shape[0]
         pre = f"blocks.{layer}.attn"
-        q = lora_forward(x, self.params[f"{pre}.q"], adapter, f"{pre}.q")
-        k = lora_forward(x, self.params[f"{pre}.k"], adapter, f"{pre}.k")
-        v = lora_forward(x, self.params[f"{pre}.v"], adapter, f"{pre}.v")
-
-        def heads_first(t):
-            return pt.transpose(pt.reshape(t, (L, heads, dh)), (1, 0, 2))  # [H, L, dh]
-
-        qh, kh, vh = heads_first(q), heads_first(k), heads_first(v)
-        logits = pt.scale(pt.matmul(qh, pt.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        att = pt.matmul(pt.softmax(logits, axis=-1), vh)  # [H, L, dh]
-        merged = pt.reshape(pt.transpose(att, (1, 0, 2)), (L, d))
-        return lora_forward(merged, self.params[f"{pre}.o"], adapter, f"{pre}.o")
+        q, k, v = (lora_forward(x, self.params[f"{pre}.{p}"], adapter, f"{pre}.{p}") for p in "qkv")
+        att = pt.attention(q, k, v, self.cfg.n_heads)
+        return lora_forward(att, self.params[f"{pre}.o"], adapter, f"{pre}.o")
 
     def forward_tokens(
         self,
@@ -327,14 +310,7 @@ class AnimationModel:
         tokens = pt.add(tokens, pt.tile_rows(self.params["pos.spatial"], n_total))
 
         if pose_latents is not None:
-            if pose_latents.shape[1] != n_window:
-                raise AlignmentError(
-                    f"pose latents cover {pose_latents.shape[1]} steps, window has {n_window}"
-                )
-            pose_tokens = pt.matmul(pt.patchify(pose_latents, cfg.patch), self.params["body.w"])
-            ref_tokens = pt.slice_axis(tokens, 0, 0, tps)
-            win_tokens = pt.add(pt.slice_axis(tokens, 0, tps, tokens.shape[0]), pose_tokens)
-            tokens = pt.concat([ref_tokens, win_tokens], axis=0)
+            tokens = _inject_pose(tokens, pose_latents, self.params["body.w"], n_total, cfg.patch)
 
         step_of_token = np.repeat(np.arange(n_total), tps)
         tfeat = self._time_features(t)
@@ -362,21 +338,17 @@ class AnimationModel:
         return pt.unpatchify(x, dims, cfg.patch)
 
 
-def body_adapter_inject(
-    pose_frames: Tensor, noise_tokens: Tensor, pack: ConditionPack, vae: ToyVAE, proj_w: Tensor,
-    patch=(1, 2, 2),
-) -> Tensor:
+def _inject_pose(tokens: Tensor, pose_latents: Tensor, proj_w: Tensor, n_total: int, patch) -> Tensor:
     """Add projected, patchified pose latents to the window tokens.
 
-    Pose frames cover exactly the window (temporal guidance included); the
+    Pose latents cover exactly the window (temporal guidance included); the
     reference latent's tokens pass through untouched.
     """
-    pose_lat = vae.encode_tensor(pose_frames)
-    n_window = pack.n_total - 1
-    if pose_lat.shape[1] != n_window:
-        raise AlignmentError(f"pose latents cover {pose_lat.shape[1]} steps, window has {n_window}")
-    pose_tokens = pt.matmul(pt.patchify(pose_lat, patch), proj_w)
-    tps = noise_tokens.shape[0] // pack.n_total
-    ref = pt.slice_axis(noise_tokens, 0, 0, tps)
-    win = pt.add(pt.slice_axis(noise_tokens, 0, tps, noise_tokens.shape[0]), pose_tokens)
+    n_window = n_total - 1
+    if pose_latents.shape[1] != n_window:
+        raise AlignmentError(f"pose latents cover {pose_latents.shape[1]} steps, window has {n_window}")
+    pose_tokens = pt.matmul(pt.patchify(pose_latents, patch), proj_w)
+    tps = tokens.shape[0] // n_total
+    ref = pt.slice_axis(tokens, 0, 0, tps)
+    win = pt.add(pt.slice_axis(tokens, 0, tps, tokens.shape[0]), pose_tokens)
     return pt.concat([ref, win], axis=0)

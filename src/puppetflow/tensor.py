@@ -11,6 +11,7 @@ is confined to the thread that built it.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import time
 from contextlib import contextmanager
@@ -21,11 +22,6 @@ import numpy as np
 WIDE = np.float64
 NARROW = np.float32
 
-# Additive mask value for attention logits. exp(x) underflows to exactly 0.0
-# for x <= -746 in float64, so masked keys get weight 0.0 bit-exactly.
-MASK_FILL = -1.0e9
-
-
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
 
@@ -35,7 +31,7 @@ class ConfigError(ValueError):
 
 
 class ConditioningError(ValueError):
-    """A conditioning structure is malformed (e.g. a fully masked attention row)."""
+    """A conditioning structure is malformed (e.g. a pack with nothing to generate)."""
 
 
 class AlignmentError(ValueError):
@@ -147,10 +143,11 @@ def profile_ops():
 class Tensor:
     """A rank-N real array, optionally participating in the gradient tape.
 
-    `grad` mirrors `data`'s shape once backward has run. Graph nodes record
-    their parents and a backward closure; `backward` replays nodes in reverse
-    construction order, which is a valid topological order because every op
-    is constructed after its inputs.
+    `grad` mirrors `data`'s shape once backward has run. Only leaves keep it:
+    `backward` drops each intermediate gradient once it has been used. Graph
+    nodes record their parents and a backward closure; `backward` replays
+    nodes in reverse construction order, which is a valid topological order
+    because every op is constructed after its inputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd", "_op", "_id")
@@ -209,7 +206,10 @@ class Tensor:
         """Reverse-mode pass seeded at this tensor.
 
         Visits each reachable graph node exactly once, in reverse construction
-        order; accumulation into shared inputs is additive.
+        order; accumulation into shared inputs is additive. A node's gradient
+        is dropped as soon as its backward closure has consumed it, so only
+        leaves keep `grad`, and a repeated call adds exactly the same
+        gradient to them again.
         """
         if grad is None:
             if self.size != 1:
@@ -230,6 +230,7 @@ class Tensor:
         self.accumulate_grad(grad)
         for node in nodes:
             node._bwd(node.grad)
+            node.grad = None
 
     # operator sugar for the common cases
     def __add__(self, other):
@@ -372,7 +373,7 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
 
 
 def add_const(a: Tensor, arr: np.ndarray) -> Tensor:
-    """Add a constant array (not a graph node). Used for additive masks."""
+    """Add a constant array (not a graph node), such as a latent shift."""
     if arr.shape != a.shape:
         raise ShapeError(f"add_const: shapes {a.shape} and {arr.shape} differ")
 
@@ -628,35 +629,82 @@ def modulate(x: Tensor, shift: Tensor, scl: Tensor) -> Tensor:
     return add(mul(x, add_scalar(scl, 1.0)), shift)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v with an optional boolean keep-mask [Lq, Lk].
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d_h)) v as one tape node.
 
-    Masked logits get a -1e9 additive term; a fully masked query row is a
-    conditioning bug and raises before any arithmetic runs.
+    q [Lq, D], k [Lk, D], v [Lk, Dv] -> [Lq, Dv]. Head h owns columns
+    [h*D/heads, (h+1)*D/heads) of q and k and the matching slice of v; the
+    heads are strided views, so no transpose is copied. The node saves only
+    the exponentiated, max-shifted logits and their row sums; the normalized
+    weights are never stored, and the division by the row sums comes after
+    the product with v.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError(f"attention: expected 2D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
     if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention: shapes {q.shape}/{k.shape}/{v.shape} inconsistent")
-    logits = scale(matmul(q, transpose(k, (1, 0))), 1.0 / float(np.sqrt(q.shape[1])))
-    if mask is not None:
-        if mask.shape != (q.shape[0], k.shape[0]):
-            raise ShapeError(f"attention: mask {mask.shape} does not match [{q.shape[0]}, {k.shape[0]}]")
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise ConditioningError(f"attention: query row {bad} has no allowed keys")
-        logits = add_const(logits, np.where(mask, 0.0, MASK_FILL))
-    return matmul(softmax(logits, axis=-1), v)
+    _same_dtype("attention", q, k, v)
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ConfigError(f"attention: {heads} heads do not divide widths {q.shape[1]} and {v.shape[1]}")
+    lq, lk = q.shape[0], k.shape[0]
+    dh, dv = q.shape[1] // heads, v.shape[1] // heads
+
+    def split(a, n, d):  # [n, heads*d] -> strided view [heads, n, d]
+        return a.reshape(n, heads, d).transpose(1, 0, 2)
+
+    qh, kh, vh = split(q.data, lq, dh), split(k.data, lk, dh), split(v.data, lk, dv)
+    c = q.data.dtype.type(1.0 / np.sqrt(dh))
+    e = np.matmul(qh, kh.transpose(0, 2, 1))  # [heads, Lq, Lk]
+    e *= c
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    r = e.sum(axis=-1, keepdims=True)
+    out = np.empty((lq, heads * dv), dtype=q.data.dtype)
+    oh = split(out, lq, dv)
+    np.matmul(e, vh, out=oh)
+    oh /= r
+
+    def bwd(g):
+        gr = split(g, lq, dv) / r  # g scaled by the row normalizer, [heads, Lq, dv]
+        if v.requires_grad:
+            gv = np.empty_like(v.data)
+            np.matmul(e.transpose(0, 2, 1), gr, out=split(gv, lk, dv))
+            v.accumulate_grad(gv)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # dS = P * (g v^T - rowsum(g * O)), with P = e / r folded into gr
+        ds = np.matmul(gr, vh.transpose(0, 2, 1))
+        ds -= (gr * oh).sum(axis=-1, keepdims=True)
+        ds *= e
+        if q.requires_grad:
+            gq = np.empty_like(q.data)
+            np.matmul(ds, kh, out=split(gq, lq, dh))
+            gq *= c
+            q.accumulate_grad(gq)
+        if k.requires_grad:
+            gk = np.empty_like(k.data)
+            np.matmul(ds.transpose(0, 2, 1), qh, out=split(gk, lk, dh))
+            gk *= c
+            k.accumulate_grad(gk)
+
+    return _make(out, (q, k, v), bwd, "attention")
 
 
-def attention_weights(q: Tensor, k: Tensor, mask: np.ndarray | None = None) -> np.ndarray:
-    """Row-stochastic attention matrix, for inspection in tests."""
-    logits = q.data @ k.data.T / np.sqrt(q.shape[1])
-    if mask is not None:
-        logits = logits + np.where(mask, 0.0, MASK_FILL)
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+    """[N, D] -> [len(idx), D], row i = a[idx[i]]; indices may repeat."""
+    idx = np.asarray(idx)
+    if a.ndim != 2 or idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ShapeError(f"take_rows: need [N, D] rows and 1D integer indices, got {a.shape} and {idx.shape} {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError(f"take_rows: indices [{idx.min()}, {idx.max()}] outside [0, {a.shape[0]})")
+    out = a.data[idx]
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        a.accumulate_grad(ga)
+
+    return _make(out, (a,), bwd, "take_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -858,13 +906,21 @@ def dump_tensor(path, t: Tensor | np.ndarray) -> None:
 def load_tensor(path, dtype=NARROW, requires_grad=False) -> Tensor:
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:4] != _MAGIC:
+
+    def need(n, part):
+        if len(raw) < n:
+            raise ShapeError(f"{path}: truncated {part}: expected {n} bytes, file has {len(raw)}")
+
+    if raw[:4] != _MAGIC[: len(raw)]:
         raise ConfigError(f"{path}: bad magic {raw[:4]!r}")
+    need(12, "header")
     version, rank = struct.unpack_from("<II", raw, 4)
     if version != _VERSION:
         raise ConfigError(f"{path}: unsupported version {version}")
-    dims = struct.unpack_from(f"<{rank}Q", raw, 12)
-    n = int(np.prod(dims)) if rank else 1
     off = 12 + 8 * rank
+    need(off, "header")
+    dims = struct.unpack_from(f"<{rank}Q", raw, 12)
+    n = math.prod(dims)
+    need(off + 4 * n, "payload")
     data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
     return Tensor(data.astype(dtype), requires_grad=requires_grad)

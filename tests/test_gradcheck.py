@@ -88,6 +88,29 @@ def test_attention_grads(seed):
     assert grad_check(f, [q, k, v], eps=1e-6) <= 1e-5
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_multi_head_attention_grads_20_seeds(heads):
+    # Lq != Lk, and the output is weighted by a second function of q so that
+    # every head's gradient path is exercised with a non-uniform seed.
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(310 + seed)
+        q, k, v = wt(rng, (4, 8)), wt(rng, (6, 8)), wt(rng, (6, 8))
+
+        def f(q_, k_, v_):
+            return pt.sum_all(pt.mul(pt.attention(q_, k_, v_, heads), q_))
+
+        worst = max(worst, grad_check(f, [q, k, v], eps=1e-6))
+    assert worst <= 1e-5
+
+
+def test_take_rows_grads_with_repeated_indices():
+    rng = np.random.default_rng(320)
+    a, w = wt(rng, (4, 3)), wt(rng, (7, 3))
+    idx = np.array([3, 0, 3, 1, 3, 0, 2])
+    assert grad_check(lambda a_: pt.sum_all(pt.mul(pt.take_rows(a_, idx), w)), [a]) <= 1e-6
+
+
 def test_attention_self_grads_meet_spec_tolerance():
     # f = sum(attention(x, x, x)) on 4x8 at eps=1e-4
     rng = np.random.default_rng(17)
@@ -235,3 +258,14 @@ def test_backward_visits_reverse_construction_order():
         node._bwd = wrapped
     c.backward()
     assert calls == ["sum", "silu", "mul"]
+
+
+def test_backward_keeps_leaf_grads_only_and_repeats_exactly():
+    x = Tensor(np.array([2.0, 4.0, 6.0], dtype=WIDE), requires_grad=True)
+    sq = pt.mul(x, x)
+    out = pt.sum_all(sq)
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0, 12.0])
+    assert sq.grad is None and out.grad is None
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [8.0, 16.0, 24.0])

@@ -8,7 +8,7 @@ from puppetflow.model import (
     AnimationModel,
     DiTConfig,
     LoRAAdapter,
-    body_adapter_inject,
+    _inject_pose,
     lora_forward,
 )
 from puppetflow.packs import build_animation_pack
@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiTConfig(n_layers=8, face_stride=3)
 
+    def test_heads_must_divide_dim(self):
+        for heads in (4, 0):
+            with pytest.raises(ConfigError, match="heads"):
+                DiTConfig(dim=18, n_heads=heads)
+
     def test_lora_rank_at_dim_rejected(self):
         with pytest.raises(ConfigError):
             DiTConfig(dim=16, lora_rank=16)
@@ -102,13 +107,13 @@ class TestForward:
         tokens = Tensor(rng.standard_normal((pack.n_total * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
         frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
         with pt.no_grad():
-            out = body_adapter_inject(frames, tokens, pack, model.vae, model.params["body.w"])
+            out = _inject_pose(tokens, model.vae.encode_tensor(frames), model.params["body.w"], pack.n_total, cfg.patch)
             assert np.array_equal(out.data[: cfg.tokens_per_step], tokens.data[: cfg.tokens_per_step])
             assert np.abs(out.data[cfg.tokens_per_step :] - tokens.data[cfg.tokens_per_step :]).max() > 0
             # perturb a pose frame: reference tokens stay bit-identical
             frames2 = Tensor(frames.data.copy())
             frames2.data[4] += 0.5
-            out2 = body_adapter_inject(frames2, tokens, pack, model.vae, model.params["body.w"])
+            out2 = _inject_pose(tokens, model.vae.encode_tensor(frames2), model.params["body.w"], pack.n_total, cfg.patch)
         assert np.array_equal(out2.data[: cfg.tokens_per_step], out.data[: cfg.tokens_per_step])
 
     def test_zero_body_projection_is_identity(self, setup):
@@ -118,11 +123,50 @@ class TestForward:
         frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
         zero_w = Tensor(np.zeros_like(model.params["body.w"].data))
         with pt.no_grad():
-            out = body_adapter_inject(frames, tokens, pack, model.vae, zero_w)
+            out = _inject_pose(tokens, model.vae.encode_tensor(frames), zero_w, pack.n_total, cfg.patch)
         assert np.array_equal(out.data, tokens.data)
 
 
 class TestFaceBlock:
+    def test_matches_masked_dense_attention_bit_exactly(self, setup):
+        # The paper's face block is cross-attention whose mask leaves each
+        # token its own step's key. Computed densely in numpy with arbitrary
+        # queries and keys, the softmax is exactly one-hot, and the gather
+        # must reproduce the result bit for bit, LoRA residuals included.
+        cfg, model, pack, x_t, _, face = setup
+        rng = np.random.default_rng(14)
+        adapter = model.attach_lora(rng)
+        for name, p in adapter.params.items():
+            if name.endswith(".up"):
+                p.data[:] = rng.standard_normal(p.shape).astype(np.float32)
+        tokens = Tensor(rng.standard_normal((16, cfg.dim)).astype(np.float32))
+        steps = np.repeat(np.arange(4), 4)
+        mask = np.zeros((16, 4), dtype=bool)
+        mask[np.arange(16), np.where(steps == 0, 3, steps - 1)] = True
+        q = rng.standard_normal((16, cfg.dim)).astype(np.float32)
+        k = rng.standard_normal((4, cfg.dim)).astype(np.float32)
+        logits = q @ k.T / np.float32(np.sqrt(cfg.dim)) + np.where(mask, 0.0, -1e9).astype(np.float32)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights = e / e.sum(axis=1, keepdims=True)
+        assert np.array_equal(weights, mask.astype(np.float32))
+
+        def lora(x, w, name):
+            delta = (x @ adapter.params[f"{name}.down"].data) @ adapter.params[f"{name}.up"].data
+            return x @ w.data + delta * np.float32(adapter.scale)
+
+        null = model.params["null_face"].data[None]
+        for j, fb in enumerate(model.face_blocks):
+            fb.params["gate"].data[:] = rng.standard_normal(cfg.dim).astype(np.float32)
+            name = f"face_blocks.{j}"
+            for force_null in (False, True):
+                src = np.tile(null, (4, 1)) if force_null else np.concatenate([face.data, null])
+                v = lora(src, fb.params["v"], f"{name}.v")
+                out = lora(weights @ v, fb.params["o"], f"{name}.o")
+                expect = tokens.data + out * fb.params["gate"].data
+                with pt.no_grad():
+                    got = fb(tokens, face, steps, 3, adapter, name, force_null).data
+                assert np.array_equal(got, expect)
+
     def test_zero_gate_is_identity(self, setup):
         cfg, model, pack, x_t, _, face = setup
         fb = model.face_blocks[0]
@@ -182,6 +226,19 @@ class TestFaceBlock:
         window = out[4:].reshape(3, 4, cfg.dim)
         for s in range(1, 3):
             np.testing.assert_array_equal(window[s], window[0])
+
+
+def test_default_forward_runs_one_attention_op_per_layer():
+    cfg = DiTConfig()
+    model = AnimationModel(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    side = model.vae.spatial_factor * cfg.latent_size
+    pack = build_animation_pack(model.vae, rng.random((3, side, side)).astype(np.float32), 2, None, rng)
+    x_t = Tensor(rng.standard_normal(pack.noise.shape).astype(np.float32))
+    with pt.no_grad(), pt.profile_ops() as prof:
+        model.forward_tokens(x_t, pack, None, None, 0.5)
+    assert prof.ops["attention"].calls == cfg.n_layers
+    assert "softmax" not in prof.ops
 
 
 class TestLoRA:

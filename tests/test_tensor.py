@@ -16,7 +16,6 @@ from puppetflow.tensor import (
     Tensor,
     WIDE,
     attention,
-    attention_weights,
     causal_conv1d,
     concat,
     conv2d,
@@ -138,7 +137,7 @@ class TestAttention:
         q = wide(r.standard_normal((5, 4)))
         k = wide(r.standard_normal((1, 4)))
         v = wide(r.standard_normal((1, 4)))
-        out = attention(q, k, v)
+        out = attention(q, k, v, heads=1)
         for row in out.data:
             np.testing.assert_array_equal(row, v.data[0])
 
@@ -147,7 +146,7 @@ class TestAttention:
         q = wide(np.zeros((3, 4)))
         k = wide(r.standard_normal((6, 4)))
         v = wide(r.standard_normal((6, 4)))
-        out = attention(q, k, v)
+        out = attention(q, k, v, heads=1)
         np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_against_direct_softmax_oracle(self):
@@ -156,36 +155,49 @@ class TestAttention:
         logits = q.data @ k.data.T / np.sqrt(3.0)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expect = (e / e.sum(axis=1, keepdims=True)) @ v.data
-        out = attention(q, k, v)
+        out = attention(q, k, v, heads=1)
         assert np.abs(out.data - expect).max() <= 1e-12
 
-    def test_rows_sum_to_one(self):
+    def test_heads_must_divide_width(self):
         r = rng(14)
-        q = wide(r.standard_normal((7, 5)))
-        k = wide(r.standard_normal((9, 5)))
-        mask = r.random((7, 9)) > 0.3
-        mask[:, 0] = True
-        w = attention_weights(q, k, mask)
-        np.testing.assert_allclose(w.sum(axis=1), np.ones(7), atol=1e-12)
+        q, k, v = (wide(r.standard_normal((3, 6))) for _ in range(3))
+        for heads in (0, -1, 4):
+            with pytest.raises(ConfigError, match="heads"):
+                attention(q, k, v, heads)
 
-    def test_fully_masked_row_raises(self):
-        r = rng(15)
-        q = wide(r.standard_normal((2, 3)))
-        k = wide(r.standard_normal((4, 3)))
-        v = wide(r.standard_normal((4, 3)))
-        mask = np.ones((2, 4), dtype=bool)
-        mask[1, :] = False
-        with pytest.raises(ConditioningError, match="row 1"):
-            attention(q, k, v, mask)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_float32_matches_per_head_composition(self, heads):
+        # The unfused graph: per head, scaled logits, max-shifted softmax, then
+        # P @ V, all in float32. The fused op divides by the row sums after
+        # P @ V instead of before, so the results differ by rounding only:
+        # a few float32 ulps of the output magnitude, bounded here by 1e-6
+        # on unit-normal inputs.
+        r = rng(15 + heads)
+        lq, lk, d = 48, 40, 32
+        q, k, v = (r.standard_normal((n, d)).astype(np.float32) for n in (lq, lk, lk))
+        dh = d // heads
+        expect = np.empty((lq, d), dtype=np.float32)
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            logits = (q[:, cols] @ k[:, cols].T) * np.float32(1.0 / np.sqrt(dh))
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            expect[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+        out = attention(tensor(q), tensor(k), tensor(v), heads)
+        assert out.dtype == np.float32
+        assert np.abs(out.data - expect).max() <= 1e-6
 
-    def test_masked_keys_get_exactly_zero_weight(self):
-        r = rng(16)
-        q = wide(r.standard_normal((4, 3)))
-        k = wide(r.standard_normal((5, 3)))
-        mask = np.zeros((4, 5), dtype=bool)
-        mask[np.arange(4), np.arange(4)] = True
-        w = attention_weights(q, k, mask)
-        np.testing.assert_array_equal(w, mask.astype(w.dtype))
+
+class TestTakeRows:
+    def test_gathers_repeated_rows(self):
+        a = wide(rng(17).standard_normal((3, 4)))
+        idx = np.array([2, 0, 2, 2, 1])
+        np.testing.assert_array_equal(pt.take_rows(a, idx).data, a.data[idx])
+
+    def test_bad_indices_raise_shape_error(self):
+        a = wide(np.zeros((3, 4)))
+        for idx in (np.array([0, 3]), np.array([-1]), np.array([[0]]), np.array([0.0])):
+            with pytest.raises(ShapeError):
+                pt.take_rows(a, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +543,16 @@ class TestDumpFormat:
         dump_tensor(p, tensor(x))
         payload = np.frombuffer(p.read_bytes()[28:], dtype="<f4")
         np.testing.assert_array_equal(payload, np.arange(6, dtype=np.float32))
+
+    def test_every_truncation_raises_shape_error(self, tmp_path):
+        p = tmp_path / "t.want"
+        dump_tensor(p, tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
+        raw = p.read_bytes()
+        cut = tmp_path / "cut.want"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ShapeError, match=rf"expected \d+ bytes, file has {n}$"):
+                load_tensor(cut)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.want"
