@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as pt
 from .skeleton import CONF_THRESHOLD, HEAD_JOINTS, Skeleton
-from .tensor import AlignmentError, ShapeError, Tensor
+from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
 
 FACE_SIZE = 512
 CROP_EXPANSION = 1.8
@@ -37,37 +37,44 @@ class FaceCrop:
     box: tuple  # (x0, y0, side) in source pixels
 
 
-def resize_matrix(out_size: int, src_size: int, lo: float, hi: float, dtype=np.float64) -> np.ndarray:
-    """[out, src] bilinear sampling weights for the source span [lo, hi).
+def _taps(out_size: int, src_size: int, lo: float, hi: float):
+    """Bilinear taps (u0, u1, frac) of each output pixel over the span [lo, hi).
 
     Pixel-center convention; coordinates clamp at the borders, so boxes that
-    overhang the frame replicate edge pixels. Rows sum to 1.
+    overhang the frame replicate edge pixels.
     """
-    rows = np.arange(out_size)
-    u = lo + (rows + 0.5) * (hi - lo) / out_size - 0.5
+    u = lo + (np.arange(out_size) + 0.5) * (hi - lo) / out_size - 0.5
     u = np.clip(u, 0.0, src_size - 1.0)
     u0 = np.floor(u).astype(np.intp)
-    u1 = np.minimum(u0 + 1, src_size - 1)
-    frac = u - u0
-    w = np.zeros((out_size, src_size), dtype=dtype)
-    w[rows, u0] += (1.0 - frac).astype(dtype)
-    w[rows, u1] += frac.astype(dtype)
-    return w
+    return u0, np.minimum(u0 + 1, src_size - 1), u - u0
+
+
+def _lerp_rows(a: np.ndarray, taps) -> np.ndarray:
+    """[C, R, L] -> [C, out, L]: each output row blends two gathered rows."""
+    u0, u1, frac = taps
+    out = a.take(u0, axis=1)
+    step = a.take(u1, axis=1)
+    step -= out
+    step *= frac.astype(a.dtype)[:, None]
+    out += step
+    return out
 
 
 def bilinear_resize(image: np.ndarray, box, out_size: int) -> np.ndarray:
-    """Resample a square box (x0, y0, side) of [3,H,W] to [3,out,out].
+    """Resample a square box (x0, y0, side) of [C,H,W] to [C,out,out].
 
-    Separable: two small matmuls per channel, so the whole thing is BLAS.
+    Separable two-tap interpolation: every output pixel blends two source
+    columns, then two source rows, with weights (1 - frac, frac) that sum to
+    1. Coordinates clamp at the borders (see `_taps`). Both passes gather
+    whole rows: the x pass runs on the transposed source, the y pass on its
+    transposed result, which already lands in [C, out, out].
     """
+    if image.ndim != 3:
+        raise ShapeError(f"bilinear_resize: image must be [C,H,W], got {image.shape}")
     x0, y0, side = box
-    c, h, w = image.shape
-    wy = resize_matrix(out_size, h, y0, y0 + side, dtype=image.dtype)
-    wxt = resize_matrix(out_size, w, x0, x0 + side, dtype=image.dtype).T
-    out = np.empty((c, out_size, out_size), dtype=image.dtype)
-    for ch in range(c):
-        out[ch] = wy @ image[ch] @ wxt
-    return out
+    _, h, w = image.shape
+    cols = _lerp_rows(np.ascontiguousarray(image.transpose(0, 2, 1)), _taps(out_size, w, x0, x0 + side))
+    return _lerp_rows(np.ascontiguousarray(cols.transpose(0, 2, 1)), _taps(out_size, h, y0, y0 + side))
 
 
 def head_box(sk: Skeleton, height: int, width: int):
@@ -96,7 +103,7 @@ def crop_face(frame: Tensor, sk: Skeleton) -> FaceCrop | None:
     if box is None:
         return None
     out = bilinear_resize(img, box, FACE_SIZE)
-    return FaceCrop(Tensor(out.astype(np.float32)), frame_index=0, box=box)
+    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), frame_index=0, box=box)
 
 
 @dataclass
@@ -110,13 +117,26 @@ class FaceAugmentConfig:
     bias_hi: float = 0.1
     noise_hi: float = 0.05
 
+    def __post_init__(self):
+        if self.scale_lo <= 0:
+            raise ConfigError(f"FaceAugmentConfig: scale_lo must be positive, got {self.scale_lo}")
+        for name in ("scale", "gain", "bias"):
+            lo, hi = getattr(self, f"{name}_lo"), getattr(self, f"{name}_hi")
+            if lo > hi:
+                raise ConfigError(f"FaceAugmentConfig: {name}_lo {lo} exceeds {name}_hi {hi}")
+        if self.noise_hi < 0:
+            raise ConfigError(f"FaceAugmentConfig: noise_hi must be non-negative, got {self.noise_hi}")
+
 
 def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> FaceCrop:
     """Train-time identity-scrambling: rescale, color jitter, additive noise.
 
-    Draw order is fixed (scale, gains, biases, sigma, noise) so a seeded
-    generator reproduces the augmentation exactly.
+    Draw order is fixed (scale, 3 gains, 3 biases, sigma, then the float64
+    noise field) so a seeded generator reproduces the augmentation exactly.
+    Gain, bias, noise and clip run in place on the resized crop.
     """
+    if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
+        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
     cfg = cfg or FaceAugmentConfig()
     if not cfg.enabled:
         return face
@@ -128,10 +148,13 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     side = FACE_SIZE / s
     off = (FACE_SIZE - side) / 2.0
     out = bilinear_resize(img, (off, off, side), FACE_SIZE)
-    out = out * gains[:, None, None] + biases[:, None, None]
-    out = out + (rng.standard_normal(out.shape) * sigma).astype(img.dtype)
-    out = np.clip(out, 0.0, 1.0)
-    return FaceCrop(Tensor(out.astype(np.float32)), face.frame_index, face.box)
+    out *= gains[:, None, None]
+    out += biases[:, None, None]
+    noise = rng.standard_normal(out.shape)
+    noise *= sigma
+    out += noise.astype(out.dtype)
+    np.clip(out, 0.0, 1.0, out=out)
+    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), face.frame_index, face.box)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +266,6 @@ class TemporalDownsampler:
         h = pt.silu(pt.causal_conv1d(x, self.params["down1.w"], stride=1))
         y = pt.causal_conv1d(h, self.params["down2.w"], stride=4, taps=taps)
         return pt.transpose(y, (1, 0))  # [T_z, width]
-
-
-def temporal_downsample(per_frame: Tensor, downsampler: TemporalDownsampler, frame_map) -> Tensor:
-    return downsampler(per_frame, frame_map)
 
 
 @dataclass

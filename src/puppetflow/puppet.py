@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rasterize import blend_capsule
+from .retarget import FRAMINGS
 from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, PoseSequence, Skeleton
 from .tensor import ConfigError, Tensor
 from .video import VideoClip
-
-FRAMINGS = ("full_body", "half_body", "portrait")
 
 # proportions of the scene scale s, per topology edge
 _EDGE_PROPORTION = np.array(

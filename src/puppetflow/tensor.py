@@ -718,6 +718,44 @@ def _columns(xp, kh, kw, stride):
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * kh * kw, ho * wo)
 
 
+def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
+    """dL/dw [Co,Ci,K,K] of a conv2d from input x and output gradient g.
+
+    The padded input splits into its stride**2 phases [N, Ci, Hq, Wq], copied
+    straight from x; at stride 1 the padded input is the single phase. Tap
+    (ky, kx) reads phase (ky % s, kx % s) from flat offset (ky//s)*Wq + kx//s
+    on, so with g zero-padded to [N, Co, Hq, Wq] every tap is one batched GEMM
+    of g against a contiguous shifted slice. The padded columns of g are
+    zero, so no output row bleeds into the next.
+    """
+    n, co, ho, wo = g.shape
+    _, ci, h, wd = x.shape
+    s = stride
+    hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
+    if s == 1 and not pad:
+        phases = x.reshape(1, 1, n, ci, hq * wq)
+    else:
+        phases = np.zeros((s, s, n, ci, hq, wq), dtype=x.dtype)
+        for py in range(s):
+            i0 = -(-(pad - py) // s)  # first phase row inside the frame
+            for px in range(s):
+                j0 = -(-(pad - px) // s)
+                src = x[:, :, py + s * i0 - pad :: s, px + s * j0 - pad :: s]
+                phases[py, px, :, :, i0 : i0 + src.shape[2], j0 : j0 + src.shape[3]] = src
+        phases = phases.reshape(s, s, n, ci, hq * wq)
+    gp = np.zeros((n, co, hq, wq), dtype=g.dtype)
+    gp[:, :, :ho, :wo] = g
+    span = (ho - 1) * wq + wo
+    gp = gp.reshape(n, co, hq * wq)[:, :, :span]
+    gw = np.empty((co, ci, kh, kw), dtype=np.result_type(x.dtype, g.dtype))
+    for ky in range(kh):
+        for kx in range(kw):
+            off = (ky // s) * wq + kx // s
+            src = phases[ky % s, kx % s, :, :, off : off + span]
+            gw[:, :, ky, kx] = np.matmul(gp, src.transpose(0, 2, 1)).sum(axis=0)
+    return gw
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2D convolution, x [N,Ci,H,W], w [Co,Ci,K,K].
 
@@ -728,10 +766,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     [N, Ci*K*K, Ho*Wo] and run one GEMM per image. Stride-1 output therefore
     sums in a different order from a direct dot product over (Ci, K, K).
 
-    Backward rebuilds the columns, for the weight gradient only; they are not
-    saved because at face and VAE batch sizes they are far larger than the
-    activations. The input gradient is one GEMM of the taps [K*K*Ci, Co] over
-    the output gradient, scattered back with one contiguous add per tap.
+    Backward builds no columns. The weight gradient runs one batched GEMM
+    per tap of the output gradient against a contiguous shifted slice of the
+    padded input's stride phases (`_conv2d_weight_grad`). The input gradient
+    is one GEMM of the taps [K*K*Ci, Co] over the output gradient, scattered
+    back with one contiguous add per tap.
     """
     if stride <= 0:
         raise ConfigError(f"conv2d: stride must be positive, got {stride}")
@@ -765,9 +804,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            xpb = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-            gw = np.matmul(gf, _columns(xpb, kh, kw, stride).transpose(0, 2, 1)).sum(axis=0)
-            w.accumulate_grad(gw.reshape(w.shape))
+            w.accumulate_grad(_conv2d_weight_grad(x.data, g, kh, kw, stride, pad))
         if x.requires_grad:
             taps = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
             gcols = np.matmul(taps, gf).reshape(n, kh, kw, ci, ho, wo)

@@ -13,6 +13,7 @@ from puppetflow.face import (
     FaceEncoder,
     MotionBasis,
     TemporalDownsampler,
+    augment_face,
     bilinear_resize,
     crop_face,
     encode_face_sequence,
@@ -21,7 +22,7 @@ from puppetflow.face import (
 from puppetflow.gradcheck import grad_check
 from puppetflow.rasterize import blend_capsule
 from puppetflow.skeleton import N_JOINTS, Skeleton
-from puppetflow.tensor import AlignmentError, Tensor, WIDE
+from puppetflow.tensor import AlignmentError, ConfigError, ShapeError, Tensor, WIDE
 from puppetflow.video import frame_ranges
 
 
@@ -82,32 +83,122 @@ class TestCropFace:
         np.testing.assert_allclose(out, 0.37, atol=1e-6)
 
 
+def dense_resize_matrix(out_size, src_size, lo, hi):
+    """[out, src] float64 bilinear weights: pixel centres, clamped, rows sum to 1."""
+    rows = np.arange(out_size)
+    u = np.clip(lo + (rows + 0.5) * (hi - lo) / out_size - 0.5, 0.0, src_size - 1.0)
+    u0 = np.floor(u).astype(np.intp)
+    u1 = np.minimum(u0 + 1, src_size - 1)
+    w = np.zeros((out_size, src_size))
+    w[rows, u0] += 1.0 - (u - u0)
+    w[rows, u1] += u - u0
+    return w
+
+
+# (source H, W, box, out): crop_face upsampling, the augmentation's zoom in
+# (scale 1.1) and zoom out (scale 0.9, overhangs by 28 px on every side), a box
+# past the top and right edges, and a non-square source.
+RESIZE_CASES = [
+    (128, 128, (30.3, 20.7, 40.2), 512),
+    (512, 512, (23.273, 23.273, 465.455), 512),
+    (512, 512, (-28.444, -28.444, 568.889), 512),
+    (128, 128, (100.0, -10.0, 60.0), 512),
+    (96, 160, (10.5, 3.2, 70.1), 300),
+]
+
+
+class TestBilinearResize:
+    @pytest.mark.parametrize("case", RESIZE_CASES, ids=[f"{h}x{w}-to-{o}-{i}" for i, (h, w, _, o) in enumerate(RESIZE_CASES)])
+    def test_matches_dense_float64_oracle(self, case):
+        # Each pass computes a + frac*(b - a) in float32: at most 4 roundings
+        # of unit u = eps/2 on values in [0,1], so 4u per pass and 8u for both.
+        h, w, box, out = case
+        img = np.random.default_rng(h + w).random((3, h, w), dtype=np.float32)
+        x0, y0, side = box
+        wy = dense_resize_matrix(out, h, y0, y0 + side)
+        wx = dense_resize_matrix(out, w, x0, x0 + side)
+        ref = np.stack([wy @ img[c].astype(np.float64) @ wx.T for c in range(3)])
+        got = bilinear_resize(img, box, out)
+        assert got.dtype == np.float32 and got.shape == (3, out, out)
+        assert np.abs(got - ref).max() <= 4 * np.finfo(np.float32).eps
+
+    def test_rejects_image_without_channel_axis(self):
+        with pytest.raises(ShapeError, match=r"\[C,H,W\]"):
+            bilinear_resize(np.zeros((32, 32), dtype=np.float32), (0.0, 0.0, 16.0), 8)
+
+
 class TestAugmentFace:
     def crop(self, seed=0):
         rng = np.random.default_rng(seed)
         return FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8), 0, (0, 0, 64))
 
     def test_seeded_reproducibility(self):
-        from puppetflow.face import augment_face
-
         face = self.crop()
         a = augment_face(face, np.random.default_rng(5)).image.data
         b = augment_face(face, np.random.default_rng(5)).image.data
         assert np.array_equal(a, b)
 
     def test_disabled_is_identity(self):
-        from puppetflow.face import augment_face
-
         face = self.crop(1)
         out = augment_face(face, np.random.default_rng(0), FaceAugmentConfig(enabled=False))
         assert out.image is face.image
 
     def test_values_stay_in_range(self):
-        from puppetflow.face import augment_face
-
         face = self.crop(2)
         out = augment_face(face, np.random.default_rng(3)).image.data
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_exact_with_out_of_place_arithmetic(self, seed):
+        face, cfg = self.crop(seed), FaceAugmentConfig()
+        rng = np.random.default_rng(seed + 10)
+        img = face.image.data
+        s = float(rng.uniform(cfg.scale_lo, cfg.scale_hi))
+        gains = rng.uniform(cfg.gain_lo, cfg.gain_hi, 3).astype(img.dtype)
+        biases = rng.uniform(cfg.bias_lo, cfg.bias_hi, 3).astype(img.dtype)
+        sigma = float(rng.uniform(0.0, cfg.noise_hi))
+        side = FACE_SIZE / s
+        ref = bilinear_resize(img, ((FACE_SIZE - side) / 2.0,) * 2 + (side,), FACE_SIZE)
+        ref = ref * gains[:, None, None] + biases[:, None, None]
+        ref = ref + (rng.standard_normal(ref.shape) * sigma).astype(img.dtype)
+        ref = np.clip(ref, 0.0, 1.0).astype(np.float32)
+        got = augment_face(face, np.random.default_rng(seed + 10)).image.data
+        assert got.dtype == np.float32
+        assert np.array_equal(got, ref)
+
+    def test_draw_order_leaves_generator_where_a_twin_is(self):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        augment_face(self.crop(3), rng)
+        twin.uniform()
+        twin.uniform(size=3)
+        twin.uniform(size=3)
+        twin.uniform()
+        twin.standard_normal((3, FACE_SIZE, FACE_SIZE))
+        assert rng.standard_normal(4).tolist() == twin.standard_normal(4).tolist()
+
+    def test_wrong_crop_size_raises(self):
+        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)), 0, (0, 0, 64))
+        with pytest.raises(ShapeError, match="face crop"):
+            augment_face(small, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"scale_lo": 0.0},
+            {"scale_lo": -0.5},
+            {"scale_lo": 1.2, "scale_hi": 1.1},
+            {"gain_lo": 1.3},
+            {"bias_lo": 0.2},
+            {"noise_hi": -0.01},
+        ],
+        ids=["scale-zero", "scale-negative", "scale-order", "gain-order", "bias-order", "noise-negative"],
+    )
+    def test_config_validation(self, bad):
+        with pytest.raises(ConfigError):
+            FaceAugmentConfig(**bad)
+
+    def test_config_edges_are_valid(self):
+        FaceAugmentConfig(scale_lo=1.0, scale_hi=1.0, gain_lo=1.0, gain_hi=1.0, bias_lo=0.0, bias_hi=0.0, noise_hi=0.0)
 
     def test_mean_gain_within_3_sigma(self):
         rng = np.random.default_rng(7)

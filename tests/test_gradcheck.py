@@ -165,6 +165,24 @@ def test_conv2d_grads_every_case(seed, case):
     assert grad_check(f, [x, w, b], eps=1e-5) <= 1e-5
 
 
+@pytest.mark.parametrize("case", CONV_CASES, ids=[f"s{s}-p{p}-k{k}-{h}x{w}" for s, p, k, h, w in CONV_CASES])
+@pytest.mark.parametrize("seed", range(2))
+def test_conv2d_weight_grads_with_frozen_input(seed, case):
+    # The face encoder's first layer sees the crops, which need no gradient:
+    # backward then runs only the weight and bias gradients.
+    stride, pad, k, h, wd = case
+    rng = np.random.default_rng(410 + seed)
+    x = wt(rng, (2, 2, h, wd))
+    w = wt(rng, (3, 2, k, k))
+    b = wt(rng, (3,))
+
+    def f(w_, b_):
+        return pt.sum_all(pt.silu(pt.conv2d(x, w_, b_, stride=stride, pad=pad)))
+
+    assert grad_check(f, [w, b], eps=1e-5) <= 1e-5
+    assert x.grad is None
+
+
 @pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("seed", range(2))
 def test_causal_conv1d_grads(stride, seed):
