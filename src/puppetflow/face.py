@@ -135,11 +135,11 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     noise field) so a seeded generator reproduces the augmentation exactly.
     Gain, bias, noise and clip run in place on the resized crop.
     """
-    if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
-        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
     cfg = cfg or FaceAugmentConfig()
     if not cfg.enabled:
         return face
+    if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
+        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
     img = face.image.data
     s = float(rng.uniform(cfg.scale_lo, cfg.scale_hi))
     gains = rng.uniform(cfg.gain_lo, cfg.gain_hi, 3).astype(img.dtype)

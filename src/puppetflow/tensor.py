@@ -722,7 +722,7 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
     """dL/dw [Co,Ci,K,K] of a conv2d from input x and output gradient g.
 
     The padded input splits into its stride**2 phases [N, Ci, Hq, Wq], copied
-    straight from x; at stride 1 the padded input is the single phase. Tap
+    straight from x; at stride 1 the single phase is the padded input. Tap
     (ky, kx) reads phase (ky % s, kx % s) from flat offset (ky//s)*Wq + kx//s
     on, so with g zero-padded to [N, Co, Hq, Wq] every tap is one batched GEMM
     of g against a contiguous shifted slice. The padded columns of g are
@@ -732,17 +732,14 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
     _, ci, h, wd = x.shape
     s = stride
     hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
-    if s == 1 and not pad:
-        phases = x.reshape(1, 1, n, ci, hq * wq)
-    else:
-        phases = np.zeros((s, s, n, ci, hq, wq), dtype=x.dtype)
-        for py in range(s):
-            i0 = -(-(pad - py) // s)  # first phase row inside the frame
-            for px in range(s):
-                j0 = -(-(pad - px) // s)
-                src = x[:, :, py + s * i0 - pad :: s, px + s * j0 - pad :: s]
-                phases[py, px, :, :, i0 : i0 + src.shape[2], j0 : j0 + src.shape[3]] = src
-        phases = phases.reshape(s, s, n, ci, hq * wq)
+    phases = np.zeros((s, s, n, ci, hq, wq), dtype=x.dtype)
+    for py in range(s):
+        i0 = -(-(pad - py) // s)  # first phase row inside the frame
+        for px in range(s):
+            j0 = -(-(pad - px) // s)
+            src = x[:, :, py + s * i0 - pad :: s, px + s * j0 - pad :: s]
+            phases[py, px, :, :, i0 : i0 + src.shape[2], j0 : j0 + src.shape[3]] = src
+    phases = phases.reshape(s, s, n, ci, hq * wq)
     gp = np.zeros((n, co, hq, wq), dtype=g.dtype)
     gp[:, :, :ho, :wo] = g
     span = (ho - 1) * wq + wo

@@ -143,6 +143,10 @@ class TestAugmentFace:
         out = augment_face(face, np.random.default_rng(0), FaceAugmentConfig(enabled=False))
         assert out.image is face.image
 
+    def test_disabled_passes_any_crop_size(self):
+        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)), 0, (0, 0, 64))
+        assert augment_face(small, np.random.default_rng(0), FaceAugmentConfig(enabled=False)) is small
+
     def test_values_stay_in_range(self):
         face = self.crop(2)
         out = augment_face(face, np.random.default_rng(3)).image.data
