@@ -8,8 +8,9 @@ expression channel. A stack of causal 1D convolutions then aligns the
 per-frame latents with the latent-video timeline: the output for latent step
 t sees only pixel frames covered by groups up to t.
 
-Per-frame encodes are independent (batched here); the downsampler is the
-only sequential piece.
+Per-frame encodes are independent. The encoder runs them one crop at a time,
+because a 512 px crop already fills a conv GEMM and a batch would only widen
+the first stage's window copy; the downsampler is the only sequential piece.
 """
 
 from __future__ import annotations
@@ -206,20 +207,29 @@ class FaceEncoder:
         p["head.b"] = Tensor(np.zeros(m, dtype=dtype), requires_grad=True)
         self.params = p
 
-    def encode_batch(self, crops: Tensor, chunk: int = 8) -> Tensor:
-        """[N,3,512,512] -> [N, m] coefficients; chunked to bound memory."""
-        n = crops.shape[0]
-        outs = []
-        for a in range(0, n, chunk):
-            h = pt.slice_axis(crops, 0, a, min(a + chunk, n))
-            for i in range(6):
+    def encode_batch(self, crops: Tensor) -> Tensor:
+        """[N,3,512,512] -> [N, m] coefficients, one crop at a time.
+
+        Each crop runs the six conv/SiLU stages on its own and is pooled; the
+        head then runs once over the stacked pooled features. One crop per
+        conv call keeps the first stage's stride-2 window copy at 7 MB
+        (27 x 256 x 256 float32) whatever N is, where a batch of 8 crops
+        copied 57 MB; the smaller working set is also faster. A crop's conv
+        outputs do not depend on the rest of the batch, so its coefficients
+        match its single-crop encode up to the head GEMM's rounding.
+        """
+        if crops.ndim != 4 or crops.shape[0] < 1 or crops.shape[1:] != (3, FACE_SIZE, FACE_SIZE):
+            raise ShapeError(f"face crops must be [N>=1,3,{FACE_SIZE},{FACE_SIZE}], got {crops.shape}")
+        pooled = []
+        for i in range(crops.shape[0]):
+            h = pt.slice_axis(crops, 0, i, i + 1)
+            for k in range(6):
                 h = pt.silu(
-                    pt.conv2d(h, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"], stride=2, pad=1)
+                    pt.conv2d(h, self.params[f"conv{k}.w"], self.params[f"conv{k}.b"], stride=2, pad=1)
                 )
-            nn = h.shape[0]
-            pooled = pt.mean_axis(pt.reshape(h, (nn, _ENC_CHANNELS[-1], 64)), 2)  # GAP over 8x8
-            outs.append(pt.linear(pooled, self.params["head.w"], self.params["head.b"]))
-        return pt.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+            pooled.append(pt.mean_axis(pt.reshape(h, (1, _ENC_CHANNELS[-1], 64)), 2))  # GAP over 8x8
+        feats = pt.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0]
+        return pt.linear(feats, self.params["head.w"], self.params["head.b"])
 
 
 def encode_motion(face: FaceCrop, encoder: FaceEncoder, basis: MotionBasis) -> Tensor:

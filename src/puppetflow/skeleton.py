@@ -9,6 +9,7 @@ their limbs are not rasterized and contribute no retarget ratio.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,22 +157,35 @@ def save_pose_sequence(path, seq: PoseSequence) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_POSE_HEADER = re.compile(r"SKEL v1 joints=(\d+) frames=(\d+)")
+
+
 def load_pose_sequence(path) -> PoseSequence:
+    """Read a file written by `save_pose_sequence`.
+
+    An empty, cut or malformed file raises ShapeError naming the path. A cut
+    inside the last number of the last row still parses, since the format
+    has no end marker.
+    """
     lines = Path(path).read_text().splitlines()
-    head = lines[0].split()
-    if head[:2] != ["SKEL", "v1"]:
-        raise ShapeError(f"{path}: bad header {lines[0]!r}")
-    fields = dict(kv.split("=") for kv in head[2:])
-    joints, frames = int(fields["joints"]), int(fields["frames"])
+    head = _POSE_HEADER.fullmatch(lines[0]) if lines else None
+    if head is None:
+        raise ShapeError(f"{path}: bad header {lines[0] if lines else ''!r}")
+    joints, frames = int(head[1]), int(head[2])
     if joints != N_JOINTS:
         raise ShapeError(f"{path}: expected {N_JOINTS} joints, got {joints}")
-    topo = tuple(tuple(int(v) for v in e.split(":")) for e in lines[1].split())
-    skels = []
-    for row in lines[2 : 2 + frames]:
-        triples = [t.split(",") for t in row.split()]
-        pts = np.array([[float(t[0]), float(t[1])] for t in triples])
-        conf = np.array([float(t[2]) for t in triples])
-        skels.append(Skeleton(pts, conf, topo))
+    try:
+        topo = tuple(tuple(int(v) for v in e.split(":")) for e in lines[1].split())
+        skels = []
+        for row in lines[2 : 2 + frames]:
+            triples = [t.split(",") for t in row.split()]
+            if any(len(t) != 3 for t in triples):
+                raise ShapeError(f"frame {len(skels)}: expected x,y,confidence triples in {row!r}")
+            pts = np.array([[float(t[0]), float(t[1])] for t in triples])
+            conf = np.array([float(t[2]) for t in triples])
+            skels.append(Skeleton(pts, conf, topo))
+    except (ValueError, IndexError) as e:  # ShapeError is a ValueError
+        raise ShapeError(f"{path}: {e}") from e
     if len(skels) != frames:
         raise ShapeError(f"{path}: header says {frames} frames, file has {len(skels)}")
     return PoseSequence(skels)

@@ -469,12 +469,20 @@ def concat(parts, axis: int) -> Tensor:
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """a[..., start:stop, ...] along `axis`, without a copy where numpy allows.
+
+    A leading-axis slice of a contiguous array is itself contiguous, so the
+    result is a view that shares memory with `a`; any other slice is copied
+    into a contiguous array by `Tensor`.
+    """
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"slice axis {axis} out of range for {a.ndim}-d shape {a.shape}")
     if not (0 <= start <= stop <= a.shape[axis]):
         raise ShapeError(f"slice [{start}:{stop}] out of range for axis {axis} of {a.shape}")
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out = a.data[idx].copy()
+    out = a.data[idx]
 
     def bwd(g):
         full = np.zeros_like(a.data)

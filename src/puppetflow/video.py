@@ -115,26 +115,26 @@ def _write_pnm(path: Path, magic: bytes, arr: np.ndarray) -> None:
         f.write(arr.astype(np.uint8).tobytes())
 
 
+# magic, width, height and maxval separated by whitespace, then one whitespace
+# byte before the payload; no comment support
+_PNM_HEADER = re.compile(rb"P[56]\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not raw.startswith(magic):
         raise ShapeError(f"{path}: expected {magic.decode()} header")
-    # header: magic, dims, maxval, separated by whitespace; no comment support
-    fields = []
-    pos = len(magic)
-    while len(fields) < 3:
-        while raw[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(raw[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    m = _PNM_HEADER.match(raw)
+    if m is None:
+        raise ShapeError(f"{path}: truncated or malformed {magic.decode()} header {raw[:32]!r}")
+    w, h, maxval = (int(v) for v in m.groups())
     if maxval != 255:
         raise ShapeError(f"{path}: only 8-bit files supported, got maxval {maxval}")
     channels = 3 if magic == b"P6" else 1
-    data = np.frombuffer(raw, dtype=np.uint8, count=h * w * channels, offset=pos)
+    need = h * w * channels
+    if len(raw) - m.end() < need:
+        raise ShapeError(f"{path}: {w}x{h} payload needs {need} bytes, file has {len(raw) - m.end()}")
+    data = np.frombuffer(raw, dtype=np.uint8, count=need, offset=m.end())
     return data.reshape((h, w, 3) if channels == 3 else (h, w))
 
 

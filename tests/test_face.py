@@ -1,5 +1,7 @@
 """Face cropping, augmentation, motion encoding, temporal alignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,11 +258,36 @@ class TestEncoder:
         basis = MotionBasis(rng)
         crops = Tensor(rng.random((3, 3, FACE_SIZE, FACE_SIZE), dtype=np.float32))
         with pt.no_grad():
-            batch = pt.matmul(enc.encode_batch(crops, chunk=2), basis.orthonormal()).data
+            batch = pt.matmul(enc.encode_batch(crops), basis.orthonormal()).data
             for i in range(3):
                 face = FaceCrop(Tensor(crops.data[i].copy()), i, (0, 0, 10))
                 single = encode_motion(face, enc, basis).data
                 np.testing.assert_allclose(batch[i], single, atol=1e-5)
+
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 3, 64, 64), (3, FACE_SIZE, FACE_SIZE), (2, 1, FACE_SIZE, FACE_SIZE), (0, 3, FACE_SIZE, FACE_SIZE)],
+    )
+    def test_wrong_crop_shape_raises(self, shape):
+        enc = FaceEncoder(np.random.default_rng(6))
+        with pytest.raises(ShapeError, match="face crops"):
+            enc.encode_batch(Tensor(np.zeros(shape, dtype=np.float32)))
+
+    def test_peak_memory_of_four_crops(self):
+        # One crop per conv call: the first stage's window copy is 7 MB, where
+        # batching the crops copies 7 MB per crop at once.
+        rng = np.random.default_rng(7)
+        enc = FaceEncoder(rng)
+        crops = Tensor(rng.random((4, 3, FACE_SIZE, FACE_SIZE), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with pt.no_grad():
+                enc.encode_batch(crops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"encode_batch peaked at {peak / 1e6:.1f} MB"
 
 
 class TestTemporalDownsampler:

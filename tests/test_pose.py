@@ -90,6 +90,53 @@ class TestSkeletonFile:
         assert second.split()[0] == "11:12"
 
 
+class TestSkeletonFileErrors:
+    def saved(self, tmp_path, frames=2):
+        p = tmp_path / "seq.skel"
+        save_pose_sequence(p, PoseSequence([random_skeleton(s) for s in range(frames)]))
+        return p, p.read_text()
+
+    def assert_rejected(self, p, text):
+        p.write_text(text)
+        with pytest.raises(ShapeError) as err:
+            load_pose_sequence(p)
+        assert str(p) in str(err.value)
+
+    def test_empty_file_raises(self, tmp_path):
+        p, _ = self.saved(tmp_path)
+        self.assert_rejected(p, "")
+
+    def test_header_cut_at_every_character(self, tmp_path):
+        p, text = self.saved(tmp_path)
+        header = text.splitlines(keepends=True)[0]
+        for cut in range(len(header) + 1):
+            self.assert_rejected(p, header[:cut])
+
+    def test_body_cut_at_every_row_boundary(self, tmp_path):
+        p, text = self.saved(tmp_path)
+        lines = text.splitlines(keepends=True)
+        for n in range(1, len(lines)):
+            self.assert_rejected(p, "".join(lines[:n]))
+            self.assert_rejected(p, "".join(lines[:n]).rstrip("\n"))
+
+    def test_body_cut_mid_row(self, tmp_path):
+        # Every cut from the edge list on, up to the start of the last number:
+        # a cut inside the last number still parses, as the docstring says.
+        p, text = self.saved(tmp_path)
+        start = len(text.splitlines(keepends=True)[0])
+        for cut in range(start, text.rindex(",") + 1):
+            self.assert_rejected(p, text[:cut])
+
+    @pytest.mark.parametrize(
+        "header",
+        ["SKEL v1 joints=x17 frames=2", "SKEL v1 joints=17 frames=x3", "SKEL v1 joints=17 frames=1.5",
+         "SKEL v1 joints= frames=2", "SKEL v1 joints=17 frames=-1", "SKEL v1 joints=16 frames=2"],
+    )
+    def test_bad_header_values_raise(self, tmp_path, header):
+        p, text = self.saved(tmp_path)
+        self.assert_rejected(p, header + text[text.index("\n"):])
+
+
 class TestRasterize:
     def test_off_canvas_is_black(self):
         sk = random_skeleton(4)

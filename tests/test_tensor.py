@@ -381,6 +381,28 @@ def gamma32(terms):
     return terms * u / (1 - terms * u)
 
 
+class TestSliceAxis:
+    def test_leading_axis_slice_is_a_view(self):
+        a = wide(rng(60).standard_normal((4, 3, 5)))
+        out = slice_axis(a, 0, 1, 3)
+        assert np.shares_memory(out.data, a.data)
+        np.testing.assert_array_equal(out.data, a.data[1:3])
+
+    @pytest.mark.parametrize("axis", [1, 2, -1])
+    def test_inner_axis_slice_is_contiguous(self, axis):
+        a = wide(rng(61).standard_normal((4, 3, 5)))
+        out = slice_axis(a, axis, 1, 3)
+        assert out.data.flags.c_contiguous
+        idx = [slice(None)] * 3
+        idx[axis] = slice(1, 3)
+        np.testing.assert_array_equal(out.data, a.data[tuple(idx)])
+
+    @pytest.mark.parametrize("axis", [3, -4, 7])
+    def test_axis_out_of_range_raises(self, axis):
+        with pytest.raises(ShapeError, match="axis"):
+            slice_axis(wide(np.zeros((4, 3, 5))), axis, 0, 1)
+
+
 class TestConv2d:
     @pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
     def test_against_nested_loop_oracle(self, case):

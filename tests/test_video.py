@@ -169,3 +169,32 @@ class TestClipFiles:
         raw = (tmp_path / "m" / "mask_00000.pgm").read_bytes()
         assert raw.startswith(b"P5\n4 4\n255\n")
         assert set(raw[len(b"P5\n4 4\n255\n") :]) == {255}
+
+    def test_ppm_every_prefix_raises(self, tmp_path):
+        save_clip(tmp_path / "c", small_clip(t=1, hw=8))
+        frame = tmp_path / "c" / "frame_00000.ppm"
+        raw = frame.read_bytes()
+        for cut in range(len(raw)):
+            frame.write_bytes(raw[:cut])
+            with pytest.raises(ShapeError, match="frame_00000.ppm"):
+                load_clip(tmp_path / "c")
+        frame.write_bytes(raw)
+        assert load_clip(tmp_path / "c").frames.shape == (1, 3, 8, 8)
+
+    def test_pgm_every_prefix_raises(self, tmp_path):
+        save_masks(tmp_path / "m", np.ones((1, 1, 4, 8), dtype=np.float32))
+        mask = tmp_path / "m" / "mask_00000.pgm"
+        raw = mask.read_bytes()
+        for cut in range(len(raw)):
+            mask.write_bytes(raw[:cut])
+            with pytest.raises(ShapeError, match="mask_00000.pgm"):
+                load_masks(tmp_path / "m", 1)
+        mask.write_bytes(raw)
+        assert load_masks(tmp_path / "m", 1).shape == (1, 1, 4, 8)
+
+    @pytest.mark.parametrize("header", [b"P6\nx 8\n255\n", b"P6\n8\n255\n", b"P6 8\n8\n-1\n"])
+    def test_malformed_ppm_header_raises(self, tmp_path, header):
+        save_clip(tmp_path / "c", small_clip(t=1, hw=8))
+        (tmp_path / "c" / "frame_00000.ppm").write_bytes(header + bytes(8 * 8 * 3))
+        with pytest.raises(ShapeError, match="header"):
+            load_clip(tmp_path / "c")
