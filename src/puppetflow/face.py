@@ -8,6 +8,11 @@ expression channel. A stack of causal 1D convolutions then aligns the
 per-frame latents with the latent-video timeline: the output for latent step
 t sees only pixel frames covered by groups up to t.
 
+Augmentation draws its float64 noise field on one worker thread, in order and
+in chunks, while the calling thread resizes the crop; the output is
+bit-identical to a serial draw. The worker lives for one `augment_face` call,
+and `rng` must be a `np.random.Generator` that no other thread uses meanwhile.
+
 Per-frame encodes are independent. The encoder runs them one crop at a time,
 because a 512 px crop already fills a conv GEMM and a batch would only widen
 the first stage's window copy; the downsampler is the only sequential piece.
@@ -15,6 +20,7 @@ the first stage's window copy; the downsampler is the only sequential piece.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,7 @@ MIN_BOX_SIDE = 4.0
 N_COEFF = 20  # motion coefficients per frame
 DOWN_WIDTH = 64  # channel width after temporal downsampling
 _ENC_CHANNELS = (3, 4, 8, 8, 16, 16, 32)
+_NOISE_CHUNK = 2**16  # float64 noise values per worker draw
 
 
 @dataclass
@@ -50,13 +57,13 @@ def _taps(out_size: int, src_size: int, lo: float, hi: float):
     return u0, np.minimum(u0 + 1, src_size - 1), u - u0
 
 
-def _lerp_rows(a: np.ndarray, taps) -> np.ndarray:
-    """[C, R, L] -> [C, out, L]: each output row blends two gathered rows."""
+def _lerp(a: np.ndarray, taps, axis: int) -> np.ndarray:
+    """Blend two gathered slices of `a` along `axis` for each output index."""
     u0, u1, frac = taps
-    out = a.take(u0, axis=1)
-    step = a.take(u1, axis=1)
+    out = a.take(u0, axis=axis)
+    step = a.take(u1, axis=axis)
     step -= out
-    step *= frac.astype(a.dtype)[:, None]
+    step *= frac.astype(a.dtype).reshape((-1,) + (1,) * (a.ndim - 1 - axis))
     out += step
     return out
 
@@ -66,16 +73,16 @@ def bilinear_resize(image: np.ndarray, box, out_size: int) -> np.ndarray:
 
     Separable two-tap interpolation: every output pixel blends two source
     columns, then two source rows, with weights (1 - frac, frac) that sum to
-    1. Coordinates clamp at the borders (see `_taps`). Both passes gather
-    whole rows: the x pass runs on the transposed source, the y pass on its
-    transposed result, which already lands in [C, out, out].
+    1. Coordinates clamp at the borders (see `_taps`). The x pass gathers
+    along the last axis and the y pass gathers whole rows, so neither pass
+    needs a transposed copy.
     """
     if image.ndim != 3:
         raise ShapeError(f"bilinear_resize: image must be [C,H,W], got {image.shape}")
     x0, y0, side = box
     _, h, w = image.shape
-    cols = _lerp_rows(np.ascontiguousarray(image.transpose(0, 2, 1)), _taps(out_size, w, x0, x0 + side))
-    return _lerp_rows(np.ascontiguousarray(cols.transpose(0, 2, 1)), _taps(out_size, h, y0, y0 + side))
+    cols = _lerp(image, _taps(out_size, w, x0, x0 + side), axis=2)
+    return _lerp(cols, _taps(out_size, h, y0, y0 + side), axis=1)
 
 
 def head_box(sk: Skeleton, height: int, width: int):
@@ -134,13 +141,23 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
 
     Draw order is fixed (scale, 3 gains, 3 biases, sigma, then the float64
     noise field) so a seeded generator reproduces the augmentation exactly.
-    Gain, bias, noise and clip run in place on the resized crop.
+    The noise field is drawn on one worker thread, in order, in chunks of
+    `_NOISE_CHUNK` values, into a buffer this call owns; the generator sees
+    the same calls as one `standard_normal(shape)` and ends in the same state.
+    Meanwhile this thread resizes the crop and applies gain and bias in place,
+    then folds in each chunk as it lands (x sigma in float64, cast, add,
+    clip). The output is bit-identical to the serial computation. `rng` must
+    be a `np.random.Generator` that no other thread uses during the call. The
+    worker lives only for this call, so no thread outlives it (a forked child
+    inherits none).
     """
     cfg = cfg or FaceAugmentConfig()
     if not cfg.enabled:
         return face
     if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
         raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"augment_face: rng must be a numpy Generator, got {type(rng).__name__}")
     img = face.image.data
     s = float(rng.uniform(cfg.scale_lo, cfg.scale_hi))
     gains = rng.uniform(cfg.gain_lo, cfg.gain_hi, 3).astype(img.dtype)
@@ -148,13 +165,22 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     sigma = float(rng.uniform(0.0, cfg.noise_hi))
     side = FACE_SIZE / s
     off = (FACE_SIZE - side) / 2.0
-    out = bilinear_resize(img, (off, off, side), FACE_SIZE)
-    out *= gains[:, None, None]
-    out += biases[:, None, None]
-    noise = rng.standard_normal(out.shape)
-    noise *= sigma
-    out += noise.astype(out.dtype)
-    np.clip(out, 0.0, 1.0, out=out)
+    noise = np.empty(img.size, dtype=np.float64)
+    starts = range(0, noise.size, _NOISE_CHUNK)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # one worker runs the draws in submission order, so the stream is serial
+        draws = [pool.submit(rng.standard_normal, out=noise[a : a + _NOISE_CHUNK]) for a in starts]
+        out = bilinear_resize(img, (off, off, side), FACE_SIZE)
+        out *= gains[:, None, None]
+        out += biases[:, None, None]
+        flat = out.reshape(-1)
+        for a, draw in zip(starts, draws):
+            draw.result()
+            chunk = noise[a : a + _NOISE_CHUNK]
+            chunk *= sigma
+            part = flat[a : a + _NOISE_CHUNK]
+            part += chunk.astype(out.dtype)
+            np.clip(part, 0.0, 1.0, out=part)
     return FaceCrop(Tensor(out.astype(np.float32, copy=False)), face.frame_index, face.box)
 
 

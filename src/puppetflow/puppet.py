@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import colorsys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -350,13 +350,6 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
 
     clip, masks = render_scene(scene)
     return SceneSample(scene, clip, scene.pose_sequence(), masks, face_params)
-
-
-def recolor_scene(sample: SceneSample, rng) -> SceneSample:
-    """Same geometry and background, fresh body colors (identity variant)."""
-    scene = replace(sample.scene, colors=sample_body_colors(rng))
-    clip, masks = render_scene(scene)
-    return SceneSample(scene, clip, sample.poses, masks, sample.face_params)
 
 
 # ---------------------------------------------------------------------------

@@ -189,11 +189,3 @@ def load_pose_sequence(path) -> PoseSequence:
     if len(skels) != frames:
         raise ShapeError(f"{path}: header says {frames} frames, file has {len(skels)}")
     return PoseSequence(skels)
-
-
-def save_skeleton(path, sk: Skeleton) -> None:
-    save_pose_sequence(path, PoseSequence([sk]))
-
-
-def load_skeleton(path) -> Skeleton:
-    return load_pose_sequence(path)[0]

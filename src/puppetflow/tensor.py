@@ -266,14 +266,6 @@ def ones(shape, dtype=NARROW, requires_grad=False):
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def randn(rng, shape, dtype=NARROW, scale=1.0, requires_grad=False):
-    return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=requires_grad)
-
-
-def _tracking(*ts):
-    return _grad_enabled and any(t.requires_grad for t in ts)
-
-
 def _make(data, parents, bwd, op):
     if _finite_checks and not np.isfinite(data).all():
         raise NumericalError(f"non-finite output of op '{op}'")
@@ -719,11 +711,27 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 # convolutions
 
 
-def _columns(xp, kh, kw, stride):
-    """Copy every kernel window of padded `xp` into columns [N, Ci*K*K, Ho*Wo]."""
+_COLUMN_BLOCK_BYTES = 2**19  # window copy per GEMM in a strided conv forward
+
+
+def _strided_conv(xp, w2, kh, kw, stride, ho, wo):
+    """Strided conv forward, padded xp [N,Ci,Hp,Wp] and w2 [Co,Ci*K*K] -> [N,Co,Ho,Wo].
+
+    Output rows run in blocks whose kernel windows fill at most
+    `_COLUMN_BLOCK_BYTES` (one output row at the least); each block copies its
+    windows into columns [N, Ci*K*K, rows*Wo] and runs one GEMM straight into
+    its rows of the output.
+    """
+    n, ci = xp.shape[:2]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, ci, ho, wo = win.shape[:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * kh * kw, ho * wo)
+    win = win.transpose(0, 1, 4, 5, 2, 3)  # [N, Ci, K, K, Ho, Wo]
+    out = np.empty((n, w2.shape[0], ho * wo), dtype=np.result_type(w2, xp))
+    rows = max(1, _COLUMN_BLOCK_BYTES // (n * ci * kh * kw * wo * xp.itemsize))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        cols = win[..., r0:r1, :].reshape(n, ci * kh * kw, (r1 - r0) * wo)
+        np.matmul(w2, cols, out=out[:, :, r0 * wo : r1 * wo])
+    return out.reshape(n, -1, ho, wo)
 
 
 def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
@@ -767,9 +775,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     Every layout is channel-major, so GEMM results land in NCHW without a
     transpose copy. Stride 1 builds no column buffer: one GEMM of the stacked
     taps [K*K*Co, Ci] over the flat padded input [N, Ci, Hp*Wp], then a sum of
-    the K*K shifted slices. Larger strides copy the windows into columns
-    [N, Ci*K*K, Ho*Wo] and run one GEMM per image. Stride-1 output therefore
-    sums in a different order from a direct dot product over (Ci, K, K).
+    the K*K shifted slices. Larger strides copy the windows of a block of
+    output rows at a time into columns and run one GEMM per block
+    (`_strided_conv`). Stride-1 output therefore sums in a different order
+    from a direct dot product over (Ci, K, K).
 
     Backward builds no columns. The weight gradient runs one batched GEMM
     per tap of the output gradient against a contiguous shifted slice of the
@@ -800,7 +809,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 if ky or kx:
                     out += y[:, ky, kx, :, ky : ky + ho, kx : kx + wo]
     else:
-        out = np.matmul(w.data.reshape(co, -1), _columns(xp, kh, kw, stride)).reshape(n, co, ho, wo)
+        out = _strided_conv(xp, w.data.reshape(co, -1), kh, kw, stride, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
 

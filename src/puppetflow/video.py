@@ -148,17 +148,28 @@ def save_clip(directory, clip: VideoClip) -> None:
     (directory / "clip.meta").write_text(f"frames={clip.length}\nfps={clip.frame_rate}\n")
 
 
+def _read_frames(directory: Path, name: str, magic: bytes, frames: int) -> np.ndarray:
+    """Stack `frames` files named name.format(i) from `directory`."""
+    if frames < 1:
+        raise ShapeError(f"{directory}: clip needs at least 1 frame, got {frames}")
+    paths = [directory / name.format(i) for i in range(frames)]
+    for path in paths:
+        if not path.is_file():
+            raise ShapeError(f"{path}: missing, {frames} frames requested from {directory}")
+    return np.stack([_read_pnm(path, magic) for path in paths])
+
+
 def load_clip(directory, dtype=np.float32) -> VideoClip:
     directory = Path(directory)
-    meta = (directory / "clip.meta").read_text()
-    frames = int(re.search(r"frames=(\d+)", meta).group(1))
-    fps = float(re.search(r"fps=([\d.]+)", meta).group(1))
-    stack = [
-        _read_pnm(directory / f"frame_{i:05d}.ppm", b"P6").transpose(2, 0, 1)
-        for i in range(frames)
-    ]
-    arr = np.stack(stack).astype(dtype) / 255.0
-    return VideoClip(Tensor(arr), frame_rate=fps)
+    meta_path = directory / "clip.meta"
+    meta = meta_path.read_text()
+    frames = re.search(r"frames=(\d+)", meta)
+    fps = re.search(r"fps=(\d+(?:\.\d*)?)", meta)
+    if frames is None or fps is None:
+        raise ShapeError(f"{meta_path}: needs frames=<int> and fps=<float> lines, got {meta!r}")
+    arr = _read_frames(directory, "frame_{:05d}.ppm", b"P6", int(frames.group(1)))
+    arr = np.ascontiguousarray(arr.transpose(0, 3, 1, 2), dtype=dtype) / 255.0
+    return VideoClip(Tensor(arr), frame_rate=float(fps.group(1)))
 
 
 def save_masks(directory, masks: np.ndarray) -> None:
@@ -172,9 +183,5 @@ def save_masks(directory, masks: np.ndarray) -> None:
 
 
 def load_masks(directory, frames: int) -> np.ndarray:
-    directory = Path(directory)
-    stack = [
-        (_read_pnm(directory / f"mask_{i:05d}.pgm", b"P5") > 127).astype(np.float32)
-        for i in range(frames)
-    ]
-    return np.stack(stack)[:, None]
+    masks = _read_frames(Path(directory), "mask_{:05d}.pgm", b"P5", frames)
+    return (masks > 127).astype(np.float32)[:, None]

@@ -1,5 +1,8 @@
 """Face cropping, augmentation, motion encoding, temporal alignment."""
 
+import hashlib
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -109,6 +112,22 @@ RESIZE_CASES = [
 ]
 
 
+def two_transpose_resize(img, box, out):
+    """Both passes gather rows: the x pass on the transposed source, the y pass
+    on its transposed result."""
+    x0, y0, side = box
+
+    def lerp_rows(a, lo, hi):
+        u = np.clip(lo + (np.arange(out) + 0.5) * (hi - lo) / out - 0.5, 0.0, a.shape[1] - 1.0)
+        u0 = np.floor(u).astype(np.intp)
+        u1 = np.minimum(u0 + 1, a.shape[1] - 1)
+        frac = (u - u0).astype(a.dtype)[:, None]
+        return a[:, u0] + frac * (a[:, u1] - a[:, u0])
+
+    cols = lerp_rows(np.ascontiguousarray(img.transpose(0, 2, 1)), x0, x0 + side)
+    return lerp_rows(np.ascontiguousarray(cols.transpose(0, 2, 1)), y0, y0 + side)
+
+
 class TestBilinearResize:
     @pytest.mark.parametrize("case", RESIZE_CASES, ids=[f"{h}x{w}-to-{o}-{i}" for i, (h, w, _, o) in enumerate(RESIZE_CASES)])
     def test_matches_dense_float64_oracle(self, case):
@@ -124,9 +143,38 @@ class TestBilinearResize:
         assert got.dtype == np.float32 and got.shape == (3, out, out)
         assert np.abs(got - ref).max() <= 4 * np.finfo(np.float32).eps
 
+    @pytest.mark.parametrize("case", RESIZE_CASES[:2], ids=["128-to-512", "512-to-512"])
+    def test_bit_exact_with_two_transpose_formula(self, case):
+        h, w, (x0, y0, side), out = case
+        img = np.random.default_rng(h).random((3, h, w), dtype=np.float32)
+        assert np.array_equal(bilinear_resize(img, (x0, y0, side), out), two_transpose_resize(img, (x0, y0, side), out))
+
     def test_rejects_image_without_channel_axis(self):
         with pytest.raises(ShapeError, match=r"\[C,H,W\]"):
             bilinear_resize(np.zeros((32, 32), dtype=np.float32), (0.0, 0.0, 16.0), 8)
+
+
+def serial_augment(img, rng, cfg):
+    """The augmentation written serially: resize, gain, bias, one float64 noise
+    draw, x sigma, cast, add, clip."""
+    s = float(rng.uniform(cfg.scale_lo, cfg.scale_hi))
+    gains = rng.uniform(cfg.gain_lo, cfg.gain_hi, 3).astype(img.dtype)
+    biases = rng.uniform(cfg.bias_lo, cfg.bias_hi, 3).astype(img.dtype)
+    sigma = float(rng.uniform(0.0, cfg.noise_hi))
+    side = FACE_SIZE / s
+    ref = bilinear_resize(img, ((FACE_SIZE - side) / 2.0,) * 2 + (side,), FACE_SIZE)
+    ref = ref * gains[:, None, None] + biases[:, None, None]
+    ref = ref + (rng.standard_normal(ref.shape) * sigma).astype(img.dtype)
+    return np.clip(ref, 0.0, 1.0).astype(np.float32)
+
+
+def augment_hash(face, seed):
+    return hashlib.sha256(augment_face(face, np.random.default_rng(seed)).image.data.tobytes()).hexdigest()
+
+
+def augment_in_child(face, seed, conn):
+    conn.send(augment_hash(face, seed))
+    conn.close()
 
 
 class TestAugmentFace:
@@ -156,21 +204,54 @@ class TestAugmentFace:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_exact_with_out_of_place_arithmetic(self, seed):
-        face, cfg = self.crop(seed), FaceAugmentConfig()
-        rng = np.random.default_rng(seed + 10)
-        img = face.image.data
-        s = float(rng.uniform(cfg.scale_lo, cfg.scale_hi))
-        gains = rng.uniform(cfg.gain_lo, cfg.gain_hi, 3).astype(img.dtype)
-        biases = rng.uniform(cfg.bias_lo, cfg.bias_hi, 3).astype(img.dtype)
-        sigma = float(rng.uniform(0.0, cfg.noise_hi))
-        side = FACE_SIZE / s
-        ref = bilinear_resize(img, ((FACE_SIZE - side) / 2.0,) * 2 + (side,), FACE_SIZE)
-        ref = ref * gains[:, None, None] + biases[:, None, None]
-        ref = ref + (rng.standard_normal(ref.shape) * sigma).astype(img.dtype)
-        ref = np.clip(ref, 0.0, 1.0).astype(np.float32)
+        face = self.crop(seed)
+        ref = serial_augment(face.image.data, np.random.default_rng(seed + 10), FaceAugmentConfig())
         got = augment_face(face, np.random.default_rng(seed + 10)).image.data
         assert got.dtype == np.float32
         assert np.array_equal(got, ref)
+
+    def test_noise_free_config_matches_serial_formula(self):
+        face, cfg = self.crop(4), FaceAugmentConfig(noise_hi=0.0)
+        got = augment_face(face, np.random.default_rng(14), cfg).image.data
+        assert np.array_equal(got, serial_augment(face.image.data, np.random.default_rng(14), cfg))
+
+    def test_no_thread_outlives_the_call(self):
+        before = set(threading.enumerate())
+        augment_face(self.crop(5), np.random.default_rng(15))
+        assert set(threading.enumerate()) == before
+
+    def test_disabled_config_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        face = self.crop(6)
+        assert augment_face(face, np.random.default_rng(0), FaceAugmentConfig(enabled=False)) is face
+        with pytest.raises(AssertionError, match="thread started"):
+            augment_face(face, np.random.default_rng(0))
+
+    def test_forked_child_gets_the_same_bits(self):
+        face = self.crop(7)
+        digest = augment_hash(face, 17)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=augment_in_child, args=(face, 17, send))
+        child.start()
+        send.close()  # the parent keeps only the read end, so a dead child reads as EOF
+        try:
+            ready = recv.poll(30)
+            assert ready, "forked child did not finish augment_face within 30 s"
+            assert recv.recv() == digest
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+                child.join(5)
+        assert not child.is_alive()
+
+    def test_legacy_random_state_raises_config_error(self):
+        with pytest.raises(ConfigError, match="Generator"):
+            augment_face(self.crop(8), np.random.RandomState(0))
 
     def test_draw_order_leaves_generator_where_a_twin_is(self):
         rng, twin = np.random.default_rng(11), np.random.default_rng(11)

@@ -375,6 +375,26 @@ def conv_oracle(x, w, stride, pad):
     return out
 
 
+def tap_oracle(x, w, stride, pad):
+    """Direct float64 convolution as a sum over kernel taps of strided input slices."""
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    co, _, k, _ = w.shape
+    ho, wo = (xp.shape[2] - k) // stride + 1, (xp.shape[3] - k) // stride + 1
+    out = np.zeros((x.shape[0], co, ho, wo))
+    for ky in range(k):
+        for kx in range(k):
+            patch = xp[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride]
+            out += np.einsum("oc,nchw->nohw", w[:, :, ky, kx].astype(np.float64), patch)
+    return out
+
+
+# (N, Ci, Co, H, W) at stride 2, pad 1, kernel 3: the first face-encoder layer
+# at 512 px, and N > 1. Both split the strided forward into several row blocks
+# with a short last one.
+BLOCK_CASES = [(1, 3, 4, 512, 512), (2, 16, 2, 84, 84)]
+BLOCK_IDS = [f"n{n}-ci{ci}-{h}x{w}" for n, ci, _, h, w in BLOCK_CASES]
+
+
 def gamma32(terms):
     """Worst-case relative error of a float32 dot product of `terms` products."""
     u = 2.0**-24
@@ -438,6 +458,36 @@ class TestConv2d:
         for a, b, m, terms in zip(got, ref, mag, (ci * k * k, co * k * k, n * ho * wo)):
             assert a.dtype == np.float32
             assert (np.abs(a - b) <= gamma32(terms) * m).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, WIDE])
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_column_blocks_leave_a_remainder(self, case, dtype):
+        # the cases are meant to run several row blocks with a short last one
+        n, ci, _, h, _ = case
+        ho = (h - 1) // 2 + 1
+        rows = pt._COLUMN_BLOCK_BYTES // (n * ci * 9 * ho * np.dtype(dtype).itemsize)
+        assert 1 < rows < ho and ho % rows
+
+    def test_blocked_forward_against_nested_loop_oracle(self):
+        n, ci, co, h, wd = BLOCK_CASES[1]
+        r = rng(34)
+        x, w = r.standard_normal((n, ci, h, wd)), r.standard_normal((co, ci, 3, 3))
+        out = conv2d(wide(x), wide(w), stride=2, pad=1).data
+        ref = conv_oracle(x, w, 2, 1)
+        np.testing.assert_allclose(tap_oracle(x, w, 2, 1), ref, atol=1e-12)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_blocked_forward_against_tap_oracle(self, case):
+        n, ci, co, h, wd = case
+        r = rng(35)
+        x = r.random((n, ci, h, wd), dtype=np.float32)
+        w = r.standard_normal((co, ci, 3, 3)).astype(np.float32)
+        ref = tap_oracle(x, w, 2, 1)
+        np.testing.assert_allclose(conv2d(wide(x), wide(w), stride=2, pad=1).data, ref, atol=1e-12)
+        got = conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
+        assert got.dtype == np.float32
+        assert (np.abs(got - ref) <= gamma32(ci * 9) * tap_oracle(x, np.abs(w), 2, 1)).all()
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):

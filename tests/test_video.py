@@ -198,3 +198,25 @@ class TestClipFiles:
         (tmp_path / "c" / "frame_00000.ppm").write_bytes(header + bytes(8 * 8 * 3))
         with pytest.raises(ShapeError, match="header"):
             load_clip(tmp_path / "c")
+
+    @pytest.mark.parametrize(
+        "meta, match",
+        [
+            ("fps=16.0\n", "frames="),
+            ("frames=2\n", "fps="),
+            ("frames=0\nfps=16.0\n", "at least 1 frame"),
+            ("frames=3\nfps=16.0\n", "frame_00002.ppm: missing"),
+        ],
+        ids=["no-frames", "no-fps", "zero-frames", "frames-above-files"],
+    )
+    def test_bad_meta_raises_shape_error_naming_the_path(self, tmp_path, meta, match):
+        save_clip(tmp_path / "c", small_clip(t=2, hw=8))
+        (tmp_path / "c" / "clip.meta").write_text(meta)
+        with pytest.raises(ShapeError, match=match) as err:
+            load_clip(tmp_path / "c")
+        assert str(tmp_path / "c") in str(err.value)
+
+    def test_fewer_masks_than_requested_raises(self, tmp_path):
+        save_masks(tmp_path / "m", np.ones((2, 1, 4, 4), dtype=np.float32))
+        with pytest.raises(ShapeError, match="mask_00002.pgm: missing"):
+            load_masks(tmp_path / "m", 3)
