@@ -9,9 +9,10 @@ per-frame latents with the latent-video timeline: the output for latent step
 t sees only pixel frames covered by groups up to t.
 
 Augmentation draws its float64 noise field on one worker thread, in order and
-in chunks, while the calling thread resizes the crop; the output is
-bit-identical to a serial draw. The worker lives for one `augment_face` call,
-and `rng` must be a `np.random.Generator` that no other thread uses meanwhile.
+in chunks, on another CPU than the calling thread, which resizes the crop
+meanwhile; the output is bit-identical to a serial draw. The worker lives for
+one `augment_face` call, and `rng` must be a `np.random.Generator` that no
+other thread uses meanwhile.
 
 Per-frame encodes are independent. The encoder runs them one crop at a time,
 because a 512 px crop already fills a conv GEMM and a batch would only widen
@@ -20,6 +21,7 @@ the first stage's window copy; the downsampler is the only sequential piece.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,6 +138,33 @@ class FaceAugmentConfig:
             raise ConfigError(f"FaceAugmentConfig: noise_hi must be non-negative, got {self.noise_hi}")
 
 
+def _current_cpu() -> int | None:
+    """CPU the calling thread last ran on (field 39 of its Linux stat), or None."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _avoid_cpu(cpu: int | None) -> None:
+    """Worker initializer: keep this thread off `cpu`, the caller's CPU.
+
+    Linux starts a new thread on its creator's CPU, and a worker that lives
+    for one call is seldom migrated before it ends, so unpinned the draw
+    time-shares the caller's CPU and nothing overlaps. With pid 0 the
+    affinity call applies to the calling thread only.
+    """
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:  # a CPU set the process may not use: stay unpinned
+            pass
+
+
 def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> FaceCrop:
     """Train-time identity-scrambling: rescale, color jitter, additive noise.
 
@@ -149,7 +178,8 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     clip). The output is bit-identical to the serial computation. `rng` must
     be a `np.random.Generator` that no other thread uses during the call. The
     worker lives only for this call, so no thread outlives it (a forked child
-    inherits none).
+    inherits none), and it is kept off the caller's CPU where the process
+    may use another one (`_avoid_cpu`).
     """
     cfg = cfg or FaceAugmentConfig()
     if not cfg.enabled:
@@ -167,7 +197,7 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     off = (FACE_SIZE - side) / 2.0
     noise = np.empty(img.size, dtype=np.float64)
     starts = range(0, noise.size, _NOISE_CHUNK)
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with ThreadPoolExecutor(max_workers=1, initializer=_avoid_cpu, initargs=(_current_cpu(),)) as pool:
         # one worker runs the draws in submission order, so the stream is serial
         draws = [pool.submit(rng.standard_normal, out=noise[a : a + _NOISE_CHUNK]) for a in starts]
         out = bilinear_resize(img, (off, off, side), FACE_SIZE)

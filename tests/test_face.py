@@ -2,12 +2,14 @@
 
 import hashlib
 import multiprocessing
+import os
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import puppetflow.face as face_mod
 import puppetflow.tensor as pt
 from puppetflow.face import (
     DOWN_WIDTH,
@@ -229,6 +231,24 @@ class TestAugmentFace:
         assert augment_face(face, np.random.default_rng(0), FaceAugmentConfig(enabled=False)) is face
         with pytest.raises(AssertionError, match="thread started"):
             augment_face(face, np.random.default_rng(0))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs"
+    )
+    def test_worker_runs_off_the_callers_cpu(self, monkeypatch):
+        seen = []
+        avoid = face_mod._avoid_cpu
+
+        def recording(cpu):
+            avoid(cpu)
+            seen.append((cpu, os.sched_getaffinity(0)))
+
+        monkeypatch.setattr(face_mod, "_avoid_cpu", recording)
+        mine = os.sched_getaffinity(0)
+        augment_face(self.crop(9), np.random.default_rng(19))
+        assert os.sched_getaffinity(0) == mine
+        [(cpu, worker)] = seen
+        assert cpu in mine and worker == mine - {cpu}
 
     def test_forked_child_gets_the_same_bits(self):
         face = self.crop(7)
