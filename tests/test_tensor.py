@@ -462,7 +462,6 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, WIDE])
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
     def test_column_blocks_leave_a_remainder(self, case, dtype):
-        # the cases are meant to run several row blocks with a short last one
         n, ci, _, h, _ = case
         ho = (h - 1) // 2 + 1
         rows = pt._COLUMN_BLOCK_BYTES // (n * ci * 9 * ho * np.dtype(dtype).itemsize)
