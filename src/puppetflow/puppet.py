@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rasterize import blend_capsule
+from .rasterize import _blend, _capsule, _ellipse, blend_capsule
 from .retarget import FRAMINGS
 from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, PoseSequence, Skeleton
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, ShapeError, Tensor
 from .video import VideoClip
 
 # proportions of the scene scale s, per topology edge
@@ -38,7 +38,6 @@ _EDGE_BASE_ANGLE = np.array(
 _EDGE_AMP_HI = np.array(
     [0.0, 14.0, 10.0, 14.0, 10.0, 5.0, 5.0, 32.0, 24.0, 32.0, 24.0, 8.0, 0, 0, 0, 0]
 )
-_FACE_EDGES = (12, 13, 14, 15)
 # face edge offsets from the head-up direction (deg): eyes up-and-out, ears out
 _FACE_OFFSET = {12: -28.0, 13: 28.0, 14: -95.0, 15: 95.0}
 
@@ -56,16 +55,15 @@ MOUTH = (0.05, 0.02, 0.02)
 HEAD_RADIUS_RATIO = 2.1  # of the mean nose-to-eye distance
 
 
-def _dir(deg):
-    r = np.deg2rad(deg)
-    return np.array([np.cos(r), np.sin(r)])
-
-
 @dataclass
 class Background:
     kind: str  # "solid" | "gradient"
     top: tuple
     bottom: tuple
+
+    def __post_init__(self):
+        if self.kind not in ("solid", "gradient"):
+            raise ConfigError(f"background kind must be 'solid' or 'gradient', got {self.kind!r}")
 
     def render(self, h: int, w: int) -> np.ndarray:
         top = np.asarray(self.top, dtype=np.float64).reshape(3, 1, 1)
@@ -103,7 +101,8 @@ class PuppetScene:
         joints = np.zeros((N_JOINTS, 2))
         joints[ROOT] = self.root_path[t]
         for i, (p, c) in enumerate(TOPOLOGY):
-            joints[c] = joints[p] + self.limb_lengths[i] * _dir(self.edge_angles[t, i])
+            r = np.deg2rad(self.edge_angles[t, i])
+            joints[c] = joints[p] + self.limb_lengths[i] * np.array([np.cos(r), np.sin(r)])
         return Skeleton(joints, np.ones(N_JOINTS))
 
     def pose_sequence(self) -> PoseSequence:
@@ -159,38 +158,21 @@ def mouth_curve(geo: FaceGeometry, curvature: float, n: int = 9) -> np.ndarray:
     return (1 - ts) ** 2 * p0 + 2 * ts * (1 - ts) * p1 + ts**2 * p2
 
 
-def _blend_ellipse(img, alpha_acc, center, axis_u, a, b, color):
-    h, w = img.shape[1], img.shape[2]
-    r = max(a, b)
-    lo_x = max(int(np.floor(center[0] - r - 1)), 0)
-    hi_x = min(int(np.ceil(center[0] + r + 1)) + 1, w)
-    lo_y = max(int(np.floor(center[1] - r - 1)), 0)
-    hi_y = min(int(np.ceil(center[1] + r + 1)) + 1, h)
-    if lo_x >= hi_x or lo_y >= hi_y:
-        return
-    ys, xs = np.mgrid[lo_y:hi_y, lo_x:hi_x]
-    dx, dy = xs - center[0], ys - center[1]
-    du = dx * axis_u[0] + dy * axis_u[1]
-    dv = -dx * axis_u[1] + dy * axis_u[0]
-    q = np.sqrt((du / max(a, 1e-6)) ** 2 + (dv / max(b, 1e-6)) ** 2)
-    alpha = np.clip(0.5 + (1.0 - q) * min(a, b), 0.0, 1.0)
-    if alpha.max() <= 0.0:
-        return
-    region = img[:, lo_y:hi_y, lo_x:hi_x]
-    col = np.asarray(color, dtype=img.dtype).reshape(3, 1, 1)
-    region *= 1.0 - alpha
-    region += col * alpha
-    if alpha_acc is not None:
-        acc = alpha_acc[lo_y:hi_y, lo_x:hi_x]
-        np.maximum(acc, alpha, out=acc)
-
-
-def _blend_capsule_masked(img, alpha_acc, p0, p1, radius, color):
-    blend_capsule(img, p0, p1, radius, color)
-    if alpha_acc is not None:
-        tmp = np.zeros((3, alpha_acc.shape[0], alpha_acc.shape[1]))
-        blend_capsule(tmp, p0, p1, radius, (1.0, 1.0, 1.0))
-        np.maximum(alpha_acc, tmp[0], out=alpha_acc)
+def _draw_face(img, acc, geo: FaceGeometry, skin, openness, curvature, pupil) -> None:
+    """Head disc, eyes with pupils and mouth; `acc` (or None) takes the mask."""
+    shape = img.shape[1:]
+    _blend(img, _ellipse(shape, geo.center, geo.side, geo.radius, geo.radius), skin, acc)
+    eye_b = (0.08 + 0.92 * openness) * geo.eye_b_max
+    pupil_r = 0.38 * geo.eye_a
+    px, py = pupil
+    for eye in geo.eyes:
+        _blend(img, _ellipse(shape, eye, geo.side, geo.eye_a, eye_b), SCLERA, acc)
+        off = px * (geo.eye_a - pupil_r) * geo.side - py * max(eye_b - 0.5 * pupil_r, 0.0) * geo.up
+        pr = min(pupil_r, max(eye_b, 0.12 * geo.eye_a))
+        _blend(img, _ellipse(shape, eye + off, geo.side, pr, pr), PUPIL, acc)
+    pts = mouth_curve(geo, curvature)
+    for a, b in zip(pts, pts[1:]):
+        _blend(img, _capsule(shape, a, b, geo.mouth_thickness), MOUTH, acc)
 
 
 def render_scene_frame(scene: PuppetScene, t: int):
@@ -205,23 +187,11 @@ def render_scene_frame(scene: PuppetScene, t: int):
         if part is None:
             continue
         width = _EDGE_WIDTH[i] * s * 0.28
-        _blend_capsule_masked(img, acc, sk.joints[p], sk.joints[c], width, scene.colors[part])
+        _blend(img, _capsule((h, w), sk.joints[p], sk.joints[c], width), scene.colors[part], acc)
     # shoulder bar for visual solidity (not a topology edge)
-    _blend_capsule_masked(img, acc, sk.joints[5], sk.joints[6], _EDGE_WIDTH[5] * s * 0.28, scene.colors["torso"])
-
-    geo = face_geometry(sk)
+    _blend(img, _capsule((h, w), sk.joints[5], sk.joints[6], _EDGE_WIDTH[5] * s * 0.28), scene.colors["torso"], acc)
     openness, curv, px, py = scene.face_params[t]
-    _blend_ellipse(img, acc, geo.center, geo.side, geo.radius, geo.radius, scene.colors["skin"])
-    eye_b = (0.08 + 0.92 * openness) * geo.eye_b_max
-    pupil_r = 0.38 * geo.eye_a
-    for eye in geo.eyes:
-        _blend_ellipse(img, acc, eye, geo.side, geo.eye_a, eye_b, SCLERA)
-        off = px * (geo.eye_a - pupil_r) * geo.side - py * max(eye_b - 0.5 * pupil_r, 0.0) * geo.up
-        pr = min(pupil_r, max(eye_b, 0.12 * geo.eye_a))
-        _blend_ellipse(img, acc, eye + off, geo.side, pr, pr, PUPIL)
-    pts = mouth_curve(geo, curv)
-    for a, b in zip(pts, pts[1:]):
-        _blend_capsule_masked(img, acc, a, b, geo.mouth_thickness, MOUTH)
+    _draw_face(img, acc, face_geometry(sk), scene.colors["skin"], openness, curv, (px, py))
     return np.clip(img, 0.0, 1.0), (acc >= 0.5).astype(np.float32)
 
 
@@ -276,8 +246,8 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
     """Deterministic scene + render + ground-truth annotations."""
     if framing not in FRAMINGS:
         raise ConfigError(f"unknown framing {framing!r}, expected one of {FRAMINGS}")
-    if frames < 1:
-        raise ConfigError(f"need at least one frame, got {frames}")
+    if frames < 1 or size < 1:
+        raise ConfigError(f"need at least one frame of at least one pixel, got {frames} frames of {size} px")
     rng = np.random.default_rng(seed)
     s = _FRAMING_SCALE[framing] * rng.uniform(0.9, 1.1) * size / 128.0
     lengths = _EDGE_PROPORTION * s * rng.uniform(0.85, 1.15, N_LIMBS)
@@ -327,12 +297,10 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
     # face edges follow the head-up direction; resolve them frame by frame
     for t in range(frames):
         sk = scene.skeleton(t)  # face angles still the placeholder zeros
-        shoulder_mid = 0.5 * (sk.joints[5] + sk.joints[6])
-        nose = sk.joints[0]
-        up = nose - shoulder_mid
+        up = sk.joints[0] - 0.5 * (sk.joints[5] + sk.joints[6])
         theta = np.rad2deg(np.arctan2(up[1], up[0]))
-        for e in _FACE_EDGES:
-            scene.edge_angles[t, e] = theta + _FACE_OFFSET[e]
+        for e, offset in _FACE_OFFSET.items():
+            scene.edge_angles[t, e] = theta + offset
 
     # place the frame-0 anchor at the framing target, drift on top
     sk0 = scene.skeleton(0)
@@ -375,22 +343,23 @@ def region_weight_map(
     out = np.ones((1, height, width), dtype=np.float32)
 
     def paint(center, axis_u, a, b, value):
-        canvas = np.zeros((3, height, width))
-        _blend_ellipse(canvas, None, center, axis_u, a, b, (1.0, 1.0, 1.0))
-        region = canvas[0] >= 0.5
-        out[0][region] = np.maximum(out[0][region], value)
+        cover = _ellipse((height, width), center, axis_u, a, b)
+        if cover is not None:
+            (rows, cols), alpha = cover
+            region = out[0, rows, cols]
+            np.maximum(region, value, out=region, where=alpha >= 0.5)
 
     paint(geo.center, geo.side, geo.radius, geo.radius, w_head)
     openness = float(face_params[0])
     eye_b = max((0.08 + 0.92 * openness) * geo.eye_b_max, 0.3 * geo.eye_a)
     for eye in geo.eyes:
         paint(eye, geo.side, 1.3 * geo.eye_a, 1.3 * max(eye_b, geo.eye_b_max), w_eyes)
+    # the mouth threshold applies to the blended union of its segments
     pts = mouth_curve(geo, float(face_params[1]))
     canvas = np.zeros((3, height, width))
     for a, b in zip(pts, pts[1:]):
         blend_capsule(canvas, a, b, 1.5 * geo.mouth_thickness, (1.0, 1.0, 1.0))
-    region = canvas[0] >= 0.5
-    out[0][region] = np.maximum(out[0][region], w_mouth)
+    np.maximum(out[0], w_mouth, out=out[0], where=canvas[0] >= 0.5)
     return out
 
 
@@ -427,8 +396,11 @@ def relight_augment(
     """
     cfg = cfg or RelightConfig()
     img = np.asarray(ref_frame, dtype=np.float64)
-    mask = np.asarray(subject_mask, dtype=np.float64).reshape(img.shape[1], img.shape[2])
-    h, w = mask.shape
+    mask = np.asarray(subject_mask, dtype=np.float64)
+    if img.ndim != 3 or img.shape[0] != 3 or mask.shape not in (img.shape[1:], (1, *img.shape[1:])):
+        raise ShapeError(f"relight: need a [3,H,W] frame and an [H,W] or [1,H,W] mask, got {img.shape}, {mask.shape}")
+    h, w = img.shape[1:]
+    mask = mask.reshape(h, w)
     bg = sample_background(rng)
     gain = np.ones(3)
     bias = np.zeros(3)
@@ -457,19 +429,7 @@ def relight_augment(
 def render_face_template(sk: Skeleton, skin_color, openness, curvature, pupil, size: int):
     """Face-only render over black, for template-matching estimation."""
     img = np.zeros((3, size, size))
-    geo = face_geometry(sk)
-    _blend_ellipse(img, None, geo.center, geo.side, geo.radius, geo.radius, skin_color)
-    eye_b = (0.08 + 0.92 * openness) * geo.eye_b_max
-    pupil_r = 0.38 * geo.eye_a
-    px, py = pupil
-    for eye in geo.eyes:
-        _blend_ellipse(img, None, eye, geo.side, geo.eye_a, eye_b, SCLERA)
-        off = px * (geo.eye_a - pupil_r) * geo.side - py * max(eye_b - 0.5 * pupil_r, 0.0) * geo.up
-        pr = min(pupil_r, max(eye_b, 0.12 * geo.eye_a))
-        _blend_ellipse(img, None, eye + off, geo.side, pr, pr, PUPIL)
-    pts = mouth_curve(geo, curvature)
-    for a, b in zip(pts, pts[1:]):
-        blend_capsule(img, a, b, geo.mouth_thickness, MOUTH)
+    _draw_face(img, None, face_geometry(sk), skin_color, openness, curvature, pupil)
     return img
 
 
@@ -486,13 +446,16 @@ def estimate_face_params(
     The scene geometry and identity are known at evaluation time; only the
     expression is read out of the pixels.
     """
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 3 or frame.shape[0] != 3 or frame.shape[1] != frame.shape[2]:
+        raise ShapeError(f"estimate_face_params: frame must be square [3,S,S], got {frame.shape}")
     size = frame.shape[1]
     geo = face_geometry(sk)
     ys, xs = np.mgrid[0:size, 0:size]
     disc = (xs - geo.center[0]) ** 2 + (ys - geo.center[1]) ** 2 <= geo.radius**2
     if not disc.any():
         return (float("nan"), float("nan"))
-    target = np.asarray(frame, dtype=np.float64)[:, disc]
+    target = frame[:, disc]
     o_grid = openness_grid if openness_grid is not None else np.linspace(0.0, 1.0, 11)
     c_grid = curvature_grid if curvature_grid is not None else np.linspace(-1.0, 1.0, 11)
     best = (np.inf, 0.0, 0.0)

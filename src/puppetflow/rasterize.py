@@ -1,9 +1,10 @@
-"""Deterministic skeleton rasterization.
+"""Anti-aliased primitives for both pose frames and puppet scenes.
 
-Each limb gets a unique color and is drawn as an anti-aliased capsule; joints
-are discs in their parent limb's color. Width is 4 px on a 256 px canvas and
-scales proportionally. Per-primitive work is vectorized over a bounding box,
-and the draw order is fixed, so outputs never depend on evaluation order.
+Capsules and ellipses are drawn here alone: a coverage is computed once over
+a clipped bounding box and `_blend` composites it, optionally raising a mask.
+A pose frame draws each limb as a capsule in a unique color and each joint as
+a disc in its parent limb's color, 4 px wide on a 256 px canvas and scaled
+with it, in a fixed order, so outputs never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -24,32 +25,74 @@ def limb_palette(n: int = N_LIMBS) -> np.ndarray:
     return np.array([colorsys.hsv_to_rgb(i / n, 1.0, 1.0) for i in range(n)], dtype=np.float64)
 
 
-def blend_capsule(img: np.ndarray, p0, p1, radius: float, color) -> None:
-    """Alpha-blend an anti-aliased thick segment (disc when p0 == p1)."""
-    h, w = img.shape[1], img.shape[2]
+def _coverage(shape, lo, hi, alpha_at):
+    """((rows, cols), alpha) of a shape lying inside the (x, y) box lo..hi:
+    `alpha_at(xs, ys)` is evaluated over that box plus a 1 px margin, clipped
+    to the (H, W) canvas. None when no pixel is covered."""
+    h, w = shape
+    lo_x = max(int(np.floor(lo[0] - 1)), 0)
+    hi_x = min(int(np.ceil(hi[0] + 1)) + 1, w)
+    lo_y = max(int(np.floor(lo[1] - 1)), 0)
+    hi_y = min(int(np.ceil(hi[1] + 1)) + 1, h)
+    if lo_x >= hi_x or lo_y >= hi_y:
+        return None
+    ys, xs = np.mgrid[lo_y:hi_y, lo_x:hi_x]
+    alpha = alpha_at(xs, ys)
+    if alpha.max() <= 0.0:
+        return None
+    return (slice(lo_y, hi_y), slice(lo_x, hi_x)), alpha
+
+
+def _capsule(shape, p0, p1, radius: float):
+    """Coverage of a thick segment, a disc when p0 == p1."""
     x0, y0 = float(p0[0]), float(p0[1])
     x1, y1 = float(p1[0]), float(p1[1])
-    lo_x = max(int(np.floor(min(x0, x1) - radius - 1)), 0)
-    hi_x = min(int(np.ceil(max(x0, x1) + radius + 1)) + 1, w)
-    lo_y = max(int(np.floor(min(y0, y1) - radius - 1)), 0)
-    hi_y = min(int(np.ceil(max(y0, y1) + radius + 1)) + 1, h)
-    if lo_x >= hi_x or lo_y >= hi_y:
-        return
-    ys, xs = np.mgrid[lo_y:hi_y, lo_x:hi_x]
     dx, dy = x1 - x0, y1 - y0
     seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        dist = np.hypot(xs - x0, ys - y0)
-    else:
-        t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / seg2, 0.0, 1.0)
-        dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
-    alpha = np.clip(radius + 0.5 - dist, 0.0, 1.0)
-    if alpha.max() <= 0.0:
+
+    def alpha_at(xs, ys):
+        if seg2 == 0.0:
+            dist = np.hypot(xs - x0, ys - y0)
+        else:
+            t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / seg2, 0.0, 1.0)
+            dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
+        return np.clip(radius + 0.5 - dist, 0.0, 1.0)
+
+    lo = (min(x0, x1) - radius, min(y0, y1) - radius)
+    return _coverage(shape, lo, (max(x0, x1) + radius, max(y0, y1) + radius), alpha_at)
+
+
+def _ellipse(shape, center, axis_u, a: float, b: float):
+    """Coverage of an ellipse with semi-axis `a` along unit `axis_u`, `b` across."""
+
+    def alpha_at(xs, ys):
+        dx, dy = xs - center[0], ys - center[1]
+        du = dx * axis_u[0] + dy * axis_u[1]
+        dv = -dx * axis_u[1] + dy * axis_u[0]
+        q = np.sqrt((du / max(a, 1e-6)) ** 2 + (dv / max(b, 1e-6)) ** 2)
+        return np.clip(0.5 + (1.0 - q) * min(a, b), 0.0, 1.0)
+
+    r = max(a, b)
+    return _coverage(shape, (center[0] - r, center[1] - r), (center[0] + r, center[1] + r), alpha_at)
+
+
+def _blend(img: np.ndarray, cover, color, alpha_acc=None) -> None:
+    """Alpha-blend `color` over [3,H,W] `img` by a `_capsule` or `_ellipse`
+    coverage, and raise the [H,W] `alpha_acc`, if given, to that coverage."""
+    if cover is None:
         return
-    region = img[:, lo_y:hi_y, lo_x:hi_x]
-    col = np.asarray(color, dtype=img.dtype).reshape(3, 1, 1)
+    (rows, cols), alpha = cover
+    region = img[:, rows, cols]
     region *= 1.0 - alpha
-    region += col * alpha
+    region += np.asarray(color, dtype=img.dtype).reshape(3, 1, 1) * alpha
+    if alpha_acc is not None:
+        acc = alpha_acc[rows, cols]
+        np.maximum(acc, alpha, out=acc)
+
+
+def blend_capsule(img: np.ndarray, p0, p1, radius: float, color) -> None:
+    """Alpha-blend an anti-aliased thick segment (disc when p0 == p1)."""
+    _blend(img, _capsule(img.shape[1:], p0, p1, radius), color)
 
 
 def rasterize_pose(sk: Skeleton, height: int, width: int, dtype=np.float32) -> Tensor:

@@ -71,6 +71,8 @@ def validate_topology(edges) -> None:
         raise ShapeError(f"topology needs {N_JOINTS - 1} edges, got {len(edges)}")
     parent_of = {}
     for p, c in edges:
+        if not (0 <= p < N_JOINTS and 0 <= c < N_JOINTS):
+            raise ShapeError(f"edge {p}:{c} names no joint of {N_JOINTS}")
         if c in parent_of:
             raise ShapeError(f"joint {c} has two parents")
         parent_of[c] = p
@@ -167,7 +169,10 @@ def load_pose_sequence(path) -> PoseSequence:
     inside the last number of the last row still parses, since the format
     has no end marker.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise ShapeError(f"{path}: not a text file: {e}") from e
     head = _POSE_HEADER.fullmatch(lines[0]) if lines else None
     if head is None:
         raise ShapeError(f"{path}: bad header {lines[0] if lines else ''!r}")

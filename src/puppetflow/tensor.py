@@ -247,9 +247,6 @@ class Tensor:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -339,13 +336,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(gb if b.shape == a.shape else _sum_to_trailing(gb, b.shape[0]))
 
     return _make(out, (a, b), bwd, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        a.accumulate_grad(-g)
-
-    return _make(-a.data, (a,), bwd, "neg")
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -525,15 +515,6 @@ def _sigmoid_np(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_np(a.data)
-
-    def bwd(g):
-        a.accumulate_grad(g * out * (1.0 - out))
-
-    return _make(out, (a,), bwd, "sigmoid")
-
-
 def silu(a: Tensor) -> Tensor:
     s = _sigmoid_np(a.data)
     out = a.data * s
@@ -566,15 +547,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out.astype(x.dtype, copy=False), (a,), bwd, "gelu")
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        a.accumulate_grad(g * (1.0 - out**2))
-
-    return _make(out, (a,), bwd, "tanh")
-
-
 def powc(a: Tensor, p: float) -> Tensor:
     """Elementwise power with constant exponent. Caller guarantees domain."""
     with np.errstate(over="ignore"):
@@ -584,18 +556,6 @@ def powc(a: Tensor, p: float) -> Tensor:
         a.accumulate_grad(g * p * a.data ** (p - 1.0))
 
     return _make(out.astype(a.data.dtype), (a,), bwd, "powc")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(out * (g - dot))
-
-    return _make(out, (a,), bwd, "softmax")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -973,5 +933,8 @@ def load_tensor(path, dtype=NARROW, requires_grad=False) -> Tensor:
     dims = struct.unpack_from(f"<{rank}Q", raw, 12)
     n = math.prod(dims)
     need(off + 4 * n, "payload")
-    data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
+    try:
+        data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
+    except ValueError as e:  # more axes than numpy allows, or a zero-size shape too large to index
+        raise ShapeError(f"{path}: cannot make an array of shape {dims}: {e}") from e
     return Tensor(data.astype(dtype), requires_grad=requires_grad)

@@ -128,6 +128,8 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
     if m is None:
         raise ShapeError(f"{path}: truncated or malformed {magic.decode()} header {raw[:32]!r}")
     w, h, maxval = (int(v) for v in m.groups())
+    if w < 1 or h < 1:
+        raise ShapeError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise ShapeError(f"{path}: only 8-bit files supported, got maxval {maxval}")
     channels = 3 if magic == b"P6" else 1
@@ -152,17 +154,24 @@ def _read_frames(directory: Path, name: str, magic: bytes, frames: int) -> np.nd
     """Stack `frames` files named name.format(i) from `directory`."""
     if frames < 1:
         raise ShapeError(f"{directory}: clip needs at least 1 frame, got {frames}")
-    paths = [directory / name.format(i) for i in range(frames)]
-    for path in paths:
+    arrays = []
+    for i in range(frames):  # a frame count from a file may be huge: stop at the first gap
+        path = directory / name.format(i)
         if not path.is_file():
             raise ShapeError(f"{path}: missing, {frames} frames requested from {directory}")
-    return np.stack([_read_pnm(path, magic) for path in paths])
+        arrays.append(_read_pnm(path, magic))
+        if arrays[-1].shape != arrays[0].shape:
+            raise ShapeError(f"{path}: frame is {arrays[-1].shape}, the first is {arrays[0].shape}")
+    return np.stack(arrays)
 
 
 def load_clip(directory, dtype=np.float32) -> VideoClip:
     directory = Path(directory)
     meta_path = directory / "clip.meta"
-    meta = meta_path.read_text()
+    try:
+        meta = meta_path.read_text()
+    except UnicodeDecodeError as e:
+        raise ShapeError(f"{meta_path}: not a text file: {e}") from e
     frames = re.search(r"frames=(\d+)", meta)
     fps = re.search(r"fps=(\d+(?:\.\d*)?)", meta)
     if frames is None or fps is None:

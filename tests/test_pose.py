@@ -45,6 +45,10 @@ class TestSkeletonModel:
         cyc[-1] = (4, 2)  # 2 already parents 4
         with pytest.raises(ShapeError):
             validate_topology(tuple(cyc))
+        unknown = list(TOPOLOGY)
+        unknown[-1] = (2, N_JOINTS)  # a tree, but over a joint that does not exist
+        with pytest.raises(ShapeError, match="no joint"):
+            validate_topology(tuple(unknown))
 
     def test_limb_lengths_match_euclid(self):
         sk = random_skeleton(1)

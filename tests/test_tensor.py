@@ -27,7 +27,6 @@ from puppetflow.tensor import (
     modulate,
     patchify,
     slice_axis,
-    softmax,
     tensor,
     unpatchify,
 )
@@ -304,11 +303,6 @@ class TestElementwise:
         np.testing.assert_array_equal(pt.silu(z).data, np.zeros(4))
         np.testing.assert_array_equal(pt.gelu(z).data, np.zeros(4))
 
-    def test_softmax_rows_stochastic(self):
-        x = wide(rng(29).standard_normal((5, 7)) * 10)
-        s = softmax(x).data
-        np.testing.assert_allclose(s.sum(axis=-1), np.ones(5), atol=1e-12)
-
     @pytest.mark.parametrize("dtype", [np.float32, WIDE])
     def test_gelu_keeps_dtype(self, dtype):
         x = Tensor(np.linspace(-3, 3, 7).astype(dtype), requires_grad=True)
@@ -335,7 +329,6 @@ class TestElementwise:
     def test_finite_after_extreme_inputs(self):
         x = wide(np.array([[1e4, -1e4, 0.0]]))
         with pt.finite_checks():
-            assert np.isfinite(softmax(x).data).all()
             assert np.isfinite(pt.silu(x).data).all()
             assert np.isfinite(pt.gelu(x).data).all()
 
@@ -524,25 +517,25 @@ class TestProfileOps:
 
         x = Tensor(np.ones((3, 3)), requires_grad=True)
         with pt.profile_ops() as prof:
-            loss = pt.sum_all(pt.tanh(slow_double(x)))
+            loss = pt.sum_all(pt.silu(slow_double(x)))
             loss.backward()
-            pt.neg(x)
+            pt.scale(x, 2.0)
         assert prof.ops["slow_double"].bwd_s >= 0.05
-        assert prof.ops["tanh"].bwd_s < 0.05 and prof.ops["sum"].bwd_s < 0.05
+        assert prof.ops["silu"].bwd_s < 0.05 and prof.ops["sum"].bwd_s < 0.05
         # the op after backward is not charged with the replay
-        assert prof.ops["neg"].fwd_s < 0.05
+        assert prof.ops["scale"].fwd_s < 0.05
         assert "slow_double" in prof.table().splitlines()[1]
 
     def test_off_outside_block_and_restored_after_nesting(self):
         a = wide(np.ones(3))
         with pt.profile_ops() as outer:
-            pt.neg(a)
+            pt.scale(a, 2.0)
             with pt.profile_ops() as inner:
-                pt.tanh(a)
-            pt.neg(a)
-        pt.tanh(a)
-        assert set(inner.ops) == {"tanh"}
-        assert set(outer.ops) == {"neg"} and outer.ops["neg"].calls == 2
+                pt.silu(a)
+            pt.scale(a, 2.0)
+        pt.silu(a)
+        assert set(inner.ops) == {"silu"}
+        assert set(outer.ops) == {"scale"} and outer.ops["scale"].calls == 2
         assert pt._profile is None
 
 
