@@ -3,17 +3,16 @@
 A refactor of `puppet.py` or `rasterize.py` that claims bit-identical output
 runs this on both commits and compares the printed digests:
 
-    PYTHONPATH=src python3 tools/render_digest.py [--seeds 40]
+    PYTHONPATH=src python3 tools/render_digest.py
 
-Per seed and size (64 and 128 px) it hashes the scene frames and masks, the
-region weight map of every frame, the rasterized poses, the relit first frame,
-a face template, the expression readout, and the region map and template of
-the head shifted off the canvas.
+For each of `SEEDS` seeds and each size (64 and 128 px) it hashes the scene
+frames and masks, the region weight map of every frame, the rasterized poses,
+the relit first frame, a face template, the expression readout, and the region
+map and template of the head shifted off the canvas.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 
 import numpy as np
@@ -22,6 +21,8 @@ from puppetflow import puppet
 from puppetflow.rasterize import rasterize_sequence
 from puppetflow.retarget import FRAMINGS
 from puppetflow.skeleton import Skeleton
+
+SEEDS = 40
 
 
 def digest(seeds: int) -> str:
@@ -53,6 +54,4 @@ def digest(seeds: int) -> str:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=40)
-    print(digest(parser.parse_args().seeds))
+    print(digest(SEEDS))
