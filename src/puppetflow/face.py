@@ -221,8 +221,10 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
 class MotionBasis:
     """Learned raw basis, consumed through its row-orthonormalized form.
 
-    Orthonormalization is two passes of differentiable Gram-Schmidt computed
-    on every forward, so the invariant D D^T = I survives optimizer steps.
+    Orthonormalization is classical Gram-Schmidt with reorthogonalization,
+    computed differentiably on every forward so that the invariant D D^T = I
+    survives optimizer steps: each row takes away its projection onto all
+    rows before it as one block, v -= (v Q^T) Q, twice, then is normalized.
     """
 
     def __init__(self, rng, m: int = N_COEFF, dtype=np.float32):
@@ -232,18 +234,18 @@ class MotionBasis:
         self.m = m
 
     def orthonormal(self) -> Tensor:
-        rows = []
+        q = None  # the rows done so far, [i, m]
         for i in range(self.m):
             v = pt.slice_axis(self.raw, 0, i, i + 1)  # [1, m]
-            for _ in range(2):
-                for u in rows:
-                    proj = pt.matmul(v, pt.transpose(u, (1, 0)))  # [1, 1]
-                    v = pt.sub(v, pt.matmul(proj, u))
+            if q is not None:
+                qt = pt.transpose(q, (1, 0))
+                for _ in range(2):
+                    v = pt.sub(v, pt.matmul(pt.matmul(v, qt), q))
             sq = pt.sum_all(pt.mul(v, v))
             inv = pt.reshape(pt.powc(pt.add_scalar(sq, 1e-12), -0.5), (1, 1))
             v = pt.matmul(inv, v)
-            rows.append(v)
-        return pt.concat(rows, axis=0) if self.m > 1 else rows[0]
+            q = v if q is None else pt.concat([q, v], axis=0)
+        return q
 
 
 class FaceEncoder:

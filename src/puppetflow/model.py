@@ -1,9 +1,12 @@
 """The denoising transformer and its conditioning adapters.
 
 Input is the channel-concatenated (noisy latent, condition, mask) triple,
-patchified to tokens. Pose conditioning is spatially aligned: projected pose
-latents are added to the tokens of every window position, never to the
-reference latent's tokens. Expression conditioning enters through face blocks
+patchified to tokens. The timestep enters through adaLN-zero as in DiT: the
+timestep features regress a shift, a scale and a gate per normalization, and
+each normalization is one `layer_norm` node with gain 1 + scale and bias
+shift. Pose conditioning is spatially aligned: projected pose latents are
+added to the tokens of every window position, never to the reference
+latent's tokens. Expression conditioning enters through face blocks
 inserted after every k-th transformer block. Each is the paper's temporally
 masked face cross-attention: the tokens of latent step t may attend to the
 face latent of step t only (the reference step to a learned null latent), so
@@ -116,12 +119,6 @@ def lora_forward(x: Tensor, w: Tensor, adapter: LoRAAdapter | None, name: str) -
         delta = pt.matmul(pt.matmul(x, adapter.params[f"{name}.down"]), adapter.params[f"{name}.up"])
         y = pt.add(y, pt.scale(delta, adapter.scale))
     return y
-
-
-def _const_ln(x: Tensor, dim: int) -> Tensor:
-    # normalization without learned affine; modulation supplies scale/shift
-    dt = x.data.dtype
-    return pt.layer_norm(x, Tensor(np.ones(dim, dt)), Tensor(np.zeros(dim, dt)))
 
 
 class FaceBlock:
@@ -318,9 +315,9 @@ class AnimationModel:
         face_idx = 0
         for i in range(cfg.n_layers):
             sh1, sc1, g1, sh2, sc2, g2 = self._modulation(tfeat, f"blocks.{i}.ada", 6)
-            h = pt.modulate(_const_ln(x, cfg.dim), sh1, sc1)
+            h = pt.layer_norm(x, pt.add_scalar(sc1, 1.0), sh1)
             x = pt.add(x, pt.mul(self._self_attention(h, i, adapter), g1))
-            h = pt.modulate(_const_ln(x, cfg.dim), sh2, sc2)
+            h = pt.layer_norm(x, pt.add_scalar(sc2, 1.0), sh2)
             h = pt.linear(pt.gelu(pt.linear(h, self.params[f"blocks.{i}.mlp.w1"], self.params[f"blocks.{i}.mlp.b1"])),
                           self.params[f"blocks.{i}.mlp.w2"], self.params[f"blocks.{i}.mlp.b2"])
             x = pt.add(x, pt.mul(h, g2))
@@ -332,7 +329,7 @@ class AnimationModel:
                 face_idx += 1
 
         sh, sc = self._modulation(tfeat, "final.ada", 2)
-        x = pt.modulate(_const_ln(x, cfg.dim), sh, sc)
+        x = pt.layer_norm(x, pt.add_scalar(sc, 1.0), sh)
         x = pt.linear(x, self.params["final.w"], self.params["final.b"])
         dims = (cfg.latent_channels,) + tuple(pack.condition.shape[1:])
         return pt.unpatchify(x, dims, cfg.patch)

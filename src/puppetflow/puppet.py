@@ -158,8 +158,8 @@ def mouth_curve(geo: FaceGeometry, curvature: float, n: int = 9) -> np.ndarray:
     return (1 - ts) ** 2 * p0 + 2 * ts * (1 - ts) * p1 + ts**2 * p2
 
 
-def _draw_face(img, acc, geo: FaceGeometry, skin, openness, curvature, pupil) -> None:
-    """Head disc, eyes with pupils and mouth; `acc` (or None) takes the mask."""
+def _draw_head(img, acc, geo: FaceGeometry, skin, openness, pupil) -> None:
+    """Head disc, then eyes with pupils; `acc` (or None) takes the mask."""
     shape = img.shape[1:]
     _blend(img, _ellipse(shape, geo.center, geo.side, geo.radius, geo.radius), skin, acc)
     eye_b = (0.08 + 0.92 * openness) * geo.eye_b_max
@@ -170,9 +170,18 @@ def _draw_face(img, acc, geo: FaceGeometry, skin, openness, curvature, pupil) ->
         off = px * (geo.eye_a - pupil_r) * geo.side - py * max(eye_b - 0.5 * pupil_r, 0.0) * geo.up
         pr = min(pupil_r, max(eye_b, 0.12 * geo.eye_a))
         _blend(img, _ellipse(shape, eye + off, geo.side, pr, pr), PUPIL, acc)
+
+
+def _mouth_covers(shape, geo: FaceGeometry, curvature) -> list:
+    """Coverage of each mouth capsule on an (H, W) canvas, in drawing order."""
     pts = mouth_curve(geo, curvature)
-    for a, b in zip(pts, pts[1:]):
-        _blend(img, _capsule(shape, a, b, geo.mouth_thickness), MOUTH, acc)
+    return [_capsule(shape, a, b, geo.mouth_thickness) for a, b in zip(pts, pts[1:])]
+
+
+def _draw_mouth(img, acc, covers) -> None:
+    """Blend `_mouth_covers` over a drawn head; `acc` (or None) takes the mask."""
+    for cover in covers:
+        _blend(img, cover, MOUTH, acc)
 
 
 def render_scene_frame(scene: PuppetScene, t: int):
@@ -191,7 +200,9 @@ def render_scene_frame(scene: PuppetScene, t: int):
     # shoulder bar for visual solidity (not a topology edge)
     _blend(img, _capsule((h, w), sk.joints[5], sk.joints[6], _EDGE_WIDTH[5] * s * 0.28), scene.colors["torso"], acc)
     openness, curv, px, py = scene.face_params[t]
-    _draw_face(img, acc, face_geometry(sk), scene.colors["skin"], openness, curv, (px, py))
+    geo = face_geometry(sk)
+    _draw_head(img, acc, geo, scene.colors["skin"], openness, (px, py))
+    _draw_mouth(img, acc, _mouth_covers((h, w), geo, curv))
     return np.clip(img, 0.0, 1.0), (acc >= 0.5).astype(np.float32)
 
 
@@ -429,7 +440,9 @@ def relight_augment(
 def render_face_template(sk: Skeleton, skin_color, openness, curvature, pupil, size: int):
     """Face-only render over black, for template-matching estimation."""
     img = np.zeros((3, size, size))
-    _draw_face(img, None, face_geometry(sk), skin_color, openness, curvature, pupil)
+    geo = face_geometry(sk)
+    _draw_head(img, None, geo, skin_color, openness, pupil)
+    _draw_mouth(img, None, _mouth_covers((size, size), geo, curvature))
     return img
 
 
@@ -444,7 +457,10 @@ def estimate_face_params(
     """Grid template matching over (openness, curvature) inside the head disc.
 
     The scene geometry and identity are known at evaluation time; only the
-    expression is read out of the pixels.
+    expression is read out of the pixels. Each template is drawn as
+    `render_face_template` draws it, bit for bit, from shared parts: the head
+    and eyes once per openness, the mouth coverages once per curvature, and
+    per template a copy of the head with only the mouth blended on.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 3 or frame.shape[0] != 3 or frame.shape[1] != frame.shape[2]:
@@ -459,10 +475,14 @@ def estimate_face_params(
     o_grid = openness_grid if openness_grid is not None else np.linspace(0.0, 1.0, 11)
     c_grid = curvature_grid if curvature_grid is not None else np.linspace(-1.0, 1.0, 11)
     best = (np.inf, 0.0, 0.0)
+    mouths = [_mouth_covers((size, size), geo, c) for c in c_grid]
     for o in o_grid:
-        for c in c_grid:
-            tmpl = render_face_template(sk, skin_color, o, c, pupil, size)[:, disc]
-            err = float(((tmpl - target) ** 2).sum())
+        head = np.zeros((3, size, size))
+        _draw_head(head, None, geo, skin_color, o, pupil)
+        for c, covers in zip(c_grid, mouths):
+            tmpl = head.copy()
+            _draw_mouth(tmpl, None, covers)
+            err = float(((tmpl[:, disc] - target) ** 2).sum())
             if err < best[0]:
                 best = (err, float(o), float(c))
     return best[1], best[2]

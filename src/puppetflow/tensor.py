@@ -5,7 +5,8 @@ used for gradient checks and oracles) and float32 ("narrow", used for
 training). Ops never broadcast except for the trailing-dim vector special
 case in `add`/`mul` (bias / channel gain); every other shape mismatch raises
 ShapeError naming both shapes. Tensors are value-semantic; the gradient graph
-is confined to the thread that built it.
+is confined to the thread that built it. The `no_grad`, `finite_checks` and
+`profile_ops` blocks are context variables, so each acts on its own thread.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import struct
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,33 +45,31 @@ class NumericalError(ArithmeticError):
 
 
 _ids = itertools.count()
-_grad_enabled = True
-_finite_checks = False
-_profile = None
+# Per-context tape flags: each thread starts from the defaults, so one
+# thread's `no_grad` or `profile_ops` block never reaches another's graph.
+_grad_enabled = ContextVar("grad_enabled", default=True)
+_finite_checks = ContextVar("finite_checks", default=False)
+_profile = ContextVar("profile", default=None)
 
 
 @contextmanager
 def no_grad():
     """Disable graph construction inside the block (inference fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 @contextmanager
 def finite_checks():
     """Validate every op output for NaN/Inf inside the block."""
-    global _finite_checks
-    prev = _finite_checks
-    _finite_checks = True
+    token = _finite_checks.set(True)
     try:
         yield
     finally:
-        _finite_checks = prev
+        _finite_checks.reset(token)
 
 
 @dataclass
@@ -129,13 +129,13 @@ def profile_ops():
     profile only. Outside any block the only cost is one flag check in
     `_make`.
     """
-    global _profile
-    prev = _profile
-    _profile = OpProfile()
+    prev = _profile.get()
+    prof = OpProfile()
+    token = _profile.set(prof)
     try:
-        yield _profile
+        yield prof
     finally:
-        _profile = prev
+        _profile.reset(token)
         if prev is not None:
             prev._mark = time.perf_counter()
 
@@ -264,11 +264,12 @@ def ones(shape, dtype=NARROW, requires_grad=False):
 
 
 def _make(data, parents, bwd, op):
-    if _finite_checks and not np.isfinite(data).all():
+    if _finite_checks.get() and not np.isfinite(data).all():
         raise NumericalError(f"non-finite output of op '{op}'")
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    if _profile is not None:
-        bwd = _profile._forward(op, data, bwd if track else None)
+    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    profile = _profile.get()
+    if profile is not None:
+        bwd = profile._forward(op, data, bwd if track else None)
     if not track:
         return Tensor(data, _op=op)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _bwd=bwd, _op=op)
@@ -532,19 +533,26 @@ _GELU_A = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU.
 
-    Powers are written as products: float32 `x**3` runs numpy's generic
-    `power` loop, about 200x slower than `x * x * x`.
+    The tanh argument x * (C + C*A*x^2) is built in one buffer and tanh runs
+    in place on it; backward keeps only that tanh. Powers are written as
+    products: float32 `x**3` runs numpy's generic `power` loop, about 200x
+    slower than `x * x * x`.
     """
     x = a.data
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    th = x * x
+    th *= _GELU_C * _GELU_A
+    th += _GELU_C
+    th *= x
+    np.tanh(th, out=th)
+    out = th + 1.0
+    out *= x
+    out *= 0.5
 
     def bwd(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
         a.accumulate_grad(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du))
 
-    return _make(out.astype(x.dtype, copy=False), (a,), bwd, "gelu")
+    return _make(out, (a,), bwd, "gelu")
 
 
 def powc(a: Tensor, p: float) -> Tensor:
@@ -559,16 +567,25 @@ def powc(a: Tensor, p: float) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learned gain/bias."""
+    """Normalization over the last axis with gain `gamma` and bias `beta`.
+
+    Gain and bias may be graph nodes, so adaLN is one call:
+    `layer_norm(x, add_scalar(scale, 1.0), shift)`. The input is centred and
+    scaled in place in one buffer, which backward keeps.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: params {gamma.shape}/{beta.shape} do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    _same_dtype("layer_norm", x, gamma, beta)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def bwd(g):
         if gamma.requires_grad:
@@ -584,20 +601,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), bwd, "layer_norm")
 
 
-def modulate(x: Tensor, shift: Tensor, scl: Tensor) -> Tensor:
-    """Adaptive modulation x * (1 + scale) + shift with per-channel vectors."""
-    return add(mul(x, add_scalar(scl, 1.0)), shift)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_h)) v as one tape node.
 
     q [Lq, D], k [Lk, D], v [Lk, Dv] -> [Lq, Dv]. Head h owns columns
     [h*D/heads, (h+1)*D/heads) of q and k and the matching slice of v; the
-    heads are strided views, so no transpose is copied. The node saves only
-    the exponentiated, max-shifted logits and their row sums; the normalized
-    weights are never stored, and the division by the row sums comes after
-    the product with v.
+    heads are strided views, so no transpose is copied. The logits are built
+    keys-major, [heads, Lk, Lq], from q pre-scaled by 1/sqrt(d_h), so the max
+    and the sum over keys reduce over the outer axis, one contiguous row at a
+    time. The node saves only the exponentiated, max-shifted logits and
+    their sums; the normalized weights are never stored, and the division by
+    the sums comes after the product with v.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError(f"attention: expected 2D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
@@ -612,39 +626,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     def split(a, n, d):  # [n, heads*d] -> strided view [heads, n, d]
         return a.reshape(n, heads, d).transpose(1, 0, 2)
 
-    qh, kh, vh = split(q.data, lq, dh), split(k.data, lk, dh), split(v.data, lk, dv)
     c = q.data.dtype.type(1.0 / np.sqrt(dh))
-    e = np.matmul(qh, kh.transpose(0, 2, 1))  # [heads, Lq, Lk]
-    e *= c
-    e -= e.max(axis=-1, keepdims=True)
+    qs = q.data * c
+    qh, kh, vh = split(qs, lq, dh), split(k.data, lk, dh), split(v.data, lk, dv)
+    e = np.matmul(kh, qh.transpose(0, 2, 1))  # [heads, Lk, Lq]
+    e -= e.max(axis=1, keepdims=True)
     np.exp(e, out=e)
-    r = e.sum(axis=-1, keepdims=True)
+    r = e.sum(axis=1)[..., None]  # [heads, Lq, 1]
     out = np.empty((lq, heads * dv), dtype=q.data.dtype)
     oh = split(out, lq, dv)
-    np.matmul(e, vh, out=oh)
+    np.matmul(e.transpose(0, 2, 1), vh, out=oh)
     oh /= r
 
     def bwd(g):
-        gr = split(g, lq, dv) / r  # g scaled by the row normalizer, [heads, Lq, dv]
+        gr = split(g, lq, dv) / r  # g scaled by the normalizer, [heads, Lq, dv]
         if v.requires_grad:
             gv = np.empty_like(v.data)
-            np.matmul(e.transpose(0, 2, 1), gr, out=split(gv, lk, dv))
+            np.matmul(e, gr, out=split(gv, lk, dv))
             v.accumulate_grad(gv)
         if not (q.requires_grad or k.requires_grad):
             return
-        # dS = P * (g v^T - rowsum(g * O)), with P = e / r folded into gr
-        ds = np.matmul(gr, vh.transpose(0, 2, 1))
-        ds -= (gr * oh).sum(axis=-1, keepdims=True)
+        # dS = P * (v g^T - colsum(g * O)), keys-major, with P = e / r folded into gr
+        ds = np.matmul(vh, gr.transpose(0, 2, 1))
+        ds -= (gr * oh).sum(axis=-1)[:, None, :]
         ds *= e
         if q.requires_grad:
             gq = np.empty_like(q.data)
-            np.matmul(ds, kh, out=split(gq, lq, dh))
+            np.matmul(ds.transpose(0, 2, 1), kh, out=split(gq, lq, dh))
             gq *= c
             q.accumulate_grad(gq)
         if k.requires_grad:
             gk = np.empty_like(k.data)
-            np.matmul(ds.transpose(0, 2, 1), qh, out=split(gk, lk, dh))
-            gk *= c
+            np.matmul(ds, qh, out=split(gk, lk, dh))
             k.accumulate_grad(gk)
 
     return _make(out, (q, k, v), bwd, "attention")
@@ -729,6 +742,12 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
     return gw
 
 
+def _check_conv_operands(op, x, w, b):
+    if b is not None and b.shape != (w.shape[0],):
+        raise ShapeError(f"{op}: bias {b.shape} does not match {w.shape[0]} output channels")
+    _same_dtype(op, x, w, *(() if b is None else (b,)))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2D convolution, x [N,Ci,H,W], w [Co,Ci,K,K].
 
@@ -752,6 +771,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ConfigError(f"conv2d: pad must be non-negative, got {pad}")
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape} incompatible")
+    _check_conv_operands("conv2d", x, w, b)
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     ho = (h + 2 * pad - kh) // stride + 1
@@ -792,15 +812,87 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     return _make(out, parents, bwd, "conv2d")
 
 
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of [N,C,H,W]."""
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
+# Along one axis, a 3x3 kernel over a nearest-2x upsampled input reads, for
+# output row 2p + a, low-res row p - 1 + a + t with its kernel rows
+# _PHASE_ROWS[a, t]: phase 0 sums rows {0} and {1, 2}, phase 1 rows {0, 1}
+# and {2}. _PHASE_MIX maps the 9 taps (ky, kx) to the 16 phase taps
+# (a, b, ty, tx).
+_PHASE_ROWS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=float)
+_PHASE_MIX = np.einsum("atk,bsl->abtskl", _PHASE_ROWS, _PHASE_ROWS).reshape(16, 9)
+
+
+def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """conv2d(nearest 2x upsample of x, w, b, stride=1, pad=1) for 3x3 `w`.
+
+    x [N,Ci,H,W], w [Co,Ci,3,3] -> [N,Co,2H,2W], without the upsampled
+    tensor (sub-pixel convolution, Shi et al. 2016). Output pixel (2p+a,
+    2q+b) sees only low-res rows p-1..p+1 and columns q-1..q+1, so each of
+    the four output phases (a, b) is a 2x2 conv over the padded low-res input
+    with taps that sum the 3x3 taps reading the same low-res pixel
+    (`_PHASE_MIX`). The forward is one GEMM of the 16 stacked phase taps
+    [16*Co, Ci] over the flat padded input, then per phase a sum of four
+    contiguous shifted slices, copied into the phase's strided view of the
+    output: 16/36 of the multiply-adds of the 3x3 conv over the upsampled
+    input, and the summed taps round differently from it. Backward maps each
+    phase's 2x2 weight gradient back onto the 3x3 taps and scatters each
+    phase's input gradient.
+    """
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"upsample_conv2d: shapes {x.shape} and {w.shape} incompatible")
+    if w.shape[2:] != (3, 3):
+        raise ConfigError(f"upsample_conv2d: kernel must be 3x3, got {w.shape[2]}x{w.shape[3]}")
+    _check_conv_operands("upsample_conv2d", x, w, b)
+    n, ci, h, wd = x.shape
+    co = w.shape[0]
+    hp, wp = h + 2, wd + 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    mix = _PHASE_MIX.astype(w.data.dtype)
+    taps = (mix @ w.data.reshape(co * ci, 9).T).reshape(2, 2, 2, 2, co, ci)  # [a, b, ty, tx, Co, Ci]
+    y = np.matmul(taps.reshape(16 * co, ci), xp.reshape(n, ci, hp * wp)).reshape(n, 2, 2, 2, 2, co, hp * wp)
+    # Phase (a, b) output row p is flat row p + a of the padded grid, shifted
+    # by tap (ty, tx) to offset (a + ty) * Wp + b + tx; the Wp - W trailing
+    # columns of each flat row are discarded.
+    span = (h - 1) * wp + wd
+    acc = np.empty((n, co, h * wp), dtype=x.data.dtype)
+    out = np.empty((n, co, h, 2, wd, 2), dtype=x.data.dtype)
+    for a in range(2):
+        for bx in range(2):
+            base = a * wp + bx
+            ya = y[:, a, bx]
+            np.add(ya[:, 0, 0, :, base : base + span], ya[:, 0, 1, :, base + 1 : base + 1 + span], out=acc[:, :, :span])
+            acc[:, :, :span] += ya[:, 1, 0, :, base + wp : base + wp + span]
+            acc[:, :, :span] += ya[:, 1, 1, :, base + wp + 1 : base + wp + 1 + span]
+            out[:, :, :, a, :, bx] = acc.reshape(n, co, h, wp)[..., :wd]
+    out = out.reshape(n, co, 2 * h, 2 * wd)
+    if b is not None:
+        out += b.data.reshape(1, co, 1, 1)
 
     def bwd(g):
-        n, c, h2, w2 = g.shape
-        x.accumulate_grad(g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)))
+        gph = g.reshape(n, co, h, 2, wd, 2)
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        if w.requires_grad:
+            gtaps = np.empty((2, 2, co, ci, 2, 2), dtype=g.dtype)
+            for a in range(2):
+                for bx in range(2):
+                    window = xp[:, :, a : a + h + 1, bx : bx + wd + 1]
+                    gtaps[a, bx] = _conv2d_weight_grad(window, gph[:, :, :, a, :, bx], 2, 2, 1, 0)
+            gtaps = gtaps.transpose(0, 1, 4, 5, 2, 3).reshape(16, co * ci)
+            w.accumulate_grad((mix.T @ gtaps).T.reshape(co, ci, 3, 3))
+        if x.requires_grad:
+            gxp = np.zeros((n, ci, hp, wp), dtype=g.dtype)
+            for a in range(2):
+                for bx in range(2):
+                    ga = np.ascontiguousarray(gph[:, :, :, a, :, bx]).reshape(n, co, h * wd)
+                    tt = taps[a, bx].transpose(0, 1, 3, 2).reshape(4 * ci, co)
+                    gc = np.matmul(tt, ga).reshape(n, 2, 2, ci, h, wd)
+                    for ty in range(2):
+                        for tx in range(2):
+                            gxp[:, :, a + ty : a + ty + h, bx + tx : bx + tx + wd] += gc[:, ty, tx]
+            x.accumulate_grad(gxp[:, :, 1 : 1 + h, 1 : 1 + wd])
 
-    return _make(out, (x,), bwd, "upsample2x")
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out, parents, bwd, "upsample_conv2d")
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, stride: int, taps=None) -> Tensor:

@@ -4,7 +4,11 @@ Deterministic (no KL term, no sampling): three stride-2 convolutions give the
 8x spatial factor, then a 1x1 head merges each temporal group into one latent.
 The first pixel frame gets its own latent through a dedicated head; every
 later latent covers a group of up to 4 frames. Decoding mirrors this, so a
-latent stream sliced off mid-sequence (all-group latents) still decodes.
+latent stream sliced off mid-sequence (all-group latents) still decodes. Each
+of the three decoder stages is a nearest 2x upsample followed by a 3x3 conv,
+computed as one phase-decomposed op (`tensor._upsample_conv2d`) that convolves
+the low-res features with each output phase's 2x2 taps and never builds the
+upsampled tensor.
 
 Latents are affinely normalized by corpus statistics fixed after pretraining,
 so downstream denoising sees roughly unit-scale inputs.
@@ -86,8 +90,7 @@ class ToyVAE:
     def _spatial_decode(self, feats: Tensor) -> Tensor:
         h = feats
         for i in range(3):
-            h = pt.upsample2x(h)
-            h = pt.conv2d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"], stride=1, pad=1)
+            h = pt._upsample_conv2d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"])
             if i < 2:
                 h = pt.silu(h)
         return h  # [T, 3, H, W], unclamped

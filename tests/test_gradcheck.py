@@ -49,7 +49,6 @@ UNARY = {
     "sum_axis": lambda t: pt.sum_axis(t, 0),
     "mean_axis": lambda t: pt.mean_axis(t, 1),
     "powc": lambda t: pt.powc(pt.add_scalar(pt.mul(t, t), 1.0), -0.5),
-    "upsample": lambda t: pt.upsample2x(pt.reshape(t, (1, 1, 4, 5))),
 }
 
 
@@ -71,6 +70,18 @@ def test_layer_norm_grads(seed):
         return pt.sum_all(pt.mul(pt.layer_norm(x_, g_, b_), x_))
 
     assert grad_check(f, [x, g, b], eps=1e-6) <= 1e-5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adaln_grads_through_scale_and_shift(seed):
+    # adaLN as the DiT builds it: one layer_norm whose gain is 1 + scale.
+    rng = np.random.default_rng(250 + seed)
+    x, scl, shift = wt(rng, (3, 6)), wt(rng, (6,), 0.5), wt(rng, (6,))
+
+    def f(x_, scl_, shift_):
+        return pt.sum_all(pt.mul(pt.layer_norm(x_, pt.add_scalar(scl_, 1.0), shift_), x_))
+
+    assert grad_check(f, [x, scl, shift], eps=1e-6) <= 1e-5
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -128,7 +139,35 @@ def test_conv2d_grads(seed):
     assert grad_check(f, [x, w, b], eps=1e-6) <= 1e-6
 
 
-# (stride, pad, kernel, H, W): the VAE decoder, the VAE 1x1 heads, the face
+# (N, Ci, Co, H, W): odd and non-square frames, a 1x1 input, one channel.
+UPSAMPLE_CASES = [(2, 3, 4, 3, 5), (1, 2, 3, 1, 1), (3, 1, 1, 4, 3)]
+
+
+@pytest.mark.parametrize("case", UPSAMPLE_CASES, ids=[f"n{n}-ci{ci}-co{co}-{h}x{w}" for n, ci, co, h, w in UPSAMPLE_CASES])
+@pytest.mark.parametrize("seed", range(3))
+def test_upsample_conv2d_grads(seed, case):
+    n, ci, co, h, wd = case
+    rng = np.random.default_rng(450 + seed)
+    x, w, b = wt(rng, (n, ci, h, wd)), wt(rng, (co, ci, 3, 3)), wt(rng, (co,))
+
+    def f(x_, w_, b_):
+        return pt.sum_all(pt.silu(pt._upsample_conv2d(x_, w_, b_)))
+
+    assert grad_check(f, [x, w, b], eps=1e-5) <= 1e-5
+
+
+def test_upsample_conv2d_weight_grads_with_frozen_input():
+    rng = np.random.default_rng(460)
+    x, w = wt(rng, (2, 3, 4, 5)), wt(rng, (2, 3, 3, 3))
+
+    def f(w_):
+        return pt.sum_all(pt.silu(pt._upsample_conv2d(x, w_)))
+
+    assert grad_check(f, [w], eps=1e-5) <= 1e-5
+    assert x.grad is None
+
+
+# (stride, pad, kernel, H, W): a same-size 3x3 conv, the VAE 1x1 heads, the face
 # and VAE encoders, then no padding, pad 2, stride 3 with an even kernel, and
 # odd and non-square frames.
 CONV_CASES = [

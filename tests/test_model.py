@@ -239,6 +239,8 @@ def test_default_forward_runs_one_attention_op_per_layer():
         model.forward_tokens(x_t, pack, None, None, 0.5)
     assert prof.ops["attention"].calls == cfg.n_layers
     assert "softmax" not in prof.ops
+    # adaLN: one layer_norm node per normalization, two per block and the final one
+    assert prof.ops["layer_norm"].calls == 2 * cfg.n_layers + 1
 
 
 class TestLoRA:

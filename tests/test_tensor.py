@@ -1,5 +1,7 @@
 """Tensor core: op oracles, shape errors, serialization round-trips."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -24,7 +26,6 @@ from puppetflow.tensor import (
     linear,
     load_tensor,
     matmul,
-    modulate,
     patchify,
     slice_axis,
     tensor,
@@ -288,11 +289,6 @@ class TestElementwise:
         out = layer_norm(wide(row), pt.ones(2, dtype=WIDE), pt.zeros(2, dtype=WIDE), eps=0.0)
         np.testing.assert_allclose(out.data, row, atol=1e-12)
 
-    def test_modulate_zero_params_is_identity(self):
-        x = wide(rng(27).standard_normal((4, 6)))
-        z = pt.zeros(6, dtype=WIDE)
-        np.testing.assert_array_equal(modulate(x, z, z).data, x.data)
-
     def test_linear_identity(self):
         x = wide(rng(28).standard_normal((5, 4)))
         out = linear(x, wide(np.eye(4)), pt.zeros(4, dtype=WIDE))
@@ -337,7 +333,7 @@ class TestElementwise:
 # conv2d against a direct oracle
 
 
-# (stride, pad, kernel, H, W): the VAE decoder, the VAE 1x1 heads, the face
+# (stride, pad, kernel, H, W): a same-size 3x3 conv, the VAE 1x1 heads, the face
 # and VAE encoders, then no padding, pad 2, stride 3 with an even kernel, and
 # odd and non-square frames.
 CONV_CASES = [
@@ -489,6 +485,78 @@ class TestConv2d:
         with pytest.raises(ConfigError, match="pad"):
             conv2d(wide(np.zeros((1, 2, 8, 8))), wide(np.zeros((4, 2, 3, 3))), pad=-1)
 
+    @pytest.mark.parametrize("bias", [np.zeros(4), np.zeros((3, 1))], ids=["size-4", "3x1"])
+    def test_bias_must_match_output_channels(self, bias):
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(wide(np.zeros((1, 2, 5, 5))), wide(np.zeros((3, 2, 3, 3))), wide(bias), pad=1)
+
+
+def upsample_conv_oracle(x, w, b):
+    """Nearest 2x upsample by repetition, then a direct 3x3 pad-1 convolution."""
+    up = x.repeat(2, axis=2).repeat(2, axis=3)
+    return conv_oracle(up, w, 1, 1) + b.reshape(1, -1, 1, 1)
+
+
+# (N, Ci, Co, H, W)
+UPSAMPLE_CASES = [(2, 3, 4, 5, 7), (1, 2, 3, 1, 1), (3, 4, 2, 4, 3), (1, 1, 1, 6, 2)]
+UPSAMPLE_IDS = [f"n{n}-ci{ci}-co{co}-{h}x{w}" for n, ci, co, h, w in UPSAMPLE_CASES]
+
+
+class TestUpsampleConv2d:
+    @pytest.mark.parametrize("case", UPSAMPLE_CASES, ids=UPSAMPLE_IDS)
+    def test_against_upsample_then_conv_oracle(self, case):
+        n, ci, co, h, wd = case
+        r = rng(36)
+        x, w, b = r.standard_normal((n, ci, h, wd)), r.standard_normal((co, ci, 3, 3)), r.standard_normal(co)
+        out = pt._upsample_conv2d(wide(x), wide(w), wide(b)).data
+        assert out.shape == (n, co, 2 * h, 2 * wd)
+        np.testing.assert_allclose(out, upsample_conv_oracle(x, w, b), rtol=0, atol=1e-12)
+
+    def test_float32_within_dot_product_bound_of_float64(self):
+        # Each phase tap sums at most four kernel taps and each output is a
+        # dot product over 4 * Ci low-res terms, so ci * 9 terms bound it.
+        r = rng(37)
+        n, ci, co, h, wd = 2, 16, 8, 6, 5
+        x = r.standard_normal((n, ci, h, wd)).astype(np.float32)
+        w = r.standard_normal((co, ci, 3, 3)).astype(np.float32)
+        zero = np.zeros(co)
+        got = pt._upsample_conv2d(Tensor(x), Tensor(w)).data
+        assert got.dtype == np.float32
+        ref = upsample_conv_oracle(x.astype(WIDE), w.astype(WIDE), zero)
+        mag = upsample_conv_oracle(np.abs(x).astype(WIDE), np.abs(w).astype(WIDE), zero)
+        assert (np.abs(got - ref) <= gamma32(ci * 9) * mag).all()
+
+    def test_shape_errors(self):
+        x = wide(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(ShapeError):
+            pt._upsample_conv2d(x, wide(np.zeros((3, 5, 3, 3))))
+        with pytest.raises(ShapeError):
+            pt._upsample_conv2d(wide(np.zeros((2, 4, 4))), wide(np.zeros((3, 2, 3, 3))))
+        for bias in (np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ShapeError, match="bias"):
+                pt._upsample_conv2d(x, wide(np.zeros((3, 2, 3, 3))), wide(bias))
+
+    def test_kernel_must_be_3x3(self):
+        with pytest.raises(ConfigError, match="3x3"):
+            pt._upsample_conv2d(wide(np.zeros((1, 2, 4, 4))), wide(np.zeros((3, 2, 5, 5))))
+
+
+# op and the shapes of its three operands; each case widens one of them
+MIXED_CASES = {
+    "conv2d": (lambda x, w, b: conv2d(x, w, b, pad=1), [(1, 2, 5, 5), (3, 2, 3, 3), (3,)]),
+    "upsample_conv2d": (pt._upsample_conv2d, [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "layer_norm": (layer_norm, [(2, 4), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("wide_arg", range(3))
+@pytest.mark.parametrize("op", sorted(MIXED_CASES))
+def test_mixed_precision_operands_rejected(op, wide_arg):
+    fn, shapes = MIXED_CASES[op]
+    args = [Tensor(np.ones(s, dtype=WIDE if i == wide_arg else np.float32)) for i, s in enumerate(shapes)]
+    with pytest.raises(ConfigError, match="mixed precisions"):
+        fn(*args)
+
 
 # ---------------------------------------------------------------------------
 # op profiler
@@ -536,7 +604,61 @@ class TestProfileOps:
         pt.silu(a)
         assert set(inner.ops) == {"silu"}
         assert set(outer.ops) == {"scale"} and outer.ops["scale"].calls == 2
-        assert pt._profile is None
+        assert pt._profile.get() is None
+
+
+class TestFlagsPerThread:
+    def test_no_grad_in_one_thread_leaves_another_threads_graph(self):
+        # One thread sits inside `no_grad` almost all the time, releasing the
+        # interpreter while it waits; the other builds y = sum(c * x * x) and
+        # checks dy/dx = 2 c x on every iteration.
+        stop = threading.Event()
+        inside = threading.Event()
+        errors = []
+
+        def idler():
+            while not stop.is_set():
+                with pt.no_grad():
+                    inside.set()
+                    stop.wait(0.001)
+
+        def builder():
+            inside.wait(5.0)
+            try:
+                for i in range(300):
+                    c = float(i % 7 + 1)
+                    x = Tensor(np.arange(1.0, 5.0) + i, requires_grad=True)
+                    loss = pt.sum_all(pt.scale(pt.mul(x, x), c))
+                    loss.backward()
+                    np.testing.assert_array_equal(x.grad, 2.0 * c * x.data)
+                    time.sleep(0)
+            except Exception as e:  # reported from the main thread
+                errors.append(e)
+
+        threads = [threading.Thread(target=idler), threading.Thread(target=builder)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            threads[1].join(timeout=30.0)
+        finally:
+            stop.set()
+            threads[0].join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert inside.is_set()
+        assert errors == []
+
+    def test_profile_in_one_thread_records_only_its_own_ops(self):
+        a = wide(np.ones(3))
+        worker = threading.Thread(target=lambda: [pt.silu(a) for _ in range(50)])
+        with pt.profile_ops() as prof:
+            worker.start()
+            pt.scale(a, 2.0)
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert set(prof.ops) == {"scale"}
 
 
 # ---------------------------------------------------------------------------
