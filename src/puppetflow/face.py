@@ -323,6 +323,8 @@ class TemporalDownsampler:
 
     def __call__(self, per_frame: Tensor, frame_map) -> Tensor:
         t = per_frame.shape[0]
+        if not frame_map:
+            raise AlignmentError("empty frame map: no latent to align the face frames to")
         if frame_map[-1][1] - frame_map[0][0] != t:
             raise AlignmentError(
                 f"{t} face frames inconsistent with frame map covering "
@@ -331,8 +333,8 @@ class TemporalDownsampler:
         base = frame_map[0][0]
         taps = [b - 1 - base for _, b in frame_map]
         x = pt.transpose(per_frame, (1, 0))  # [m, T]
-        h = pt.silu(pt.causal_conv1d(x, self.params["down1.w"], stride=1))
-        y = pt.causal_conv1d(h, self.params["down2.w"], stride=4, taps=taps)
+        h = pt.silu(pt.causal_conv1d(x, self.params["down1.w"]))
+        y = pt.causal_conv1d(h, self.params["down2.w"], taps=taps)
         return pt.transpose(y, (1, 0))  # [T_z, width]
 
 

@@ -48,6 +48,8 @@ class DiTConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        if self.face_stride < 1:
+            raise ConfigError(f"face stride must be positive, got {self.face_stride}")
         if self.n_layers % self.face_stride:
             raise ConfigError(
                 f"n_layers {self.n_layers} not divisible by face stride {self.face_stride}"
@@ -157,7 +159,7 @@ class FaceBlock:
         # values: per-step face latents then the null latent (row n_window)
         null = pt.reshape(self.null_latent, (1, self.null_latent.shape[0]))
         if face is None or force_null:
-            src = pt.tile_rows(null, n_window + 1)
+            src = pt.take_rows(null, np.zeros(n_window + 1, dtype=np.intp))
         else:
             src = pt.concat([face, null], axis=0)
         v = lora_forward(src, self.params["v"], adapter, f"{name}.v")
@@ -302,14 +304,13 @@ class AnimationModel:
 
         stacked = pt.concat([x_t, pack.condition, pack.mask], axis=0)
         tokens = pt.linear(pt.patchify(stacked, cfg.patch), self.params["input.w"], self.params["input.b"])
-        pos_t = pt.slice_axis(self.params["pos.temporal"], 0, 0, n_total)
-        tokens = pt.add(tokens, pt.repeat_rows(pos_t, tps))
-        tokens = pt.add(tokens, pt.tile_rows(self.params["pos.spatial"], n_total))
+        step_of_token = np.repeat(np.arange(n_total), tps)
+        tokens = pt.add(tokens, pt.take_rows(self.params["pos.temporal"], step_of_token))
+        tokens = pt.add(tokens, pt.take_rows(self.params["pos.spatial"], np.tile(np.arange(tps), n_total)))
 
         if pose_latents is not None:
             tokens = _inject_pose(tokens, pose_latents, self.params["body.w"], n_total, cfg.patch)
 
-        step_of_token = np.repeat(np.arange(n_total), tps)
         tfeat = self._time_features(t)
         x = tokens
         face_idx = 0

@@ -80,9 +80,13 @@ def and_pool_mask(pixel_mask: np.ndarray, frame_map) -> np.ndarray:
     its 8x8 spatial cell) is 1, so no subject pixel is ever marked preserved.
     """
     t, _, h, w = pixel_mask.shape
+    if not frame_map:
+        raise ShapeError(f"empty frame_map for {t} mask frames")
     if frame_map[-1][1] != t:
         raise ShapeError(f"frame_map covers {frame_map[-1][1]} frames, masks have {t}")
     s = SPATIAL_FACTOR
+    if h % s or w % s:
+        raise ShapeError(f"mask size {h}x{w} not divisible by the spatial factor {s}")
     hz, wz = h // s, w // s
     out = np.zeros((1, len(frame_map), hz, wz), dtype=pixel_mask.dtype)
     binary = pixel_mask >= 0.5

@@ -412,7 +412,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    out = a.data.reshape(shape)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}") from e
 
     def bwd(g):
         a.accumulate_grad(g.reshape(a.shape))
@@ -422,8 +425,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
+    try:
+        out = np.ascontiguousarray(a.data.transpose(axes))
+    except ValueError as e:  # repeated, missing or out-of-range axes
+        raise ShapeError(f"transpose: axes {axes} invalid for shape {a.shape}") from e
     inv = tuple(np.argsort(axes))
-    out = np.ascontiguousarray(a.data.transpose(axes))
 
     def bwd(g):
         a.accumulate_grad(g.transpose(inv))
@@ -433,14 +439,11 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def concat(parts, axis: int) -> Tensor:
     parts = list(parts)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as e:  # no parts, an axis out of range or mismatched shapes
+        raise ShapeError(f"concat: cannot join shapes {[p.shape for p in parts]} on axis {axis}") from e
     _same_dtype("concat", *parts)
-    ref = list(parts[0].shape)
-    for p in parts[1:]:
-        s = list(p.shape)
-        s[axis] = ref[axis]
-        if s != ref:
-            raise ShapeError(f"concat: shape {tuple(p.shape)} incompatible with {tuple(ref)} on axis {axis}")
-    out = np.concatenate([p.data for p in parts], axis=axis)
     splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def bwd(g):
@@ -495,7 +498,10 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    try:
+        out = a.data.sum(axis=axis, keepdims=keepdims)
+    except ValueError as e:  # numpy's AxisError
+        raise ShapeError(f"sum_axis: axis {axis} out of range for shape {a.shape}") from e
 
     def bwd(g):
         if not keepdims:
@@ -821,6 +827,29 @@ _PHASE_ROWS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=f
 _PHASE_MIX = np.einsum("atk,bsl->abtskl", _PHASE_ROWS, _PHASE_ROWS).reshape(16, 9)
 
 
+def _interleave_phases(y: Tensor) -> Tensor:
+    """[N, 4*Co, H+1, W+1] phase planes -> [N, Co, 2H, 2W], moving data only.
+
+    Output channel c at (2p+a, 2q+b) is channel (2a+b)*Co + c of `y` at (p+a, q+b).
+    """
+    n, c4, h1, w1 = y.shape
+    co, h, wd = c4 // 4, h1 - 1, w1 - 1
+    planes = [(a, b, np.s_[:, a, b, :, a : a + h, b : b + wd]) for a in range(2) for b in range(2)]
+    src = y.data.reshape(n, 2, 2, co, h1, w1)
+    out = np.empty((n, co, h, 2, wd, 2), dtype=y.data.dtype)
+    for a, b, idx in planes:
+        out[:, :, :, a, :, b] = src[idx]
+
+    def bwd(g):
+        gph = g.reshape(n, co, h, 2, wd, 2)
+        gy = np.zeros(src.shape, dtype=g.dtype)
+        for a, b, idx in planes:
+            gy[idx] = gph[:, :, :, a, :, b]
+        y.accumulate_grad(gy.reshape(y.shape))
+
+    return _make(out.reshape(n, co, 2 * h, 2 * wd), (y,), bwd, "interleave_phases")
+
+
 def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """conv2d(nearest 2x upsample of x, w, b, stride=1, pad=1) for 3x3 `w`.
 
@@ -828,79 +857,35 @@ def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     tensor (sub-pixel convolution, Shi et al. 2016). Output pixel (2p+a,
     2q+b) sees only low-res rows p-1..p+1 and columns q-1..q+1, so each of
     the four output phases (a, b) is a 2x2 conv over the padded low-res input
-    with taps that sum the 3x3 taps reading the same low-res pixel
-    (`_PHASE_MIX`). The forward is one GEMM of the 16 stacked phase taps
-    [16*Co, Ci] over the flat padded input, then per phase a sum of four
-    contiguous shifted slices, copied into the phase's strided view of the
-    output: 16/36 of the multiply-adds of the 3x3 conv over the upsampled
-    input, and the summed taps round differently from it. Backward maps each
-    phase's 2x2 weight gradient back onto the 3x3 taps and scatters each
-    phase's input gradient.
+    whose taps sum the 3x3 taps reading the same low-res pixel (`_PHASE_MIX`).
+    Built from tape ops: one `matmul` mixes the taps, one 2x2 `conv2d` with
+    pad 1 runs the four phases as 4*Co output channels, and
+    `_interleave_phases` places them. That is about 16/36 of the
+    multiply-adds of the 3x3 conv over the upsampled input, and the summed
+    taps round differently from it.
     """
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"upsample_conv2d: shapes {x.shape} and {w.shape} incompatible")
     if w.shape[2:] != (3, 3):
         raise ConfigError(f"upsample_conv2d: kernel must be 3x3, got {w.shape[2]}x{w.shape[3]}")
     _check_conv_operands("upsample_conv2d", x, w, b)
-    n, ci, h, wd = x.shape
-    co = w.shape[0]
-    hp, wp = h + 2, wd + 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    mix = _PHASE_MIX.astype(w.data.dtype)
-    taps = (mix @ w.data.reshape(co * ci, 9).T).reshape(2, 2, 2, 2, co, ci)  # [a, b, ty, tx, Co, Ci]
-    y = np.matmul(taps.reshape(16 * co, ci), xp.reshape(n, ci, hp * wp)).reshape(n, 2, 2, 2, 2, co, hp * wp)
-    # Phase (a, b) output row p is flat row p + a of the padded grid, shifted
-    # by tap (ty, tx) to offset (a + ty) * Wp + b + tx; the Wp - W trailing
-    # columns of each flat row are discarded.
-    span = (h - 1) * wp + wd
-    acc = np.empty((n, co, h * wp), dtype=x.data.dtype)
-    out = np.empty((n, co, h, 2, wd, 2), dtype=x.data.dtype)
-    for a in range(2):
-        for bx in range(2):
-            base = a * wp + bx
-            ya = y[:, a, bx]
-            np.add(ya[:, 0, 0, :, base : base + span], ya[:, 0, 1, :, base + 1 : base + 1 + span], out=acc[:, :, :span])
-            acc[:, :, :span] += ya[:, 1, 0, :, base + wp : base + wp + span]
-            acc[:, :, :span] += ya[:, 1, 1, :, base + wp + 1 : base + wp + 1 + span]
-            out[:, :, :, a, :, bx] = acc.reshape(n, co, h, wp)[..., :wd]
-    out = out.reshape(n, co, 2 * h, 2 * wd)
-    if b is not None:
-        out += b.data.reshape(1, co, 1, 1)
-
-    def bwd(g):
-        gph = g.reshape(n, co, h, 2, wd, 2)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            gtaps = np.empty((2, 2, co, ci, 2, 2), dtype=g.dtype)
-            for a in range(2):
-                for bx in range(2):
-                    window = xp[:, :, a : a + h + 1, bx : bx + wd + 1]
-                    gtaps[a, bx] = _conv2d_weight_grad(window, gph[:, :, :, a, :, bx], 2, 2, 1, 0)
-            gtaps = gtaps.transpose(0, 1, 4, 5, 2, 3).reshape(16, co * ci)
-            w.accumulate_grad((mix.T @ gtaps).T.reshape(co, ci, 3, 3))
-        if x.requires_grad:
-            gxp = np.zeros((n, ci, hp, wp), dtype=g.dtype)
-            for a in range(2):
-                for bx in range(2):
-                    ga = np.ascontiguousarray(gph[:, :, :, a, :, bx]).reshape(n, co, h * wd)
-                    tt = taps[a, bx].transpose(0, 1, 3, 2).reshape(4 * ci, co)
-                    gc = np.matmul(tt, ga).reshape(n, 2, 2, ci, h, wd)
-                    for ty in range(2):
-                        for tx in range(2):
-                            gxp[:, :, a + ty : a + ty + h, bx + tx : bx + tx + wd] += gc[:, ty, tx]
-            x.accumulate_grad(gxp[:, :, 1 : 1 + h, 1 : 1 + wd])
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, bwd, "upsample_conv2d")
+    co, ci = w.shape[:2]
+    mix = Tensor(_PHASE_MIX.T.astype(w.data.dtype))
+    taps = reshape(matmul(reshape(w, (co * ci, 9)), mix), (co, ci, 2, 2, 2, 2))  # [Co, Ci, a, b, ty, tx]
+    taps = reshape(transpose(taps, (2, 3, 0, 1, 4, 5)), (4 * co, ci, 2, 2))
+    bias = None if b is None else concat([b] * 4, axis=0)
+    return _interleave_phases(conv2d(x, taps, bias, pad=1))
 
 
-def causal_conv1d(x: Tensor, kernel: Tensor, stride: int, taps=None) -> Tensor:
+def causal_conv1d(x: Tensor, kernel: Tensor, stride: int = 1, taps=None) -> Tensor:
     """1D causal convolution: x [Ci,T], kernel [Co,Ci,K] -> [Co, ceil(T/stride)].
 
     Left padding of K-1 zeros only, so output index t depends only on
-    x[:, : t*stride + 1]. `taps` overrides the output sample positions
-    (still causal: the window for tap p covers input [p-K+1, p]).
+    x[:, : t*stride + 1]. `taps`, a non-empty list of integer positions,
+    overrides the output sample positions and with them `stride` (still
+    causal: the window for tap p covers input [p-K+1, p]). Built from tape
+    ops: the time-major input under K-1 zero rows, one `take_rows` of every
+    tap's window, and one `matmul` by the kernel.
     """
     if kernel.ndim != 3 or x.ndim != 2:
         raise ShapeError(f"causal_conv1d: shapes {x.shape} and {kernel.shape} unsupported")
@@ -912,50 +897,14 @@ def causal_conv1d(x: Tensor, kernel: Tensor, stride: int, taps=None) -> Tensor:
     if x.shape[0] != ci:
         raise ShapeError(f"causal_conv1d: input channels {x.shape[0]} != kernel channels {ci}")
     t_in = x.shape[1]
-    if taps is None:
-        taps = [t * stride for t in range(-(-t_in // stride))]
-    taps = list(taps)
-    if any(p < 0 or p >= t_in for p in taps):
-        raise ShapeError(f"causal_conv1d: tap positions {taps} outside [0, {t_in})")
-    xp = np.concatenate([np.zeros((ci, kk - 1), dtype=x.data.dtype), x.data], axis=1)
-    # windows[j] = padded input columns [taps[j], taps[j]+K), i.e. raw [taps[j]-K+1, taps[j]]
-    win = np.stack([xp[:, p : p + kk] for p in taps])  # [T_out, Ci, K]
-    wf = kernel.data.reshape(co, ci * kk)
-    out = (win.reshape(len(taps), ci * kk) @ wf.T).T  # [Co, T_out]
-    out = np.ascontiguousarray(out)
-
-    def bwd(g):
-        gt = g.T  # [T_out, Co]
-        if kernel.requires_grad:
-            kernel.accumulate_grad((gt.T @ win.reshape(len(taps), ci * kk)).reshape(kernel.shape))
-        if x.requires_grad:
-            gwin = (gt @ wf).reshape(len(taps), ci, kk)
-            gxp = np.zeros_like(xp)
-            for j, p in enumerate(taps):
-                gxp[:, p : p + kk] += gwin[j]
-            x.accumulate_grad(gxp[:, kk - 1 :])
-
-    return _make(out, (x, kernel), bwd, "causal_conv1d")
-
-
-def repeat_rows(a: Tensor, k: int) -> Tensor:
-    """[N, D] -> [N*k, D], each row repeated k times (temporal pos-emb expansion)."""
-    out = np.repeat(a.data, k, axis=0)
-
-    def bwd(g):
-        a.accumulate_grad(g.reshape(a.shape[0], k, a.shape[1]).sum(axis=1))
-
-    return _make(out, (a,), bwd, "repeat_rows")
-
-
-def tile_rows(a: Tensor, k: int) -> Tensor:
-    """[N, D] -> [k*N, D], whole block tiled k times (spatial pos-emb expansion)."""
-    out = np.tile(a.data, (k, 1))
-
-    def bwd(g):
-        a.accumulate_grad(g.reshape(k, a.shape[0], a.shape[1]).sum(axis=0))
-
-    return _make(out, (a,), bwd, "tile_rows")
+    taps = np.arange(0, t_in, stride) if taps is None else np.asarray(taps)
+    if taps.ndim != 1 or not taps.size or taps.dtype.kind not in "iu" or taps.min() < 0 or taps.max() >= t_in:
+        raise ShapeError(f"causal_conv1d: taps {taps.tolist()} are not a non-empty list of integers in [0, {t_in})")
+    pad = Tensor(np.zeros((kk - 1, ci), dtype=x.data.dtype))
+    xp = concat([pad, transpose(x, (1, 0))], axis=0)  # [K-1+T, Ci]; padded row p+k is raw p-K+1+k
+    win = reshape(take_rows(xp, (taps[:, None] + np.arange(kk)).reshape(-1)), (taps.size, kk * ci))
+    wk = reshape(transpose(kernel, (2, 1, 0)), (kk * ci, co))
+    return transpose(matmul(win, wk), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -963,10 +912,8 @@ def tile_rows(a: Tensor, k: int) -> Tensor:
 
 
 def _check_patch(dims, patch):
-    c, t, h, w = dims
-    pt, ph, pw = patch
-    if t % pt or h % ph or w % pw:
-        raise ShapeError(f"patchify: dims {dims} not divisible by patch {patch}")
+    if len(dims) != 4 or any(d % p for d, p in zip(dims[1:], patch)):
+        raise ShapeError(f"patchify: dims {tuple(dims)} are not [C, T, H, W] divisible by patch {patch}")
 
 
 def patchify(latent: Tensor, patch) -> Tensor:

@@ -6,9 +6,9 @@ The first pixel frame gets its own latent through a dedicated head; every
 later latent covers a group of up to 4 frames. Decoding mirrors this, so a
 latent stream sliced off mid-sequence (all-group latents) still decodes. Each
 of the three decoder stages is a nearest 2x upsample followed by a 3x3 conv,
-computed as one phase-decomposed op (`tensor._upsample_conv2d`) that convolves
-the low-res features with each output phase's 2x2 taps and never builds the
-upsampled tensor.
+computed without the upsampled tensor (`tensor._upsample_conv2d`): one 2x2
+`conv2d` over the low-res features whose output channels are the four output
+phases, then an interleave of the phases into the 2x output.
 
 Latents are affinely normalized by corpus statistics fixed after pretraining,
 so downstream denoising sees roughly unit-scale inputs.

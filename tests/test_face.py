@@ -430,6 +430,11 @@ class TestTemporalDownsampler:
         with pytest.raises(AlignmentError):
             ds(x, frame_ranges(5))
 
+    def test_empty_frame_map_raises(self):
+        ds = TemporalDownsampler(np.random.default_rng(12))
+        with pytest.raises(AlignmentError):
+            ds(Tensor(np.zeros((0, N_COEFF), dtype=np.float32)), [])
+
     def test_full_sequence_helper(self):
         rng = np.random.default_rng(11)
         enc = FaceEncoder(rng)

@@ -232,6 +232,19 @@ def test_causal_conv1d_grads(stride, seed):
     assert grad_check(f, [x, w], eps=1e-6) <= 1e-6
 
 
+def test_causal_conv1d_grads_with_partial_group_taps():
+    # The temporal downsampler's taps on 11 frames: the last group is short, so
+    # the windows of taps 8 and 10 overlap and their gradients add.
+    rng = np.random.default_rng(510)
+    x, w = wt(rng, (3, 11)), wt(rng, (2, 3, 4))
+
+    def f(x_, w_):
+        y = pt.causal_conv1d(x_, w_, taps=[0, 4, 8, 10])
+        return pt.sum_all(pt.mul(y, y))
+
+    assert grad_check(f, [x, w], eps=1e-6) <= 1e-6
+
+
 def test_patchify_grads():
     rng = np.random.default_rng(600)
     x = wt(rng, (2, 2, 4, 4))

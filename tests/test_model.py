@@ -12,7 +12,7 @@ from puppetflow.model import (
     lora_forward,
 )
 from puppetflow.packs import build_animation_pack
-from puppetflow.tensor import AlignmentError, ConfigError, Tensor, WIDE
+from puppetflow.tensor import AlignmentError, ConfigError, ShapeError, Tensor, WIDE
 from puppetflow.video import VideoClip
 
 
@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiTConfig(n_layers=8, face_stride=3)
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_non_positive_face_stride_rejected(self, stride):
+        with pytest.raises(ConfigError, match="face stride"):
+            DiTConfig(face_stride=stride)
+
     def test_heads_must_divide_dim(self):
         for heads in (4, 0):
             with pytest.raises(ConfigError, match="heads"):
@@ -84,6 +89,12 @@ class TestForward:
         with pt.no_grad():
             v = model.forward_tokens(x_t, pack, pose, face, 0.1)
         assert v.shape == pack.noise.shape
+
+    def test_pack_longer_than_position_table_raises(self, setup):
+        cfg, _, pack, x_t, _, _ = setup
+        short = AnimationModel(tiny_cfg(max_latents=pack.n_total - 1), np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            short.forward_tokens(x_t, pack, None, None, 0.5)
 
     def test_pose_length_mismatch_raises(self, setup):
         cfg, model, pack, x_t, _, face = setup

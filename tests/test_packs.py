@@ -119,6 +119,15 @@ class TestAndPooling:
         assert and_pool_mask(ones, fmap).min() == 1.0
         assert and_pool_mask(np.zeros_like(ones), fmap).max() == 0.0
 
+    def test_empty_frame_map_raises(self):
+        with pytest.raises(ShapeError, match="empty"):
+            and_pool_mask(np.ones((1, 1, 16, 16), dtype=np.float32), [])
+
+    @pytest.mark.parametrize("hw", [(12, 16), (16, 20)])
+    def test_size_not_divisible_by_8_raises(self, hw):
+        with pytest.raises(ShapeError, match="divisible"):
+            and_pool_mask(np.ones((5, 1) + hw, dtype=np.float32), frame_ranges(5))
+
     def test_single_subject_pixel_clears_cell(self):
         fmap = frame_ranges(5)
         m = np.ones((5, 1, 16, 16), dtype=np.float32)

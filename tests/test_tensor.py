@@ -126,6 +126,13 @@ class TestCausalConv1d:
         out = causal_conv1d(x, wide(k), stride=1, taps=[0, 4, 7])
         np.testing.assert_array_equal(out.data, [[0.0, 4.0, 7.0]])
 
+    @pytest.mark.parametrize("taps", [[0.5], [], np.zeros(0, dtype=int), [1.0, 3.0], [[0, 1]], [-1], [4]],
+                             ids=["fraction", "empty", "empty-int", "float", "2d", "negative", "past-end"])
+    def test_bad_taps_raise_shape_error(self, taps):
+        x = wide(np.zeros((1, 4)))
+        with pytest.raises(ShapeError, match="taps"):
+            causal_conv1d(x, wide(np.zeros((1, 1, 2))), taps=taps)
+
 
 # ---------------------------------------------------------------------------
 # attention
@@ -388,6 +395,24 @@ def gamma32(terms):
     """Worst-case relative error of a float32 dot product of `terms` products."""
     u = 2.0**-24
     return terms * u / (1 - terms * u)
+
+
+# bad shape-op calls whose numpy or Python error must surface as ShapeError
+SHAPE_OP_ERRORS = {
+    "reshape-size": lambda a: pt.reshape(a, (5, 5)),
+    "transpose-repeated": lambda a: pt.transpose(a, (0, 0, 1)),
+    "concat-empty": lambda a: pt.concat([], axis=0),
+    "concat-axis": lambda a: pt.concat([a, a], axis=3),
+    "concat-single-axis": lambda a: pt.concat([a], axis=-4),
+    "sum_axis-axis": lambda a: pt.sum_axis(a, 3),
+    "patchify-3d": lambda a: pt.patchify(a, (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_OP_ERRORS))
+def test_shape_ops_raise_shape_error(case):
+    with pytest.raises(ShapeError):
+        SHAPE_OP_ERRORS[case](wide(np.zeros((2, 3, 4))))
 
 
 class TestSliceAxis:
