@@ -30,6 +30,7 @@ import numpy as np
 from . import tensor as pt
 from .skeleton import CONF_THRESHOLD, HEAD_JOINTS, Skeleton
 from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
+from .video import is_contiguous
 
 FACE_SIZE = 512
 CROP_EXPANSION = 1.8
@@ -309,6 +310,8 @@ class TemporalDownsampler:
     Stage one is stride-1 context; stage two taps the last pixel frame of
     every latent group (kernel 4 covers exactly one group), mirroring the
     first-frame-alone law, so output t never sees frames past its group.
+    The frame map's ranges must be non-empty and contiguous and cover the
+    per-frame rows, or AlignmentError is raised.
     """
 
     def __init__(self, rng, m: int = N_COEFF, width: int = DOWN_WIDTH, dtype=np.float32):
@@ -325,6 +328,8 @@ class TemporalDownsampler:
         t = per_frame.shape[0]
         if not frame_map:
             raise AlignmentError("empty frame map: no latent to align the face frames to")
+        if not is_contiguous(frame_map):
+            raise AlignmentError(f"frame map {list(frame_map)} has an empty range, a gap or an overlap")
         if frame_map[-1][1] - frame_map[0][0] != t:
             raise AlignmentError(
                 f"{t} face frames inconsistent with frame map covering "

@@ -21,7 +21,7 @@ import numpy as np
 
 from .tensor import ConfigError, ShapeError, Tensor
 from .vae import ToyVAE
-from .video import LatentVideo, SPATIAL_FACTOR, VideoClip, frame_ranges, latent_count
+from .video import LatentVideo, SPATIAL_FACTOR, VideoClip, frame_ranges, is_contiguous, latent_count
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,14 @@ def and_pool_mask(pixel_mask: np.ndarray, frame_map) -> np.ndarray:
 
     A latent cell is 1 only if every pixel it covers (its frame range times
     its 8x8 spatial cell) is 1, so no subject pixel is ever marked preserved.
+    `frame_map` must partition [0, T) into non-empty ranges in order, or
+    ShapeError is raised.
     """
     t, _, h, w = pixel_mask.shape
     if not frame_map:
         raise ShapeError(f"empty frame_map for {t} mask frames")
+    if frame_map[0][0] != 0 or not is_contiguous(frame_map):
+        raise ShapeError(f"frame_map {list(frame_map)} does not partition the frames from 0 in order")
     if frame_map[-1][1] != t:
         raise ShapeError(f"frame_map covers {frame_map[-1][1]} frames, masks have {t}")
     s = SPATIAL_FACTOR

@@ -436,6 +436,9 @@ def relight_augment(
 # ---------------------------------------------------------------------------
 # expression readout (evaluation)
 
+OPENNESS_GRID = np.linspace(0.0, 1.0, 11)
+CURVATURE_GRID = np.linspace(-1.0, 1.0, 11)
+
 
 def render_face_template(sk: Skeleton, skin_color, openness, curvature, pupil, size: int):
     """Face-only render over black, for template-matching estimation."""
@@ -446,15 +449,9 @@ def render_face_template(sk: Skeleton, skin_color, openness, curvature, pupil, s
     return img
 
 
-def estimate_face_params(
-    frame: np.ndarray,
-    sk: Skeleton,
-    skin_color,
-    pupil,
-    openness_grid=None,
-    curvature_grid=None,
-) -> tuple:
-    """Grid template matching over (openness, curvature) inside the head disc.
+def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> tuple:
+    """Template matching over the `OPENNESS_GRID` x `CURVATURE_GRID`
+    (openness, curvature) grid inside the head disc.
 
     The scene geometry and identity are known at evaluation time; only the
     expression is read out of the pixels. Each template is drawn as
@@ -472,14 +469,12 @@ def estimate_face_params(
     if not disc.any():
         return (float("nan"), float("nan"))
     target = frame[:, disc]
-    o_grid = openness_grid if openness_grid is not None else np.linspace(0.0, 1.0, 11)
-    c_grid = curvature_grid if curvature_grid is not None else np.linspace(-1.0, 1.0, 11)
     best = (np.inf, 0.0, 0.0)
-    mouths = [_mouth_covers((size, size), geo, c) for c in c_grid]
-    for o in o_grid:
+    mouths = [_mouth_covers((size, size), geo, c) for c in CURVATURE_GRID]
+    for o in OPENNESS_GRID:
         head = np.zeros((3, size, size))
         _draw_head(head, None, geo, skin_color, o, pupil)
-        for c, covers in zip(c_grid, mouths):
+        for c, covers in zip(CURVATURE_GRID, mouths):
             tmpl = head.copy()
             _draw_mouth(tmpl, None, covers)
             err = float(((tmpl[:, disc] - target) ** 2).sum())

@@ -13,7 +13,7 @@ import colorsys
 
 import numpy as np
 
-from .skeleton import CONF_THRESHOLD, N_LIMBS, Skeleton
+from .skeleton import CONF_THRESHOLD, N_LIMBS, TOPOLOGY, Skeleton
 from .tensor import Tensor
 
 BASE_WIDTH = 4.0
@@ -101,11 +101,11 @@ def rasterize_pose(sk: Skeleton, height: int, width: int, dtype=np.float32) -> T
     line_r = 0.5 * BASE_WIDTH * min(height, width) / BASE_CANVAS
     palette = limb_palette()
     conf = sk.confidence >= CONF_THRESHOLD
-    for i, (p, c) in enumerate(sk.topology):
+    for i, (p, c) in enumerate(TOPOLOGY):
         if conf[p] and conf[c]:
             blend_capsule(img, sk.joints[p], sk.joints[c], line_r, palette[i])
     joint_color = {}
-    for i, (p, c) in enumerate(sk.topology):
+    for i, (p, c) in enumerate(TOPOLOGY):
         joint_color[c] = palette[i]
         joint_color.setdefault(p, palette[i])
     for j in range(sk.joints.shape[0]):

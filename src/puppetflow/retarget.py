@@ -1,27 +1,27 @@
 """Skeleton retargeting: per-limb length ratios plus anchor translation.
 
-Ratios map the driving character's proportions onto the reference character's
-(reference length over driving length, per topology edge). Reconstruction
-walks the tree root-to-leaf keeping each frame's limb directions, then shifts
-every joint so the frame's anchor point lands at its translated position.
-The translation offset is fixed once from the skeleton pair, so global motion
-in the driving sequence survives retargeting.
-
-The anchor point depends on shot framing: ankle midpoint for full-body,
-shoulder-midpoint neck for half-body and portraits.
-
-A limb is unmeasurable when either endpoint misses the confidence bar or the
-driving length degenerates; it keeps ratio 1 and is recorded as a warning
+Ratios map the driving character's proportions onto the reference character's:
+reference length over driving length per `skeleton.TOPOLOGY` edge, the median
+over the driving frames where the limb is measurable (a skeleton pair or a
+T-pose pair is the one-frame case). A limb is unmeasurable in a frame when
+either endpoint misses the confidence bar or the driving length degenerates;
+one unmeasurable in every frame keeps ratio 1 and is recorded as a warning
 rather than blowing up the division.
-"""
 
+Reconstruction walks `TOPOLOGY` parents first, keeping each frame's limb
+directions, then shifts every joint so the frame's anchor point lands at its
+translated position. The translation offset is fixed once from the skeleton
+pair, so global motion in the driving sequence survives retargeting. The
+anchor point depends on shot framing: ankle midpoint for full-body,
+shoulder-midpoint neck for half-body and portraits.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import CONF_THRESHOLD, N_LIMBS, ROOT, PoseSequence, Skeleton
+from .skeleton import N_LIMBS, TOPOLOGY, PoseSequence, Skeleton
 from .tensor import ConfigError
 
 FRAMINGS = ("full_body", "half_body", "portrait")
@@ -60,28 +60,29 @@ def anchor_point(sk: Skeleton, anchor: str) -> np.ndarray:
     raise ConfigError(f"unknown anchor {anchor!r}")
 
 
-def _limb_ratios(ref_sk: Skeleton, drive_sk: Skeleton):
+def _limb_ratios(ref_sk: Skeleton, drive_seq):
+    """(ratios, warnings) over the driving frames, as the module docstring says."""
     ref_len = ref_sk.limb_lengths()
-    drive_len = drive_sk.limb_lengths()
-    usable = ref_sk.limb_visible() & drive_sk.limb_visible() & (drive_len > DEGENERATE_LENGTH)
+    ref_vis = ref_sk.limb_visible()
+    per_frame = np.full((len(drive_seq), N_LIMBS), np.nan)
+    usable_any = np.zeros(N_LIMBS, dtype=bool)
+    for row, sk in zip(per_frame, drive_seq):
+        dlen = sk.limb_lengths()
+        usable = ref_vis & sk.limb_visible() & (dlen > DEGENERATE_LENGTH)
+        row[usable] = ref_len[usable] / dlen[usable]
+        usable_any |= usable
     ratios = np.ones(N_LIMBS)
-    ratios[usable] = ref_len[usable] / drive_len[usable]
+    ratios[usable_any] = np.nanmedian(per_frame[:, usable_any], axis=0)
     warnings = [
-        f"limb {ref_sk.topology[i]} unmeasurable, ratio forced to 1"
-        for i in range(N_LIMBS)
-        if not usable[i]
+        f"limb {TOPOLOGY[i]} unmeasurable in every frame, ratio forced to 1"
+        for i in np.flatnonzero(~usable_any)
     ]
     return ratios, warnings
 
 
 def compute_retarget_params(ref_sk: Skeleton, drive_sk: Skeleton, framing: str) -> RetargetParams:
     """Ratios from one skeleton pair; offset maps driving anchor onto reference anchor."""
-    if ref_sk.topology != drive_sk.topology:
-        raise ConfigError("reference and driving skeletons use different topologies")
-    ratios, warnings = _limb_ratios(ref_sk, drive_sk)
-    anchor = anchor_for_framing(framing)
-    offset = anchor_point(ref_sk, anchor) - anchor_point(drive_sk, anchor)
-    return RetargetParams(ratios, anchor, offset, "per-frame-limb", warnings)
+    return compute_sequence_params(ref_sk, PoseSequence([drive_sk]), framing)
 
 
 def compute_tpose_params(
@@ -96,9 +97,7 @@ def compute_tpose_params(
     The anchor translation still has to map the characters as they stand in
     the actual inputs, so it is taken from `*_anchor_sk` when given.
     """
-    if ref_tpose.topology != drive_tpose.topology:
-        raise ConfigError("reference and driving skeletons use different topologies")
-    ratios, warnings = _limb_ratios(ref_tpose, drive_tpose)
+    ratios, warnings = _limb_ratios(ref_tpose, [drive_tpose])
     anchor = anchor_for_framing(framing)
     ref_a = anchor_point(ref_anchor_sk or ref_tpose, anchor)
     drive_a = anchor_point(drive_anchor_sk or drive_tpose, anchor)
@@ -108,57 +107,22 @@ def compute_tpose_params(
 def compute_sequence_params(
     ref_sk: Skeleton, drive_seq: PoseSequence, framing: str
 ) -> RetargetParams:
-    """Per-limb ratios pooled over the driving sequence (median over frames
-    where the limb is measurable); offset from the first driving frame."""
+    """Ratios pooled over the driving sequence; offset from its first frame."""
     if len(drive_seq) == 0:
         raise ConfigError("empty driving sequence")
-    per_frame = []
-    usable_any = np.zeros(N_LIMBS, dtype=bool)
-    ref_len = ref_sk.limb_lengths()
-    ref_vis = ref_sk.limb_visible()
-    for sk in drive_seq:
-        dlen = sk.limb_lengths()
-        usable = ref_vis & sk.limb_visible() & (dlen > DEGENERATE_LENGTH)
-        row = np.full(N_LIMBS, np.nan)
-        row[usable] = ref_len[usable] / dlen[usable]
-        usable_any |= usable
-        per_frame.append(row)
-    stacked = np.stack(per_frame)
-    ratios = np.ones(N_LIMBS)
-    with np.errstate(all="ignore"):
-        med = np.nanmedian(stacked, axis=0)
-    ratios[usable_any] = med[usable_any]
-    warnings = [
-        f"limb {ref_sk.topology[i]} unmeasurable in every frame, ratio forced to 1"
-        for i in range(N_LIMBS)
-        if not usable_any[i]
-    ]
+    ratios, warnings = _limb_ratios(ref_sk, drive_seq)
     anchor = anchor_for_framing(framing)
     offset = anchor_point(ref_sk, anchor) - anchor_point(drive_seq[0], anchor)
     return RetargetParams(ratios, anchor, offset, "per-frame-limb", warnings)
-
-
-def _traversal_order(topology):
-    """Edge indices ordered so every parent is placed before its children."""
-    remaining = dict(enumerate(topology))
-    placed = {ROOT}
-    order = []
-    while remaining:
-        progress = [i for i, (p, _) in remaining.items() if p in placed]
-        for i in progress:
-            placed.add(remaining.pop(i)[1])
-        order.extend(progress)
-    return order
 
 
 def retarget_skeleton(sk: Skeleton, params: RetargetParams) -> Skeleton:
     if params.is_identity():
         return sk.copy()
     new_joints = sk.joints.copy()
-    for i in _traversal_order(sk.topology):
-        p, c = sk.topology[i]
+    for i, (p, c) in enumerate(TOPOLOGY):  # parents first, so new_joints[p] is placed
         new_joints[c] = new_joints[p] + params.ratios[i] * (sk.joints[c] - sk.joints[p])
-    scaled = Skeleton(new_joints, sk.confidence.copy(), sk.topology)
+    scaled = Skeleton(new_joints, sk.confidence.copy())
     target = anchor_point(sk, params.anchor) + params.offset
     scaled.joints += target - anchor_point(scaled, params.anchor)
     return scaled

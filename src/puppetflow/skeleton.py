@@ -1,10 +1,13 @@
 """17-joint skeletons, pose sequences, and their text file format.
 
-The joint set is the usual COCO-style head/torso/limb layout. The limb
-topology is a fixed spanning tree carrying the pelvis role at the left hip;
-derived anchor points (ankle midpoint, shoulder-midpoint "neck") live in
-`retarget`. Joints below the confidence threshold are treated as missing:
-their limbs are not rasterized and contribute no retarget ratio.
+The joint set is the usual COCO-style head/torso/limb layout. `TOPOLOGY` is
+the one limb tree of the format: a spanning tree rooted at `ROOT`, the left
+hip in the pelvis role, listing every parent before its children. Every
+skeleton, pose file, rasterizer and retargeter uses it; a pose file whose edge
+line differs is rejected on load. Derived anchor points (ankle midpoint,
+shoulder-midpoint "neck") live in `retarget`. Joints below the confidence
+threshold are treated as missing: their limbs are not rasterized and
+contribute no retarget ratio.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ JOINT_NAMES = (
 N_JOINTS = 17
 ROOT = 11  # left hip anchors the pelvis end of the tree
 
-# (parent, child) spanning tree over all 17 joints
+# (parent, child) spanning tree over all 17 joints, parents before children
 TOPOLOGY = (
     (11, 12),
     (11, 13),
@@ -59,34 +62,11 @@ TOPOLOGY = (
     (2, 4),
 )
 N_LIMBS = len(TOPOLOGY)
+_PARENT = np.array([p for p, _ in TOPOLOGY])
+_CHILD = np.array([c for _, c in TOPOLOGY])
 CONF_THRESHOLD = 0.3
 
 HEAD_JOINTS = (0, 1, 2, 3, 4)  # nose, eyes, ears
-
-
-def validate_topology(edges) -> None:
-    """The edge list must be a spanning tree rooted at the pelvis joint."""
-    edges = tuple(edges)
-    if len(edges) != N_JOINTS - 1:
-        raise ShapeError(f"topology needs {N_JOINTS - 1} edges, got {len(edges)}")
-    parent_of = {}
-    for p, c in edges:
-        if not (0 <= p < N_JOINTS and 0 <= c < N_JOINTS):
-            raise ShapeError(f"edge {p}:{c} names no joint of {N_JOINTS}")
-        if c in parent_of:
-            raise ShapeError(f"joint {c} has two parents")
-        parent_of[c] = p
-    if ROOT in parent_of:
-        raise ShapeError(f"root joint {ROOT} must not have a parent")
-    for c in parent_of:
-        seen, j = set(), c
-        while j != ROOT:
-            if j in seen:
-                raise ShapeError(f"topology cycle through joint {j}")
-            seen.add(j)
-            if j not in parent_of:
-                raise ShapeError(f"joint {j} unreachable from root")
-            j = parent_of[j]
 
 
 @dataclass
@@ -95,7 +75,6 @@ class Skeleton:
 
     joints: np.ndarray  # [17, 2] (x, y)
     confidence: np.ndarray  # [17]
-    topology: tuple = TOPOLOGY
 
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=np.float64)
@@ -104,32 +83,22 @@ class Skeleton:
             raise ShapeError(f"joints must be [{N_JOINTS}, 2], got {self.joints.shape}")
         if self.confidence.shape != (N_JOINTS,):
             raise ShapeError(f"confidence must be [{N_JOINTS}], got {self.confidence.shape}")
-        validate_topology(self.topology)
 
     def limb_lengths(self) -> np.ndarray:
-        p = np.array([e[0] for e in self.topology])
-        c = np.array([e[1] for e in self.topology])
-        return np.linalg.norm(self.joints[c] - self.joints[p], axis=1)
+        return np.linalg.norm(self.joints[_CHILD] - self.joints[_PARENT], axis=1)
 
     def limb_visible(self) -> np.ndarray:
         """A limb is usable only if both endpoints clear the confidence bar."""
         conf = self.confidence >= CONF_THRESHOLD
-        return np.array([conf[p] and conf[c] for p, c in self.topology])
+        return conf[_PARENT] & conf[_CHILD]
 
     def copy(self) -> "Skeleton":
-        return Skeleton(self.joints.copy(), self.confidence.copy(), self.topology)
+        return Skeleton(self.joints.copy(), self.confidence.copy())
 
 
 @dataclass
 class PoseSequence:
     skeletons: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.skeletons:
-            topo = self.skeletons[0].topology
-            for sk in self.skeletons:
-                if sk.topology != topo:
-                    raise ShapeError("pose sequence mixes topologies")
 
     def __len__(self):
         return len(self.skeletons)
@@ -146,9 +115,7 @@ class PoseSequence:
 
 
 def save_pose_sequence(path, seq: PoseSequence) -> None:
-    lines = [f"SKEL v1 joints={N_JOINTS} frames={len(seq)}"]
-    topo = seq.skeletons[0].topology if len(seq) else TOPOLOGY
-    lines.append(" ".join(f"{p}:{c}" for p, c in topo))
+    lines = [f"SKEL v1 joints={N_JOINTS} frames={len(seq)}", " ".join(f"{p}:{c}" for p, c in TOPOLOGY)]
     for sk in seq:
         # repr of a Python float is the shortest exact round-trip form
         triples = [
@@ -165,7 +132,8 @@ _POSE_HEADER = re.compile(r"SKEL v1 joints=(\d+) frames=(\d+)")
 def load_pose_sequence(path) -> PoseSequence:
     """Read a file written by `save_pose_sequence`.
 
-    An empty, cut or malformed file raises ShapeError naming the path. A cut
+    An empty, cut or malformed file raises ShapeError naming the path, and so
+    does an edge line other than `TOPOLOGY`, edge for edge in order. A cut
     inside the last number of the last row still parses, since the format
     has no end marker.
     """
@@ -181,6 +149,8 @@ def load_pose_sequence(path) -> PoseSequence:
         raise ShapeError(f"{path}: expected {N_JOINTS} joints, got {joints}")
     try:
         topo = tuple(tuple(int(v) for v in e.split(":")) for e in lines[1].split())
+        if topo != TOPOLOGY:
+            raise ShapeError(f"edge list {lines[1]!r} is not the skeleton tree")
         skels = []
         for row in lines[2 : 2 + frames]:
             triples = [t.split(",") for t in row.split()]
@@ -188,7 +158,7 @@ def load_pose_sequence(path) -> PoseSequence:
                 raise ShapeError(f"frame {len(skels)}: expected x,y,confidence triples in {row!r}")
             pts = np.array([[float(t[0]), float(t[1])] for t in triples])
             conf = np.array([float(t[2]) for t in triples])
-            skels.append(Skeleton(pts, conf, topo))
+            skels.append(Skeleton(pts, conf))
     except (ValueError, IndexError) as e:  # ShapeError is a ValueError
         raise ShapeError(f"{path}: {e}") from e
     if len(skels) != frames:

@@ -47,6 +47,13 @@ def frame_ranges(frames: int, first_frame_alone: bool = True) -> list[tuple[int,
     return ranges
 
 
+def is_contiguous(frame_map) -> bool:
+    """Every half-open range is non-empty and starts where the one before ends."""
+    return all(a < b for a, b in frame_map) and all(
+        prev[1] == nxt[0] for prev, nxt in zip(frame_map, frame_map[1:])
+    )
+
+
 @dataclass
 class VideoClip:
     """T RGB frames, values in [0,1]; frame_rate is informational only."""

@@ -435,6 +435,15 @@ class TestTemporalDownsampler:
         with pytest.raises(AlignmentError):
             ds(Tensor(np.zeros((0, N_COEFF), dtype=np.float32)), [])
 
+    @pytest.mark.parametrize(
+        "fmap", [[(0, 1), (3, 5)], [(0, 3), (1, 5)], [(0, 1), (1, 1), (1, 5)]], ids=["gap", "overlap", "empty-range"]
+    )
+    def test_frame_map_with_gap_or_overlap_raises(self, fmap):
+        # both ends match the 5 frames; only the ranges in between are wrong
+        ds = TemporalDownsampler(np.random.default_rng(13))
+        with pytest.raises(AlignmentError, match="gap or an overlap"):
+            ds(Tensor(np.zeros((5, N_COEFF), dtype=np.float32)), fmap)
+
     def test_full_sequence_helper(self):
         rng = np.random.default_rng(11)
         enc = FaceEncoder(rng)

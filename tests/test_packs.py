@@ -123,6 +123,13 @@ class TestAndPooling:
         with pytest.raises(ShapeError, match="empty"):
             and_pool_mask(np.ones((1, 1, 16, 16), dtype=np.float32), [])
 
+    @pytest.mark.parametrize(
+        "fmap", [[(0, 1), (3, 5)], [(0, 3), (1, 5)], [(1, 3), (3, 5)]], ids=["gap", "overlap", "late-start"]
+    )
+    def test_frame_map_not_partitioning_frames_raises(self, fmap):
+        with pytest.raises(ShapeError, match="partition"):
+            and_pool_mask(np.ones((5, 1, 16, 16), dtype=np.float32), fmap)
+
     @pytest.mark.parametrize("hw", [(12, 16), (16, 20)])
     def test_size_not_divisible_by_8_raises(self, hw):
         with pytest.raises(ShapeError, match="divisible"):

@@ -16,12 +16,12 @@ from puppetflow.retarget import (
 from puppetflow.skeleton import (
     N_JOINTS,
     N_LIMBS,
+    ROOT,
     TOPOLOGY,
     PoseSequence,
     Skeleton,
     load_pose_sequence,
     save_pose_sequence,
-    validate_topology,
 )
 from puppetflow.tensor import ConfigError, ShapeError
 
@@ -34,21 +34,14 @@ def random_skeleton(seed=0, scale=100.0, origin=(128.0, 128.0)):
 
 class TestSkeletonModel:
     def test_topology_is_spanning_tree(self):
-        validate_topology(TOPOLOGY)  # must not raise
-        children = {c for _, c in TOPOLOGY}
-        assert len(children) == N_JOINTS - 1
-
-    def test_bad_topologies_rejected(self):
-        with pytest.raises(ShapeError):
-            validate_topology(TOPOLOGY[:-1])
-        cyc = list(TOPOLOGY)
-        cyc[-1] = (4, 2)  # 2 already parents 4
-        with pytest.raises(ShapeError):
-            validate_topology(tuple(cyc))
-        unknown = list(TOPOLOGY)
-        unknown[-1] = (2, N_JOINTS)  # a tree, but over a joint that does not exist
-        with pytest.raises(ShapeError, match="no joint"):
-            validate_topology(tuple(unknown))
+        # retarget_skeleton places joints in TOPOLOGY order, so every parent
+        # must be placed (the root, or an earlier child) before its children
+        placed = {ROOT}
+        for p, c in TOPOLOGY:
+            assert p in placed and c not in placed
+            placed.add(c)
+        assert placed == set(range(N_JOINTS))
+        assert len(TOPOLOGY) == N_JOINTS - 1
 
     def test_limb_lengths_match_euclid(self):
         sk = random_skeleton(1)
@@ -65,13 +58,6 @@ class TestSkeletonModel:
         assert not vis[idx]
         assert vis.sum() == N_LIMBS - 1
 
-    def test_sequence_requires_constant_topology(self):
-        alt = tuple(reversed(TOPOLOGY))
-        a = random_skeleton(3)
-        b = Skeleton(a.joints.copy(), a.confidence.copy(), alt)
-        with pytest.raises(ShapeError):
-            PoseSequence([a, b])
-
 
 class TestSkeletonFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -83,7 +69,6 @@ class TestSkeletonFile:
         for a, b in zip(seq, back):
             assert np.array_equal(a.joints, b.joints)
             assert np.array_equal(a.confidence, b.confidence)
-            assert a.topology == b.topology
 
     def test_header_line(self, tmp_path):
         p = tmp_path / "one.skel"
@@ -130,6 +115,17 @@ class TestSkeletonFileErrors:
         start = len(text.splitlines(keepends=True)[0])
         for cut in range(start, text.rindex(",") + 1):
             self.assert_rejected(p, text[:cut])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [TOPOLOGY[:-1], TOPOLOGY[:-1] + ((4, 2),), TOPOLOGY[:-1] + ((2, N_JOINTS),), TOPOLOGY[1:] + TOPOLOGY[:1]],
+        ids=["short", "cycle", "unknown-joint", "permuted"],
+    )
+    def test_edge_line_other_than_topology_raises(self, tmp_path, edges):
+        p, text = self.saved(tmp_path)
+        lines = text.splitlines(keepends=True)
+        lines[1] = " ".join(f"{a}:{b}" for a, b in edges) + "\n"
+        self.assert_rejected(p, "".join(lines))
 
     @pytest.mark.parametrize(
         "header",

@@ -24,7 +24,7 @@ WHITE = (1.0, 1.0, 1.0)
 
 
 def shifted(sk, offset):
-    return Skeleton(sk.joints + np.asarray(offset, dtype=np.float64), sk.confidence, sk.topology)
+    return Skeleton(sk.joints + np.asarray(offset, dtype=np.float64), sk.confidence)
 
 
 def white_ellipse(canvas, center, axis_u, a, b):

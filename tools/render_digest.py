@@ -1,14 +1,25 @@
-"""SHA-256 digest of everything the puppet renderer and pose rasterizer draw.
+"""SHA-256 digests of what the puppet renderer, the pose rasterizer and the
+retargeter produce.
 
-A refactor of `puppet.py` or `rasterize.py` that claims bit-identical output
-runs this on both commits and compares the printed digests:
+A refactor of `puppet.py`, `rasterize.py`, `skeleton.py` or `retarget.py`
+that claims bit-identical output runs this on both commits and compares the
+two printed digests:
 
     PYTHONPATH=src python3 tools/render_digest.py
 
-For each of `SEEDS` seeds and each size (64 and 128 px) it hashes the scene
-frames and masks, the region weight map of every frame, the rasterized poses,
-the relit first frame, a face template, the expression readout, and the region
-map and template of the head shifted off the canvas.
+The first line is the render digest. For each of `SEEDS` seeds and each size
+(64 and 128 px) it hashes the scene frames and masks, the region weight map of
+every frame, the rasterized poses, the relit first frame, a face template, the
+expression readout, and the region map and template of the head shifted off
+the canvas.
+
+The second line is the retarget digest. For each of `RETARGET_SEEDS` seeds and
+each framing it retargets a driving pose sequence onto the reference pose of
+another seed, once as generated and once with a wrist hidden in every other
+frame and an ear hidden in all of them. It hashes the `compute_sequence_params`
+ratios, offset and warning count, the `retarget_sequence` joints and their
+rasterization, and `compute_retarget_params` and `compute_tpose_params` on the
+first frame pair.
 """
 
 from __future__ import annotations
@@ -19,19 +30,32 @@ import numpy as np
 
 from puppetflow import puppet
 from puppetflow.rasterize import rasterize_sequence
-from puppetflow.retarget import FRAMINGS
-from puppetflow.skeleton import Skeleton
+from puppetflow.retarget import (
+    FRAMINGS,
+    compute_retarget_params,
+    compute_sequence_params,
+    compute_tpose_params,
+    retarget_sequence,
+)
+from puppetflow.skeleton import PoseSequence, Skeleton
 
 SEEDS = 40
+RETARGET_SEEDS = 8
+RETARGET_FRAMES = 9
+RETARGET_SIZE = 128
 
 
-def digest(seeds: int) -> str:
+def _hasher():
     h = hashlib.sha256()
 
     def put(x):
         h.update(np.ascontiguousarray(np.asarray(x, dtype=np.float64)).tobytes())
 
-    grid = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)
+    return h, put
+
+
+def digest(seeds: int) -> str:
+    h, put = _hasher()
     for size in (64, 128):
         for seed in range(seeds):
             sample = puppet.generate_scene(seed, 3, FRAMINGS[seed % 3], size)
@@ -46,12 +70,48 @@ def digest(seeds: int) -> str:
             o, c, px, py = scene.face_params[1]
             sk = sample.poses[1]
             put(puppet.render_face_template(sk, skin, o, c, (px, py), size))
-            put(puppet.estimate_face_params(sample.clip.frames.data[1], sk, skin, (px, py), *grid))
-            away = Skeleton(sk.joints + np.array([-0.9 * size, 0.2 * size]), sk.confidence, sk.topology)
+            put(puppet.estimate_face_params(sample.clip.frames.data[1], sk, skin, (px, py)))
+            away = Skeleton(sk.joints + np.array([-0.9 * size, 0.2 * size]), sk.confidence)
             put(puppet.region_weight_map(away, sample.face_params[1], size, size))
             put(puppet.render_face_template(away, skin, o, c, (px, py), size))
     return h.hexdigest()
 
 
+def _partly_hidden(seq: PoseSequence) -> PoseSequence:
+    out = []
+    for t, sk in enumerate(seq):
+        sk = sk.copy()
+        sk.confidence[4] = 0.0  # right ear: unmeasurable in every frame
+        if t % 2:
+            sk.confidence[9] = 0.0  # left wrist: measurable in half the frames
+        out.append(sk)
+    return PoseSequence(out)
+
+
+def retarget_digest(seeds: int) -> str:
+    h, put = _hasher()
+    size = RETARGET_SIZE
+    for seed in range(seeds):
+        for framing in FRAMINGS:
+            drive = puppet.generate_scene(seed, RETARGET_FRAMES, framing, size).poses
+            ref = puppet.generate_scene(seed + 1000, 1, framing, size).poses[0]
+            for seq in (drive, _partly_hidden(drive)):
+                params = compute_sequence_params(ref, seq, framing)
+                put(params.ratios)
+                put(params.offset)
+                put(len(params.warnings))
+                out = retarget_sequence(seq, params)
+                put([sk.joints for sk in out])
+                put(rasterize_sequence(out, size, size).data)
+                pair = compute_retarget_params(ref, seq[0], framing)
+                tpose = compute_tpose_params(ref, seq[0], framing, ref, seq[1])
+                for p in (pair, tpose):
+                    put(p.ratios)
+                    put(p.offset)
+                    put(len(p.warnings))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print(digest(SEEDS))
+    print(retarget_digest(RETARGET_SEEDS))
