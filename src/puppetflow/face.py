@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as pt
 from .skeleton import CONF_THRESHOLD, HEAD_JOINTS, Skeleton
 from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
-from .video import is_contiguous
+from .video import TEMPORAL_GROUP, is_frame_run
 
 FACE_SIZE = 512
 CROP_EXPANSION = 1.8
@@ -308,17 +308,17 @@ class TemporalDownsampler:
     """Causal conv stack mapping per-frame latents onto the latent timeline.
 
     Stage one is stride-1 context; stage two taps the last pixel frame of
-    every latent group (kernel 4 covers exactly one group), mirroring the
-    first-frame-alone law, so output t never sees frames past its group.
-    The frame map's ranges must be non-empty and contiguous and cover the
-    per-frame rows, or AlignmentError is raised.
+    every latent's range (its kernel covers exactly one group), so output t
+    never sees frames past its group. The frame map must be a run of
+    `frame_ranges` (`video.is_frame_run`) covering the per-frame rows, or
+    AlignmentError is raised.
     """
 
     def __init__(self, rng, m: int = N_COEFF, width: int = DOWN_WIDTH, dtype=np.float32):
         mid = 32
         self.m, self.width = m, width
         w1 = rng.standard_normal((mid, m, 3)) * np.sqrt(2.0 / (m * 3))
-        w2 = rng.standard_normal((width, mid, 4)) * np.sqrt(2.0 / (mid * 4))
+        w2 = rng.standard_normal((width, mid, TEMPORAL_GROUP)) * np.sqrt(2.0 / (mid * TEMPORAL_GROUP))
         self.params = {
             "down1.w": Tensor(w1.astype(dtype), requires_grad=True),
             "down2.w": Tensor(w2.astype(dtype), requires_grad=True),
@@ -328,7 +328,7 @@ class TemporalDownsampler:
         t = per_frame.shape[0]
         if not frame_map:
             raise AlignmentError("empty frame map: no latent to align the face frames to")
-        if not is_contiguous(frame_map):
+        if not is_frame_run(frame_map):
             raise AlignmentError(f"frame map {list(frame_map)} has an empty range, a gap or an overlap")
         if frame_map[-1][1] - frame_map[0][0] != t:
             raise AlignmentError(

@@ -4,7 +4,8 @@ The probability path is linear: x_t = (1-t) x0 + t noise, target velocity
 noise - x0, with t drawn uniformly during training. Loss is averaged over
 generated (mask 0) positions only; preserved positions contribute nothing.
 Sampling integrates from t=1 to t=0 and keeps only the target latent range,
-with optional classifier-free guidance on the face branch alone.
+whose frame map is the window's minus the guidance ranges, with optional
+classifier-free guidance on the face branch alone.
 """
 
 from __future__ import annotations
@@ -89,15 +90,8 @@ def sample(
             t = 1.0 - i * dt
             v = model.forward_tokens(Tensor(x), pack, pose_latents, face_down, t).data
             if face_cfg_scale != 1.0:
-                v_null = model.forward_tokens(
-                    Tensor(x), pack, pose_latents, face_down, t, force_null_face=True
-                ).data
+                v_null = model.forward_tokens(Tensor(x), pack, pose_latents, None, t).data
                 v = v_null + face_cfg_scale * (v - v_null)
             x = x - dt * v
     a, b = pack.layout.target
-    target = x[:, a:b]
-    g = pack.layout.n_temporal
-    window_map = pack.window_frame_map[g:]
-    offset = window_map[0][0]
-    rebased = [(lo - offset, hi - offset) for lo, hi in window_map]
-    return LatentVideo(Tensor(target.copy()), rebased, first_frame_alone=(g == 0))
+    return LatentVideo(Tensor(x[:, a:b].copy()), pack.window_frame_map[pack.layout.n_temporal :])

@@ -134,8 +134,9 @@ class FaceBlock:
     exact by construction, and no query or key projection exists.
     """
 
-    def __init__(self, rng, cfg: DiTConfig, dtype=np.float32):
+    def __init__(self, rng, cfg: DiTConfig, null_latent: Tensor, dtype=np.float32):
         d, fw = cfg.dim, cfg.face_width
+        self.null_latent = null_latent  # shared with the model's other face blocks
         self.params = {
             "v": _init(rng, (fw, d), 1.0 / np.sqrt(fw), dtype),
             "o": _init(rng, (d, d), 0.02, dtype),
@@ -150,7 +151,6 @@ class FaceBlock:
         n_window: int,
         adapter: LoRAAdapter | None = None,
         name: str = "face",
-        force_null: bool = False,
     ) -> Tensor:
         if face is not None and face.shape[0] != n_window:
             raise AlignmentError(
@@ -158,7 +158,7 @@ class FaceBlock:
             )
         # values: per-step face latents then the null latent (row n_window)
         null = pt.reshape(self.null_latent, (1, self.null_latent.shape[0]))
-        if face is None or force_null:
+        if face is None:
             src = pt.take_rows(null, np.zeros(n_window + 1, dtype=np.intp))
         else:
             src = pt.concat([face, null], axis=0)
@@ -211,11 +211,7 @@ class AnimationModel:
         p["final.b"] = _zeros((cfg.out_dim,), dtype)
         p["null_face"] = _init(rng, (cfg.face_width,), 0.02, dtype)
         self.params = p
-        self.face_blocks = []
-        for j in range(cfg.face_block_count):
-            fb = FaceBlock(rng, cfg, dtype)
-            fb.null_latent = p["null_face"]
-            self.face_blocks.append(fb)
+        self.face_blocks = [FaceBlock(rng, cfg, p["null_face"], dtype) for _ in range(cfg.face_block_count)]
         self.lora: LoRAAdapter | None = None
 
     # -- parameter bookkeeping -------------------------------------------------
@@ -291,7 +287,6 @@ class AnimationModel:
         face_down: Tensor | None,
         t: float,
         use_lora: bool = True,
-        force_null_face: bool = False,
     ) -> Tensor:
         """Velocity prediction [C_z, T_total, h, w] for the current noisy latent."""
         cfg = self.cfg
@@ -324,8 +319,7 @@ class AnimationModel:
             x = pt.add(x, pt.mul(h, g2))
             if (i + 1) % cfg.face_stride == 0:
                 x = self.face_blocks[face_idx](
-                    x, face_down, step_of_token, n_window, adapter,
-                    f"face_blocks.{face_idx}", force_null_face,
+                    x, face_down, step_of_token, n_window, adapter, f"face_blocks.{face_idx}"
                 )
                 face_idx += 1
 

@@ -4,10 +4,11 @@ A pack is the (noise, condition, mask) latent triple the denoiser consumes.
 Position 0 is always the reference latent (mask 1). The remaining positions
 form the target window, a fresh frame stream whose first latent covers one
 pixel frame. The leading 0..2 window positions may carry temporal guidance
-(ground-truth latents, mask 1) to chain long videos. What the rest looks
-like depends on the mode: animation leaves condition 0 / mask 0 everywhere,
+(ground-truth latents, mask 1) to chain long videos. Both modes share this
+one input layout and differ only in the environment behind the window:
 replacement carries environment latents with the subject region knocked out
-of both the condition and the mask.
+of both the condition and the mask, and animation is the case with no
+environment, condition 0 / mask 0 everywhere.
 
 All functions are pure; randomness comes in through an explicit generator,
 so concurrent callers stay reproducible.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .tensor import ConfigError, ShapeError, Tensor
 from .vae import ToyVAE
-from .video import LatentVideo, SPATIAL_FACTOR, VideoClip, frame_ranges, is_contiguous, latent_count
+from .video import SPATIAL_FACTOR, TEMPORAL_GROUP, LatentVideo, VideoClip, frame_ranges, latent_count
 
 
 @dataclass(frozen=True)
@@ -73,28 +74,22 @@ def sample_temporal_use(p: float, rng) -> bool:
     return bool(rng.random() < p)
 
 
-def and_pool_mask(pixel_mask: np.ndarray, frame_map) -> np.ndarray:
+def and_pool_mask(pixel_mask: np.ndarray) -> np.ndarray:
     """Conservative mask downsampling: [T,1,H,W] binary -> [1,T_z,h,w].
 
-    A latent cell is 1 only if every pixel it covers (its frame range times
-    its 8x8 spatial cell) is 1, so no subject pixel is ever marked preserved.
-    `frame_map` must partition [0, T) into non-empty ranges in order, or
-    ShapeError is raised.
+    Latent i pools the frames of frame_ranges(T)[i]. A latent cell is 1 only
+    if every pixel it covers (its frame range times its 8x8 spatial cell) is
+    1, so no subject pixel is ever marked preserved.
     """
     t, _, h, w = pixel_mask.shape
-    if not frame_map:
-        raise ShapeError(f"empty frame_map for {t} mask frames")
-    if frame_map[0][0] != 0 or not is_contiguous(frame_map):
-        raise ShapeError(f"frame_map {list(frame_map)} does not partition the frames from 0 in order")
-    if frame_map[-1][1] != t:
-        raise ShapeError(f"frame_map covers {frame_map[-1][1]} frames, masks have {t}")
     s = SPATIAL_FACTOR
     if h % s or w % s:
         raise ShapeError(f"mask size {h}x{w} not divisible by the spatial factor {s}")
+    fmap = frame_ranges(t)
     hz, wz = h // s, w // s
-    out = np.zeros((1, len(frame_map), hz, wz), dtype=pixel_mask.dtype)
+    out = np.zeros((1, len(fmap), hz, wz), dtype=pixel_mask.dtype)
     binary = pixel_mask >= 0.5
-    for i, (a, b) in enumerate(frame_map):
+    for i, (a, b) in enumerate(fmap):
         cells = binary[a:b, 0].reshape(b - a, hz, s, wz, s)
         out[0, i] = cells.all(axis=(0, 2, 4))
     return out
@@ -107,15 +102,50 @@ def _encode_reference(vae: ToyVAE, ref_image) -> np.ndarray:
     return vae.encode_frames(img[None])  # [C_z, 1, h, w]
 
 
-def _check_temporal(temporal_latents, n_target: int) -> int:
-    if temporal_latents is None:
-        return 0
-    g = temporal_latents.latents.shape[1]
-    if g not in (1, 2):
+def _assemble_pack(
+    vae: ToyVAE,
+    ref_image,
+    window_frame_map,
+    env_latents,
+    keep,
+    temporal_latents: LatentVideo | None,
+    rng,
+    mode: str,
+) -> ConditionPack:
+    """The one input layout: reference latent, then the window.
+
+    Window positions carry `env_latents` where `keep` is 1 and are generated
+    where it is 0; temporal guidance, when present, overlays the first 1 or
+    2 window positions. Noise covers every position, reference included: the
+    model denoises the full sequence and the caller discards the
+    reference/guidance portions afterwards.
+    """
+    n_window = len(window_frame_map)
+    g = 0 if temporal_latents is None else temporal_latents.t_z
+    if g > 2:
         raise ConfigError(f"temporal guidance must be 1 or 2 latents, got {g}")
-    if n_target < g:
-        raise ConfigError(f"window of {n_target} latents cannot hold {g} guidance latents")
-    return g
+    if n_window < g:
+        raise ConfigError(f"window of {n_window} latents cannot hold {g} guidance latents")
+    ref = _encode_reference(vae, ref_image)
+    cz, _, h, w = ref.shape
+    cond = np.zeros((cz, 1 + n_window, h, w), dtype=vae.dtype)
+    mask = np.zeros((1, 1 + n_window, h, w), dtype=vae.dtype)
+    cond[:, :1] = ref
+    cond[:, 1:] = env_latents * keep
+    mask[:, :1] = 1.0
+    mask[:, 1:] = keep
+    if g:
+        cond[:, 1 : 1 + g] = temporal_latents.latents.data
+        mask[:, 1 : 1 + g] = 1.0
+    noise = rng.standard_normal(cond.shape).astype(vae.dtype)
+    return ConditionPack(
+        noise=Tensor(noise),
+        condition=Tensor(cond),
+        mask=Tensor(mask),
+        layout=PackLayout(n_total=1 + n_window, n_temporal=g),
+        mode=mode,
+        window_frame_map=window_frame_map,
+    )
 
 
 def build_animation_pack(
@@ -128,40 +158,20 @@ def build_animation_pack(
 ) -> ConditionPack:
     """Pack for full-frame generation from a reference image.
 
-    The window is `n_target_latents` long; temporal guidance, when present,
-    overlays its first 1 or 2 positions. Noise covers every position,
-    reference included: the model denoises the full sequence and the caller
-    discards the reference/guidance portions afterwards. `window_frames`
+    The window is `n_target_latents` long, with no environment: condition 0
+    and mask 0 wherever neither reference nor guidance sits. `window_frames`
     pins the pixel-frame count when the final latent group is partial.
     """
     if n_target_latents < 1:
         raise ConfigError(f"need at least 1 target latent, got {n_target_latents}")
-    g = _check_temporal(temporal_latents, n_target_latents)
     if window_frames is None:
-        window_frames = 1 + (n_target_latents - 1) * 4
+        window_frames = 1 + (n_target_latents - 1) * TEMPORAL_GROUP
     if latent_count(window_frames) != n_target_latents:
         raise ShapeError(
             f"{window_frames} window frames need {latent_count(window_frames)} latents, "
             f"not {n_target_latents}"
         )
-    ref = _encode_reference(vae, ref_image)
-    cz, _, h, w = ref.shape
-    n_total = 1 + n_target_latents
-    cond = np.zeros((cz, n_total, h, w), dtype=vae.dtype)
-    mask = np.zeros((1, n_total, h, w), dtype=vae.dtype)
-    cond[:, 0:1] = ref
-    mask[:, 0 : 1 + g] = 1.0
-    if g:
-        cond[:, 1 : 1 + g] = temporal_latents.latents.data
-    noise = rng.standard_normal((cz, n_total, h, w)).astype(vae.dtype)
-    return ConditionPack(
-        noise=Tensor(noise),
-        condition=Tensor(cond),
-        mask=Tensor(mask),
-        layout=PackLayout(n_total=n_total, n_temporal=g),
-        mode="animation",
-        window_frame_map=frame_ranges(window_frames),
-    )
+    return _assemble_pack(vae, ref_image, frame_ranges(window_frames), 0.0, 0.0, temporal_latents, rng, "animation")
 
 
 def build_replacement_pack(
@@ -185,33 +195,6 @@ def build_replacement_pack(
             f"subject masks {subject_masks.shape} do not match clip frames "
             f"({t}, 1, {env_clip.height}, {env_clip.width})"
         )
-    n_window = latent_count(t)
-    g = _check_temporal(temporal_latents, n_window)
-    ref = _encode_reference(vae, ref_image)
-    cz, _, h, w = ref.shape
-    fmap = frame_ranges(t)
-
-    env_pixels = env_clip.frames.data * (1.0 - subject_masks)
-    env_latents = vae.encode_frames(env_pixels)
-    keep = and_pool_mask(1.0 - subject_masks, fmap).astype(vae.dtype)
-    env_latents = env_latents * keep  # zero condition inside subject cells
-
-    n_total = 1 + n_window
-    cond = np.zeros((cz, n_total, h, w), dtype=vae.dtype)
-    mask = np.zeros((1, n_total, h, w), dtype=vae.dtype)
-    cond[:, 0:1] = ref
-    cond[:, 1:] = env_latents
-    mask[:, 1:] = keep
-    mask[:, 0:1] = 1.0
-    if g:
-        cond[:, 1 : 1 + g] = temporal_latents.latents.data
-        mask[:, 1 : 1 + g] = 1.0
-    noise = rng.standard_normal((cz, n_total, h, w)).astype(vae.dtype)
-    return ConditionPack(
-        noise=Tensor(noise),
-        condition=Tensor(cond),
-        mask=Tensor(mask),
-        layout=PackLayout(n_total=n_total, n_temporal=g),
-        mode="replacement",
-        window_frame_map=fmap,
-    )
+    env_latents = vae.encode_frames(env_clip.frames.data * (1.0 - subject_masks))
+    keep = and_pool_mask(1.0 - subject_masks).astype(vae.dtype)
+    return _assemble_pack(vae, ref_image, frame_ranges(t), env_latents, keep, temporal_latents, rng, "replacement")

@@ -3,8 +3,13 @@
 A clip is T RGB frames in [0,1]. Its latent counterpart compresses 8x
 spatially and groups frames temporally: the first frame encodes alone and
 every later latent covers up to 4 frames, so T pixel frames map to
-1 + ceil((T-1)/4) latents. `frame_map` records the half-open pixel-frame
-range behind each latent and always partitions [0, T).
+1 + ceil((T-1)/4) latents. `frame_ranges(T)` is the one statement of that
+law. A frame map records the half-open pixel-frame range behind each latent,
+counted in frames of the stream the latents came from, and is valid when it
+is a run of consecutive entries of `frame_ranges(end)`, where `end` is where
+its last range ends (`is_frame_run`). So a map begins with the one-frame
+latent exactly when it starts at frame 0; a slice taken later in a stream
+holds only groups, and only its last range may be partial.
 
 On disk a clip is a directory of binary PPM (P6) frames plus a `clip.meta`
 text file; subject masks are binary PGM (P5) files with values 0/255.
@@ -13,7 +18,7 @@ text file; subject masks are binary PGM (P5) files with values 0/255.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,32 +31,24 @@ LATENT_CHANNELS = 4
 
 
 def latent_count(frames: int) -> int:
-    """Pixel frames -> latent count under the first-frame-alone grouping."""
+    """len(frame_ranges(frames)), without building the ranges."""
     if frames < 1:
         raise ShapeError(f"clip needs at least 1 frame, got {frames}")
     return 1 + -(-(frames - 1) // TEMPORAL_GROUP)
 
 
-def frame_ranges(frames: int, first_frame_alone: bool = True) -> list[tuple[int, int]]:
+def frame_ranges(frames: int) -> list[tuple[int, int]]:
     """Half-open pixel ranges per latent; partitions [0, frames) in order."""
     if frames < 1:
         raise ShapeError(f"clip needs at least 1 frame, got {frames}")
-    ranges = []
-    start = 0
-    if first_frame_alone:
-        ranges.append((0, 1))
-        start = 1
-    while start < frames:
-        ranges.append((start, min(start + TEMPORAL_GROUP, frames)))
-        start += TEMPORAL_GROUP
-    return ranges
+    return [(0, 1)] + [(a, min(a + TEMPORAL_GROUP, frames)) for a in range(1, frames, TEMPORAL_GROUP)]
 
 
-def is_contiguous(frame_map) -> bool:
-    """Every half-open range is non-empty and starts where the one before ends."""
-    return all(a < b for a, b in frame_map) and all(
-        prev[1] == nxt[0] for prev, nxt in zip(frame_map, frame_map[1:])
-    )
+def is_frame_run(frame_map) -> bool:
+    """True if the map is a run of consecutive entries of frame_ranges(end), where its last range ends."""
+    if len(frame_map) == 0 or frame_map[-1][1] < 1:
+        return False
+    return [tuple(r) for r in frame_map] == frame_ranges(frame_map[-1][1])[-len(frame_map):]
 
 
 @dataclass
@@ -81,24 +78,24 @@ class VideoClip:
 
 @dataclass
 class LatentVideo:
-    """Latent stream [C_z, T_z, H/s, W/s] plus its pixel-frame bookkeeping.
+    """Latent stream [C_z, T_z, H/s, W/s] plus the pixel frames each latent covers.
 
-    `first_frame_alone` distinguishes a stream that starts at pixel frame 0
-    (latent 0 covers one frame) from a mid-stream slice whose every latent is
-    a 4-frame group; the decoder dispatches on it.
+    `frame_map` must be a run of `frame_ranges` with one range per latent;
+    where it starts decides whether latent 0 is the one-frame latent.
     """
 
     latents: Tensor
-    frame_map: list[tuple[int, int]] = field(default_factory=list)
-    first_frame_alone: bool = True
+    frame_map: list[tuple[int, int]]
 
     def __post_init__(self):
         if self.latents.ndim != 4:
             raise ShapeError(f"latents must be [C,T,H,W], got {self.latents.shape}")
-        if self.frame_map and len(self.frame_map) != self.latents.shape[1]:
+        if len(self.frame_map) != self.latents.shape[1]:
             raise ShapeError(
                 f"frame_map has {len(self.frame_map)} ranges for {self.latents.shape[1]} latents"
             )
+        if not is_frame_run(self.frame_map):
+            raise ShapeError(f"frame_map {list(self.frame_map)} is not a run of frame_ranges")
 
     @property
     def t_z(self) -> int:
@@ -106,8 +103,6 @@ class LatentVideo:
 
     @property
     def total_frames(self) -> int:
-        if not self.frame_map:
-            raise ShapeError(f"total_frames needs a frame_map; none is set for {self.t_z} latents")
         return self.frame_map[-1][1] - self.frame_map[0][0]
 
 

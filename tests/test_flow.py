@@ -109,8 +109,7 @@ class TestSampler:
         out = sample(model, pack, pose, face, steps=2)
         a, b = pack.layout.target
         assert out.latents.shape[1] == b - a
-        assert out.first_frame_alone
-        assert out.frame_map[0] == (0, 1)
+        assert out.frame_map == pack.window_frame_map
 
     def test_cfg_scale_one_matches_plain_run(self, toy):
         model, pack, pose, face = toy
@@ -126,7 +125,7 @@ class TestSampler:
         out = sample(model, pack, pose, face, steps=1, face_cfg_scale=s)
         with pt.no_grad():
             v_c = model.forward_tokens(pack.noise, pack, pose, face, 1.0).data
-            v_n = model.forward_tokens(pack.noise, pack, pose, face, 1.0, force_null_face=True).data
+            v_n = model.forward_tokens(pack.noise, pack, pose, None, 1.0).data
         a, b = pack.layout.target
         expect = pack.noise.data - (v_n + s * (v_c - v_n))
         np.testing.assert_allclose(out.latents.data, expect[:, a:b], atol=1e-6)
@@ -149,8 +148,7 @@ class TestSampler:
         gface = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
         out = sample(model, gpack, pose, gface, steps=1)
         assert out.latents.shape[1] == 2  # 3 window latents minus 1 guidance
-        assert not out.first_frame_alone
-        assert out.frame_map == [(0, 4), (4, 8)]
+        assert out.frame_map == [(1, 5), (5, 9)]  # frames of the window stream
 
 
 class TestEndToEndGradients:

@@ -169,13 +169,13 @@ class TestFaceBlock:
         for j, fb in enumerate(model.face_blocks):
             fb.params["gate"].data[:] = rng.standard_normal(cfg.dim).astype(np.float32)
             name = f"face_blocks.{j}"
-            for force_null in (False, True):
-                src = np.tile(null, (4, 1)) if force_null else np.concatenate([face.data, null])
+            for face_in in (face, None):
+                src = np.tile(null, (4, 1)) if face_in is None else np.concatenate([face.data, null])
                 v = lora(src, fb.params["v"], f"{name}.v")
                 out = lora(weights @ v, fb.params["o"], f"{name}.o")
                 expect = tokens.data + out * fb.params["gate"].data
                 with pt.no_grad():
-                    got = fb(tokens, face, steps, 3, adapter, name, force_null).data
+                    got = fb(tokens, face_in, steps, 3, adapter, name).data
                 assert np.array_equal(got, expect)
 
     def test_zero_gate_is_identity(self, setup):
@@ -219,7 +219,7 @@ class TestFaceBlock:
         steps = np.repeat(np.arange(4), 4)
         with pt.no_grad():
             base = fb(tokens, face, steps, 3).data
-            forced = fb(tokens, face, steps, 3, force_null=True).data
+            forced = fb(tokens, None, steps, 3).data
         assert np.array_equal(base[:4], forced[:4])  # reference rows already null
         assert np.abs(base[4:] - forced[4:]).max() > 0
 

@@ -12,7 +12,7 @@ from puppetflow.packs import (
 )
 from puppetflow.tensor import ConfigError, ShapeError, Tensor
 from puppetflow.vae import ToyVAE
-from puppetflow.video import VideoClip, frame_ranges
+from puppetflow.video import VideoClip, frame_ranges, latent_count
 
 
 @pytest.fixture(scope="module")
@@ -110,36 +110,22 @@ class TestAndPooling:
         for _ in range(10):
             t = int(rng.integers(1, 10))
             mask = (rng.random((t, 1, 16, 16)) > 0.4).astype(np.float32)
-            fmap = frame_ranges(t)
-            assert np.array_equal(and_pool_mask(mask, fmap), self.brute_force(mask, fmap))
+            assert np.array_equal(and_pool_mask(mask), self.brute_force(mask, frame_ranges(t)))
 
     def test_all_ones_and_all_zeros(self):
-        fmap = frame_ranges(5)
         ones = np.ones((5, 1, 16, 16), dtype=np.float32)
-        assert and_pool_mask(ones, fmap).min() == 1.0
-        assert and_pool_mask(np.zeros_like(ones), fmap).max() == 0.0
-
-    def test_empty_frame_map_raises(self):
-        with pytest.raises(ShapeError, match="empty"):
-            and_pool_mask(np.ones((1, 1, 16, 16), dtype=np.float32), [])
-
-    @pytest.mark.parametrize(
-        "fmap", [[(0, 1), (3, 5)], [(0, 3), (1, 5)], [(1, 3), (3, 5)]], ids=["gap", "overlap", "late-start"]
-    )
-    def test_frame_map_not_partitioning_frames_raises(self, fmap):
-        with pytest.raises(ShapeError, match="partition"):
-            and_pool_mask(np.ones((5, 1, 16, 16), dtype=np.float32), fmap)
+        assert and_pool_mask(ones).min() == 1.0
+        assert and_pool_mask(np.zeros_like(ones)).max() == 0.0
 
     @pytest.mark.parametrize("hw", [(12, 16), (16, 20)])
     def test_size_not_divisible_by_8_raises(self, hw):
         with pytest.raises(ShapeError, match="divisible"):
-            and_pool_mask(np.ones((5, 1) + hw, dtype=np.float32), frame_ranges(5))
+            and_pool_mask(np.ones((5, 1) + hw, dtype=np.float32))
 
     def test_single_subject_pixel_clears_cell(self):
-        fmap = frame_ranges(5)
         m = np.ones((5, 1, 16, 16), dtype=np.float32)
         m[3, 0, 9, 2] = 0.0  # frame 3 belongs to latent 1 (frames 1..4)
-        pooled = and_pool_mask(m, fmap)
+        pooled = and_pool_mask(m)
         assert pooled[0, 1, 1, 0] == 0.0
         assert pooled.sum() == pooled.size - 1
 
@@ -154,20 +140,27 @@ class TestReplacementPack:
         np.testing.assert_allclose(pack.condition.data[:, 1:], env, atol=1e-6)
 
     def test_full_subject_degenerates_to_animation(self, vae):
-        clip = small_clip(5, seed=22)
-        masks = np.ones((5, 1, 16, 16), dtype=np.float32)
-        rep = build_replacement_pack(vae, ref_image(5), clip, masks, None, np.random.default_rng(4))
-        ani = build_animation_pack(vae, ref_image(5), 2, None, np.random.default_rng(4))
-        assert np.array_equal(rep.mask.data, ani.mask.data)
-        assert np.array_equal(rep.condition.data, ani.condition.data)
-        assert np.array_equal(rep.noise.data, ani.noise.data)
+        # 11 frames end on a partial group; guidance of 1 and 2 latents
+        for t in (5, 11):
+            clip = small_clip(t, seed=22)
+            masks = np.ones((t, 1, 16, 16), dtype=np.float32)
+            for guide in (None, vae.encode(small_clip(1, seed=27)), vae.encode(small_clip(5, seed=28))):
+                rep = build_replacement_pack(vae, ref_image(5), clip, masks, guide, np.random.default_rng(4))
+                ani = build_animation_pack(
+                    vae, ref_image(5), latent_count(t), guide, np.random.default_rng(4), window_frames=t
+                )
+                assert rep.layout == ani.layout
+                assert rep.window_frame_map == ani.window_frame_map
+                assert np.array_equal(rep.mask.data, ani.mask.data)
+                assert np.array_equal(rep.condition.data, ani.condition.data)
+                assert np.array_equal(rep.noise.data, ani.noise.data)
 
     def test_condition_zeroed_inside_subject_cells(self, vae):
         rng = np.random.default_rng(23)
         clip = small_clip(9, seed=23)
         masks = (rng.random((9, 1, 16, 16)) > 0.5).astype(np.float32)
         pack = build_replacement_pack(vae, ref_image(), clip, masks, None, rng)
-        keep = and_pool_mask(1.0 - masks, frame_ranges(9))
+        keep = and_pool_mask(1.0 - masks)
         target = pack.condition.data[:, 1:]
         assert np.array_equal(target * keep, target)
         np.testing.assert_array_equal(pack.mask.data[:, 1:], keep)

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puppetflow.tensor import ShapeError, Tensor
+import puppetflow.tensor as pt
+from puppetflow.face import N_COEFF, TemporalDownsampler
+from puppetflow.tensor import AlignmentError, ShapeError, Tensor
 from puppetflow.vae import ToyVAE
 from puppetflow.video import (
+    TEMPORAL_GROUP,
     LatentVideo,
     VideoClip,
     frame_ranges,
+    is_frame_run,
     latent_count,
     load_clip,
     load_masks,
@@ -37,18 +41,104 @@ class TestTemporalLaw:
             assert b - a <= 4
 
     def test_mid_stream_ranges(self):
-        ranges = frame_ranges(8, first_frame_alone=False)
-        assert ranges == [(0, 4), (4, 8)]
+        assert frame_ranges(9)[1:] == [(1, 5), (5, 9)]
 
     def test_total_frames(self):
         z = Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32))
         assert LatentVideo(z, frame_ranges(9)).total_frames == 9
-        assert LatentVideo(z, [(4, 8), (8, 12), (12, 16)], first_frame_alone=False).total_frames == 12
+        assert LatentVideo(z, [(5, 9), (9, 13), (13, 17)]).total_frames == 12
 
     def test_total_frames_without_frame_map_raises(self):
-        lat = LatentVideo(Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32)))
+        # the map is required, so no LatentVideo lacks the frames it covers
         with pytest.raises(ShapeError, match="frame_map"):
-            lat.total_frames
+            LatentVideo(Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32)), [])
+
+
+@st.composite
+def frame_runs(draw, min_len=1):
+    """A run of consecutive entries of frame_ranges(T), T in 1..64."""
+    ranges = frame_ranges(draw(st.integers(1, 64)))
+    n = draw(st.integers(min(min_len, len(ranges)), len(ranges)))
+    i = draw(st.integers(0, len(ranges) - n))
+    return ranges[i : i + n]
+
+
+@st.composite
+def broken_runs(draw):
+    """A run of 3 or more ranges with one fault in it."""
+    run = draw(frame_runs(min_len=3).filter(lambda r: len(r) >= 3))
+    fault = draw(st.sampled_from(["shifted boundary", "dropped middle", "widened last", "empty range"]))
+    k = draw(st.integers(1, len(run) - 2))
+    if fault == "shifted boundary":
+        d = draw(st.sampled_from([-1, 1]))
+        run[k - 1 : k + 1] = [(run[k - 1][0], run[k][0] + d), (run[k][0] + d, run[k][1])]
+    elif fault == "dropped middle":
+        del run[k]
+    elif fault == "widened last":
+        a = run[-1][0]
+        run[-1] = (a, a + TEMPORAL_GROUP + 1)
+    else:
+        run.insert(k, (run[k][0], run[k][0]))
+    return run
+
+
+def zero_latents(n):
+    return Tensor(np.zeros((4, n, 1, 1), dtype=np.float32))
+
+
+class TestFrameRuns:
+    """A frame map is valid exactly when it is a run of frame_ranges(end)."""
+
+    vae = ToyVAE(np.random.default_rng(0))
+    downsampler = TemporalDownsampler(np.random.default_rng(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=frame_runs())
+    def test_every_run_is_accepted_and_decodes_its_frames(self, run):
+        assert is_frame_run(run)
+        lat = LatentVideo(zero_latents(len(run)), run)
+        assert lat.total_frames == run[-1][1] - run[0][0]
+        assert self.vae.decode(lat).length == lat.total_frames
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 24), data=st.data())
+    def test_run_decodes_to_its_frames_of_the_full_stream(self, t, data):
+        full = frame_ranges(t)
+        i = data.draw(st.integers(0, len(full) - 1))
+        j = data.draw(st.integers(i + 1, len(full)))
+        rng = np.random.default_rng(t)
+        z = Tensor(rng.standard_normal((4, len(full), 1, 1)).astype(np.float32))
+        with pt.no_grad():
+            whole = self.vae.decode_tensor(z, full).data
+            part = self.vae.decode_tensor(Tensor(z.data[:, i:j].copy()), full[i:j]).data
+        np.testing.assert_allclose(part, whole[full[i][0] : full[j - 1][1]], rtol=1e-5, atol=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=broken_runs())
+    def test_broken_runs_are_rejected_everywhere(self, run):
+        self.assert_rejected(run)
+
+    @pytest.mark.parametrize(
+        "fmap",
+        [[(0, 1), (3, 5), (5, 9)], [(0, 1), (1, 5), (5, 5)], [(0, 1), (1, 5), (5, 12)]],
+        ids=["gap", "empty-last", "wider-than-a-group"],
+    )
+    def test_bad_maps_are_rejected_before_any_conv(self, fmap, monkeypatch):
+        def no_conv(*args, **kwargs):
+            raise AssertionError("a conv ran on an invalid frame map")
+
+        monkeypatch.setattr(pt, "conv2d", no_conv)
+        self.assert_rejected(fmap)
+
+    def assert_rejected(self, fmap):
+        assert not is_frame_run(fmap)
+        with pytest.raises(ShapeError, match="not a run"):
+            LatentVideo(zero_latents(len(fmap)), fmap)
+        with pytest.raises(ShapeError, match="not a run"):
+            self.vae.decode_tensor(zero_latents(len(fmap)), fmap)
+        rows = Tensor(np.zeros((fmap[-1][1] - fmap[0][0], N_COEFF), dtype=np.float32))
+        with pytest.raises(AlignmentError, match="gap or an overlap"):
+            self.downsampler(rows, fmap)
 
 
 def small_clip(t=5, hw=16, seed=0):
@@ -93,9 +183,7 @@ class TestToyVAE:
         vae = ToyVAE()
         rng = np.random.default_rng(4)
         lat = LatentVideo(
-            Tensor(rng.standard_normal((4, 3, 2, 2)).astype(np.float32)),
-            [(0, 4), (4, 8), (8, 12)],
-            first_frame_alone=False,
+            Tensor(rng.standard_normal((4, 3, 2, 2)).astype(np.float32)), [(1, 5), (5, 9), (9, 13)]
         )
         assert vae.decode(lat).length == 12
 
@@ -110,16 +198,6 @@ class TestToyVAE:
         a = vae.encode(clip).latents.data
         b = vae.encode(clip).latents.data
         assert np.array_equal(a, b)
-
-    def test_slice_consistency_with_full_encode(self):
-        # Group latents of a full encode equal a no-first-frame encode of the tail.
-        vae = ToyVAE()
-        clip = small_clip(t=9, seed=5)
-        full = vae.encode_tensor(clip.frames).data
-        tail = vae.encode_tensor(
-            Tensor(clip.frames.data[1:].copy()), first_frame_alone=False
-        ).data
-        np.testing.assert_allclose(full[:, 1:], tail, atol=1e-6)
 
     def test_latent_stats_normalize(self):
         vae = ToyVAE()
