@@ -44,7 +44,6 @@ _NOISE_CHUNK = 2**16  # float64 noise values per worker draw
 @dataclass
 class FaceCrop:
     image: Tensor  # [3, 512, 512], values in [0,1]
-    frame_index: int
     box: tuple  # (x0, y0, side) in source pixels
 
 
@@ -114,12 +113,11 @@ def crop_face(frame: Tensor, sk: Skeleton) -> FaceCrop | None:
     if box is None:
         return None
     out = bilinear_resize(img, box, FACE_SIZE)
-    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), frame_index=0, box=box)
+    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), box)
 
 
 @dataclass
 class FaceAugmentConfig:
-    enabled: bool = True
     scale_lo: float = 0.9
     scale_hi: float = 1.1
     gain_lo: float = 0.8
@@ -183,8 +181,6 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     may use another one (`_avoid_cpu`).
     """
     cfg = cfg or FaceAugmentConfig()
-    if not cfg.enabled:
-        return face
     if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
         raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
     if not isinstance(rng, np.random.Generator):
@@ -212,7 +208,7 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
             part = flat[a : a + _NOISE_CHUNK]
             part += chunk.astype(out.dtype)
             np.clip(part, 0.0, 1.0, out=part)
-    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), face.frame_index, face.box)
+    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), face.box)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +285,6 @@ class FaceEncoder:
             pooled.append(pt.mean_axis(pt.reshape(h, (1, _ENC_CHANNELS[-1], 64)), 2))  # GAP over 8x8
         feats = pt.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0]
         return pt.linear(feats, self.params["head.w"], self.params["head.b"])
-
-
-def encode_motion(face: FaceCrop, encoder: FaceEncoder, basis: MotionBasis) -> Tensor:
-    """One crop -> coefficient vector [m] in the orthonormalized basis."""
-    if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
-        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
-    coeff = encoder.encode_batch(pt.reshape(face.image, (1, 3, FACE_SIZE, FACE_SIZE)))
-    latent = pt.matmul(coeff, basis.orthonormal())
-    return pt.reshape(latent, (basis.m,))
 
 
 # ---------------------------------------------------------------------------

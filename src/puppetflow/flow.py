@@ -93,5 +93,5 @@ def sample(
                 v_null = model.forward_tokens(Tensor(x), pack, pose_latents, None, t).data
                 v = v_null + face_cfg_scale * (v - v_null)
             x = x - dt * v
-    a, b = pack.layout.target
-    return LatentVideo(Tensor(x[:, a:b].copy()), pack.window_frame_map[pack.layout.n_temporal :])
+    g = pack.n_temporal
+    return LatentVideo(Tensor(x[:, 1 + g :].copy()), pack.window_frame_map[g:])

@@ -18,7 +18,7 @@ whatever the previous training stage produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .face import DOWN_WIDTH, N_COEFF, FaceEncoder, MotionBasis, TemporalDownsam
 from .packs import ConditionPack
 from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
 from .vae import ToyVAE
+from .video import LATENT_CHANNELS
 
 TIME_FREQ_DIM = 64
 
@@ -40,7 +41,6 @@ class DiTConfig:
     patch: tuple = (1, 2, 2)
     lora_rank: int = 8
     lora_alpha: float = 16.0
-    latent_channels: int = 4
     latent_size: int = 16  # spatial side of the latent grid
     max_latents: int = 24  # positional table length
     face_width: int = DOWN_WIDTH
@@ -70,12 +70,12 @@ class DiTConfig:
     @property
     def token_dim(self) -> int:
         pt_, ph, pw = self.patch
-        return (2 * self.latent_channels + 1) * pt_ * ph * pw
+        return (2 * LATENT_CHANNELS + 1) * pt_ * ph * pw
 
     @property
     def out_dim(self) -> int:
         pt_, ph, pw = self.patch
-        return self.latent_channels * pt_ * ph * pw
+        return LATENT_CHANNELS * pt_ * ph * pw
 
 
 def timestep_embedding(t: float, dim: int = TIME_FREQ_DIM, dtype=np.float32) -> Tensor:
@@ -109,9 +109,6 @@ class LoRAAdapter:
                 raise ConfigError(f"lora rank {rank} must be below layer dims ({d_in}, {d_out})")
             self.params[f"{name}.down"] = _init(rng, (d_in, rank), 1.0 / np.sqrt(d_in), dtype)
             self.params[f"{name}.up"] = _zeros((rank, d_out), dtype)
-
-    def targets(self):
-        return sorted({k.rsplit(".", 1)[0] for k in self.params})
 
 
 def lora_forward(x: Tensor, w: Tensor, adapter: LoRAAdapter | None, name: str) -> Tensor:
@@ -293,7 +290,7 @@ class AnimationModel:
         if x_t.shape != pack.condition.shape:
             raise ShapeError(f"x_t {x_t.shape} does not match pack {pack.condition.shape}")
         adapter = self.lora if (use_lora and self.lora is not None) else None
-        n_total = pack.n_total
+        n_total = pack.condition.shape[1]
         n_window = n_total - 1
         tps = cfg.tokens_per_step
 
@@ -326,7 +323,7 @@ class AnimationModel:
         sh, sc = self._modulation(tfeat, "final.ada", 2)
         x = pt.layer_norm(x, pt.add_scalar(sc, 1.0), sh)
         x = pt.linear(x, self.params["final.w"], self.params["final.b"])
-        dims = (cfg.latent_channels,) + tuple(pack.condition.shape[1:])
+        dims = (LATENT_CHANNELS,) + tuple(pack.condition.shape[1:])
         return pt.unpatchify(x, dims, cfg.patch)
 
 

@@ -1,14 +1,15 @@
 """Condition-pack construction for the two generation modes.
 
 A pack is the (noise, condition, mask) latent triple the denoiser consumes.
-Position 0 is always the reference latent (mask 1). The remaining positions
-form the target window, a fresh frame stream whose first latent covers one
-pixel frame. The leading 0..2 window positions may carry temporal guidance
-(ground-truth latents, mask 1) to chain long videos. Both modes share this
-one input layout and differ only in the environment behind the window:
-replacement carries environment latents with the subject region knocked out
-of both the condition and the mask, and animation is the case with no
-environment, condition 0 / mask 0 everywhere.
+Position 0 is always the reference latent (mask 1). Positions 1 onward form
+the window, a fresh frame stream whose first latent covers one pixel frame
+(`window_frame_map`). The first `n_temporal` window positions, 0 to 2 of
+them, carry temporal guidance (ground-truth latents, mask 1) to chain long
+videos; the rest, positions 1 + n_temporal onward, are the target that
+sampling returns. Both modes share this one input layout and differ only in
+the environment behind the window: replacement carries environment latents
+with the subject region knocked out of both the condition and the mask, and
+animation is the case with no environment, condition 0 / mask 0 everywhere.
 
 All functions are pure; randomness comes in through an explicit generator,
 so concurrent callers stay reproducible.
@@ -25,46 +26,13 @@ from .vae import ToyVAE
 from .video import SPATIAL_FACTOR, TEMPORAL_GROUP, LatentVideo, VideoClip, frame_ranges, latent_count
 
 
-@dataclass(frozen=True)
-class PackLayout:
-    """Labeled half-open latent ranges: [reference][temporal][target]."""
-
-    n_total: int
-    n_temporal: int
-
-    @property
-    def reference(self) -> tuple[int, int]:
-        return (0, 1)
-
-    @property
-    def temporal(self) -> tuple[int, int]:
-        return (1, 1 + self.n_temporal)
-
-    @property
-    def target(self) -> tuple[int, int]:
-        return (1 + self.n_temporal, self.n_total)
-
-    @property
-    def window(self) -> tuple[int, int]:
-        """Everything but the reference: the generated frame stream."""
-        return (1, self.n_total)
-
-
 @dataclass
 class ConditionPack:
     noise: Tensor  # [C_z, T_total, h, w]
     condition: Tensor  # same shape
     mask: Tensor  # [1, T_total, h, w]
-    layout: PackLayout
-    mode: str  # "animation" | "replacement"
+    n_temporal: int  # guidance latents at window positions 1..n_temporal
     window_frame_map: list[tuple[int, int]]  # pixel ranges of the window stream
-
-    @property
-    def n_total(self) -> int:
-        return self.layout.n_total
-
-    def window_frames(self) -> int:
-        return self.window_frame_map[-1][1]
 
 
 def sample_temporal_use(p: float, rng) -> bool:
@@ -110,7 +78,6 @@ def _assemble_pack(
     keep,
     temporal_latents: LatentVideo | None,
     rng,
-    mode: str,
 ) -> ConditionPack:
     """The one input layout: reference latent, then the window.
 
@@ -142,8 +109,7 @@ def _assemble_pack(
         noise=Tensor(noise),
         condition=Tensor(cond),
         mask=Tensor(mask),
-        layout=PackLayout(n_total=1 + n_window, n_temporal=g),
-        mode=mode,
+        n_temporal=g,
         window_frame_map=window_frame_map,
     )
 
@@ -171,7 +137,7 @@ def build_animation_pack(
             f"{window_frames} window frames need {latent_count(window_frames)} latents, "
             f"not {n_target_latents}"
         )
-    return _assemble_pack(vae, ref_image, frame_ranges(window_frames), 0.0, 0.0, temporal_latents, rng, "animation")
+    return _assemble_pack(vae, ref_image, frame_ranges(window_frames), 0.0, 0.0, temporal_latents, rng)
 
 
 def build_replacement_pack(
@@ -197,4 +163,4 @@ def build_replacement_pack(
         )
     env_latents = vae.encode_frames(env_clip.frames.data * (1.0 - subject_masks))
     keep = and_pool_mask(1.0 - subject_masks).astype(vae.dtype)
-    return _assemble_pack(vae, ref_image, frame_ranges(t), env_latents, keep, temporal_latents, rng, "replacement")
+    return _assemble_pack(vae, ref_image, frame_ranges(t), env_latents, keep, temporal_latents, rng)

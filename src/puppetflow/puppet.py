@@ -22,7 +22,7 @@ import numpy as np
 
 from .rasterize import _blend, _capsule, _ellipse, blend_capsule
 from .retarget import FRAMINGS
-from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, PoseSequence, Skeleton
+from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, Skeleton
 from .tensor import ConfigError, ShapeError, Tensor
 from .video import VideoClip
 
@@ -105,8 +105,8 @@ class PuppetScene:
             joints[c] = joints[p] + self.limb_lengths[i] * np.array([np.cos(r), np.sin(r)])
         return Skeleton(joints, np.ones(N_JOINTS))
 
-    def pose_sequence(self) -> PoseSequence:
-        return PoseSequence([self.skeleton(t) for t in range(self.frames)])
+    def pose_sequence(self) -> list[Skeleton]:
+        return [self.skeleton(t) for t in range(self.frames)]
 
 
 @dataclass
@@ -248,7 +248,7 @@ _FRAMING_SCALE = {"full_body": 105.0, "half_body": 190.0, "portrait": 260.0}
 class SceneSample:
     scene: PuppetScene
     clip: VideoClip
-    poses: PoseSequence
+    poses: list[Skeleton]
     masks: np.ndarray  # [T, 1, H, W]
     face_params: np.ndarray  # [T, 4]
 

@@ -20,9 +20,9 @@ BASE_WIDTH = 4.0
 BASE_CANVAS = 256.0
 
 
-def limb_palette(n: int = N_LIMBS) -> np.ndarray:
-    """n visually distinct RGB colors, fixed across runs."""
-    return np.array([colorsys.hsv_to_rgb(i / n, 1.0, 1.0) for i in range(n)], dtype=np.float64)
+def limb_palette() -> np.ndarray:
+    """N_LIMBS visually distinct RGB colors, fixed across runs."""
+    return np.array([colorsys.hsv_to_rgb(i / N_LIMBS, 1.0, 1.0) for i in range(N_LIMBS)], dtype=np.float64)
 
 
 def _coverage(shape, lo, hi, alpha_at):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import N_LIMBS, TOPOLOGY, PoseSequence, Skeleton
+from .skeleton import N_LIMBS, TOPOLOGY, Skeleton
 from .tensor import ConfigError
 
 FRAMINGS = ("full_body", "half_body", "portrait")
@@ -82,7 +82,7 @@ def _limb_ratios(ref_sk: Skeleton, drive_seq):
 
 def compute_retarget_params(ref_sk: Skeleton, drive_sk: Skeleton, framing: str) -> RetargetParams:
     """Ratios from one skeleton pair; offset maps driving anchor onto reference anchor."""
-    return compute_sequence_params(ref_sk, PoseSequence([drive_sk]), framing)
+    return compute_sequence_params(ref_sk, [drive_sk], framing)
 
 
 def compute_tpose_params(
@@ -105,7 +105,7 @@ def compute_tpose_params(
 
 
 def compute_sequence_params(
-    ref_sk: Skeleton, drive_seq: PoseSequence, framing: str
+    ref_sk: Skeleton, drive_seq: list[Skeleton], framing: str
 ) -> RetargetParams:
     """Ratios pooled over the driving sequence; offset from its first frame."""
     if len(drive_seq) == 0:
@@ -128,5 +128,5 @@ def retarget_skeleton(sk: Skeleton, params: RetargetParams) -> Skeleton:
     return scaled
 
 
-def retarget_sequence(seq: PoseSequence, params: RetargetParams) -> PoseSequence:
-    return PoseSequence([retarget_skeleton(sk, params) for sk in seq])
+def retarget_sequence(seq: list[Skeleton], params: RetargetParams) -> list[Skeleton]:
+    return [retarget_skeleton(sk, params) for sk in seq]

@@ -13,7 +13,7 @@ contribute no retarget ratio.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,25 +96,11 @@ class Skeleton:
         return Skeleton(self.joints.copy(), self.confidence.copy())
 
 
-@dataclass
-class PoseSequence:
-    skeletons: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.skeletons)
-
-    def __getitem__(self, i):
-        return self.skeletons[i]
-
-    def __iter__(self):
-        return iter(self.skeletons)
-
-
 # ---------------------------------------------------------------------------
 # text format: header line, edge list, one joint-triple line per frame
 
 
-def save_pose_sequence(path, seq: PoseSequence) -> None:
+def save_pose_sequence(path, seq: list[Skeleton]) -> None:
     lines = [f"SKEL v1 joints={N_JOINTS} frames={len(seq)}", " ".join(f"{p}:{c}" for p, c in TOPOLOGY)]
     for sk in seq:
         # repr of a Python float is the shortest exact round-trip form
@@ -129,7 +115,7 @@ def save_pose_sequence(path, seq: PoseSequence) -> None:
 _POSE_HEADER = re.compile(r"SKEL v1 joints=(\d+) frames=(\d+)")
 
 
-def load_pose_sequence(path) -> PoseSequence:
+def load_pose_sequence(path) -> list[Skeleton]:
     """Read a file written by `save_pose_sequence`.
 
     An empty, cut or malformed file raises ShapeError naming the path, and so
@@ -163,4 +149,4 @@ def load_pose_sequence(path) -> PoseSequence:
         raise ShapeError(f"{path}: {e}") from e
     if len(skels) != frames:
         raise ShapeError(f"{path}: header says {frames} frames, file has {len(skels)}")
-    return PoseSequence(skels)
+    return skels

@@ -232,24 +232,6 @@ class Tensor:
             node._bwd(node.grad)
             node.grad = None
 
-    # operator sugar for the common cases
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, dtype=NARROW, requires_grad=False):
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
@@ -485,16 +467,6 @@ def sum_all(a: Tensor) -> Tensor:
         a.accumulate_grad(np.full_like(a.data, g))
 
     return _make(out, (a,), bwd, "sum")
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    out = np.asarray(a.data.mean(), dtype=a.data.dtype)
-
-    def bwd(g):
-        a.accumulate_grad(np.full_like(a.data, g / n))
-
-    return _make(out, (a,), bwd, "mean")
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -877,27 +849,24 @@ def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _interleave_phases(conv2d(x, taps, bias, pad=1))
 
 
-def causal_conv1d(x: Tensor, kernel: Tensor, stride: int = 1, taps=None) -> Tensor:
-    """1D causal convolution: x [Ci,T], kernel [Co,Ci,K] -> [Co, ceil(T/stride)].
+def causal_conv1d(x: Tensor, kernel: Tensor, taps=None) -> Tensor:
+    """1D causal convolution: x [Ci,T], kernel [Co,Ci,K] -> [Co, len(taps)].
 
-    Left padding of K-1 zeros only, so output index t depends only on
-    x[:, : t*stride + 1]. `taps`, a non-empty list of integer positions,
-    overrides the output sample positions and with them `stride` (still
-    causal: the window for tap p covers input [p-K+1, p]). Built from tape
-    ops: the time-major input under K-1 zero rows, one `take_rows` of every
-    tap's window, and one `matmul` by the kernel.
+    `taps`, a non-empty list of integer input positions, defaults to every
+    position 0..T-1. Left padding of K-1 zeros only, so the output for tap p
+    depends only on x[:, p-K+1 : p+1]. Built from tape ops: the time-major
+    input under K-1 zero rows, one `take_rows` of every tap's window, and one
+    `matmul` by the kernel.
     """
     if kernel.ndim != 3 or x.ndim != 2:
         raise ShapeError(f"causal_conv1d: shapes {x.shape} and {kernel.shape} unsupported")
     co, ci, kk = kernel.shape
     if kk <= 0:
         raise ConfigError(f"causal_conv1d: kernel size must be positive, got {kk}")
-    if stride <= 0:
-        raise ConfigError(f"causal_conv1d: stride must be positive, got {stride}")
     if x.shape[0] != ci:
         raise ShapeError(f"causal_conv1d: input channels {x.shape[0]} != kernel channels {ci}")
     t_in = x.shape[1]
-    taps = np.arange(0, t_in, stride) if taps is None else np.asarray(taps)
+    taps = np.arange(t_in) if taps is None else np.asarray(taps)
     if taps.ndim != 1 or not taps.size or taps.dtype.kind not in "iu" or taps.min() < 0 or taps.max() >= t_in:
         raise ShapeError(f"causal_conv1d: taps {taps.tolist()} are not a non-empty list of integers in [0, {t_in})")
     pad = Tensor(np.zeros((kk - 1, ci), dtype=x.data.dtype))

@@ -47,10 +47,6 @@ def _bias_init(co, dtype):
 class ToyVAE:
     """Plain autoencoder over puppet clips; spatial factor 8, temporal factor 4."""
 
-    spatial_factor = SPATIAL_FACTOR
-    temporal_group = TEMPORAL_GROUP
-    latent_channels = LATENT_CHANNELS
-
     def __init__(self, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.dtype = dtype
@@ -151,12 +147,6 @@ class ToyVAE:
         if frames != feats.shape[0]:  # only the last range of a run can be partial
             feats = pt.slice_axis(feats, 0, 0, frames)
         return self._spatial_decode(feats)
-
-    def reconstruct(self, frames: Tensor) -> Tensor:
-        """encode -> decode, unclamped; the pretraining objective path."""
-        t = frames.shape[0]
-        fmap = frame_ranges(t)
-        return self.decode_tensor(self.encode_tensor(frames), fmap)
 
     # -- public clip API ------------------------------------------------------
 

@@ -45,10 +45,21 @@ def frame_ranges(frames: int) -> list[tuple[int, int]]:
 
 
 def is_frame_run(frame_map) -> bool:
-    """True if the map is a run of consecutive entries of frame_ranges(end), where its last range ends."""
-    if len(frame_map) == 0 or frame_map[-1][1] < 1:
+    """True if the map is a run of consecutive entries of frame_ranges(end), where its last range ends.
+
+    Only the ranges from the map's start on are built, at most one per map
+    entry, so the cost follows the map's length and not the frame it ends at.
+    """
+    if len(frame_map) == 0:
         return False
-    return [tuple(r) for r in frame_map] == frame_ranges(frame_map[-1][1])[-len(frame_map):]
+    start, end = frame_map[0][0], frame_map[-1][1]
+    if start != 0 and (start < 1 or start % TEMPORAL_GROUP != 1):  # -3 % 4 == 1 as well
+        return False
+    expected = [(0, 1)] if start == 0 else []
+    first = max(start, 1)
+    stop = min(end, first + TEMPORAL_GROUP * (len(frame_map) - len(expected)))
+    expected += [(a, min(a + TEMPORAL_GROUP, end)) for a in range(first, stop, TEMPORAL_GROUP)]
+    return [tuple(r) for r in frame_map] == expected
 
 
 @dataclass

@@ -24,7 +24,6 @@ from puppetflow.face import (
     bilinear_resize,
     crop_face,
     encode_face_sequence,
-    encode_motion,
 )
 from puppetflow.gradcheck import grad_check
 from puppetflow.rasterize import blend_capsule
@@ -182,22 +181,13 @@ def augment_in_child(face, seed, conn):
 class TestAugmentFace:
     def crop(self, seed=0):
         rng = np.random.default_rng(seed)
-        return FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8), 0, (0, 0, 64))
+        return FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8), (0, 0, 64))
 
     def test_seeded_reproducibility(self):
         face = self.crop()
         a = augment_face(face, np.random.default_rng(5)).image.data
         b = augment_face(face, np.random.default_rng(5)).image.data
         assert np.array_equal(a, b)
-
-    def test_disabled_is_identity(self):
-        face = self.crop(1)
-        out = augment_face(face, np.random.default_rng(0), FaceAugmentConfig(enabled=False))
-        assert out.image is face.image
-
-    def test_disabled_passes_any_crop_size(self):
-        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)), 0, (0, 0, 64))
-        assert augment_face(small, np.random.default_rng(0), FaceAugmentConfig(enabled=False)) is small
 
     def test_values_stay_in_range(self):
         face = self.crop(2)
@@ -222,15 +212,13 @@ class TestAugmentFace:
         augment_face(self.crop(5), np.random.default_rng(15))
         assert set(threading.enumerate()) == before
 
-    def test_disabled_config_starts_no_thread(self, monkeypatch):
+    def test_augment_starts_a_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError("thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        face = self.crop(6)
-        assert augment_face(face, np.random.default_rng(0), FaceAugmentConfig(enabled=False)) is face
         with pytest.raises(AssertionError, match="thread started"):
-            augment_face(face, np.random.default_rng(0))
+            augment_face(self.crop(6), np.random.default_rng(0))
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs"
@@ -284,7 +272,7 @@ class TestAugmentFace:
         assert rng.standard_normal(4).tolist() == twin.standard_normal(4).tolist()
 
     def test_wrong_crop_size_raises(self):
-        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)), 0, (0, 0, 64))
+        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)), (0, 0, 64))
         with pytest.raises(ShapeError, match="face crop"):
             augment_face(small, np.random.default_rng(0))
 
@@ -349,9 +337,9 @@ class TestEncoder:
         for name in ("head.w", "head.b"):
             enc.params[name].data[:] = 0.0
         basis = MotionBasis(rng)
-        face = FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)), 0, (0, 0, 10))
-        out = encode_motion(face, enc, basis)
-        np.testing.assert_array_equal(out.data, np.zeros(N_COEFF))
+        crops = Tensor(rng.random((1, 3, FACE_SIZE, FACE_SIZE), dtype=np.float32))
+        out = pt.matmul(enc.encode_batch(crops), basis.orthonormal())
+        np.testing.assert_array_equal(out.data, np.zeros((1, N_COEFF)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -361,9 +349,9 @@ class TestEncoder:
         with pt.no_grad():
             batch = pt.matmul(enc.encode_batch(crops), basis.orthonormal()).data
             for i in range(3):
-                face = FaceCrop(Tensor(crops.data[i].copy()), i, (0, 0, 10))
-                single = encode_motion(face, enc, basis).data
-                np.testing.assert_allclose(batch[i], single, atol=1e-5)
+                one = Tensor(crops.data[i : i + 1].copy())
+                single = pt.matmul(enc.encode_batch(one), basis.orthonormal()).data
+                np.testing.assert_allclose(batch[i], single[0], atol=1e-5)
 
 
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 import puppetflow.tensor as pt
 from puppetflow.flow import FlowState, flow_loss, make_flow_state, sample
 from puppetflow.gradcheck import grad_check
-from puppetflow.model import AnimationModel, DiTConfig
+from puppetflow.model import AnimationModel
 from puppetflow.packs import build_animation_pack
 from puppetflow.tensor import ConditioningError, ConfigError, Tensor, WIDE
 
@@ -101,14 +101,13 @@ class TestSampler:
         out = sample(model, pack, pose, face, steps=1)
         with pt.no_grad():
             v = model.forward_tokens(pack.noise, pack, pose, face, 1.0).data
-        a, b = pack.layout.target
-        np.testing.assert_allclose(out.latents.data, (pack.noise.data - v)[:, a:b], atol=1e-6)
+        a = 1 + pack.n_temporal
+        np.testing.assert_allclose(out.latents.data, (pack.noise.data - v)[:, a:], atol=1e-6)
 
     def test_output_covers_target_range_only(self, toy):
         model, pack, pose, face = toy
         out = sample(model, pack, pose, face, steps=2)
-        a, b = pack.layout.target
-        assert out.latents.shape[1] == b - a
+        assert out.latents.shape[1] == pack.condition.shape[1] - 1 - pack.n_temporal
         assert out.frame_map == pack.window_frame_map
 
     def test_cfg_scale_one_matches_plain_run(self, toy):
@@ -126,9 +125,8 @@ class TestSampler:
         with pt.no_grad():
             v_c = model.forward_tokens(pack.noise, pack, pose, face, 1.0).data
             v_n = model.forward_tokens(pack.noise, pack, pose, None, 1.0).data
-        a, b = pack.layout.target
         expect = pack.noise.data - (v_n + s * (v_c - v_n))
-        np.testing.assert_allclose(out.latents.data, expect[:, a:b], atol=1e-6)
+        np.testing.assert_allclose(out.latents.data, expect[:, 1 + pack.n_temporal :], atol=1e-6)
 
     def test_invalid_steps(self, toy):
         model, pack, pose, face = toy

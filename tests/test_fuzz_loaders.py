@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from puppetflow.skeleton import N_JOINTS, PoseSequence, Skeleton, load_pose_sequence, save_pose_sequence
+from puppetflow.skeleton import N_JOINTS, Skeleton, load_pose_sequence, save_pose_sequence
 from puppetflow.tensor import ConfigError, ShapeError, Tensor, dump_tensor, load_tensor
 from puppetflow.video import VideoClip, load_clip, load_masks, save_clip
 
@@ -115,7 +115,7 @@ def test_load_masks_fuzz(masks):
 
 def _valid_skel() -> bytes:
     rng = np.random.default_rng(0)
-    seq = PoseSequence([Skeleton(rng.random((N_JOINTS, 2)) * 64, rng.random(N_JOINTS)) for _ in range(2)])
+    seq = [Skeleton(rng.random((N_JOINTS, 2)) * 64, rng.random(N_JOINTS)) for _ in range(2)]
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "pose.skel"
         save_pose_sequence(p, seq)

@@ -13,7 +13,7 @@ from puppetflow.model import (
 )
 from puppetflow.packs import build_animation_pack
 from puppetflow.tensor import AlignmentError, ConfigError, ShapeError, Tensor, WIDE
-from puppetflow.video import VideoClip
+from puppetflow.video import SPATIAL_FACTOR
 
 
 def tiny_cfg(**kw):
@@ -92,7 +92,7 @@ class TestForward:
 
     def test_pack_longer_than_position_table_raises(self, setup):
         cfg, _, pack, x_t, _, _ = setup
-        short = AnimationModel(tiny_cfg(max_latents=pack.n_total - 1), np.random.default_rng(0))
+        short = AnimationModel(tiny_cfg(max_latents=pack.condition.shape[1] - 1), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             short.forward_tokens(x_t, pack, None, None, 0.5)
 
@@ -115,26 +115,26 @@ class TestForward:
             model.params["body.w"].shape
         ).astype(np.float32)
         rng = np.random.default_rng(4)
-        tokens = Tensor(rng.standard_normal((pack.n_total * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
+        tokens = Tensor(rng.standard_normal((pack.condition.shape[1] * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
         frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
         with pt.no_grad():
-            out = _inject_pose(tokens, model.vae.encode_tensor(frames), model.params["body.w"], pack.n_total, cfg.patch)
+            out = _inject_pose(tokens, model.vae.encode_tensor(frames), model.params["body.w"], pack.condition.shape[1], cfg.patch)
             assert np.array_equal(out.data[: cfg.tokens_per_step], tokens.data[: cfg.tokens_per_step])
             assert np.abs(out.data[cfg.tokens_per_step :] - tokens.data[cfg.tokens_per_step :]).max() > 0
             # perturb a pose frame: reference tokens stay bit-identical
             frames2 = Tensor(frames.data.copy())
             frames2.data[4] += 0.5
-            out2 = _inject_pose(tokens, model.vae.encode_tensor(frames2), model.params["body.w"], pack.n_total, cfg.patch)
+            out2 = _inject_pose(tokens, model.vae.encode_tensor(frames2), model.params["body.w"], pack.condition.shape[1], cfg.patch)
         assert np.array_equal(out2.data[: cfg.tokens_per_step], out.data[: cfg.tokens_per_step])
 
     def test_zero_body_projection_is_identity(self, setup):
         cfg, model, pack, x_t, pose, _ = setup
         rng = np.random.default_rng(5)
-        tokens = Tensor(rng.standard_normal((pack.n_total * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
+        tokens = Tensor(rng.standard_normal((pack.condition.shape[1] * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
         frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
         zero_w = Tensor(np.zeros_like(model.params["body.w"].data))
         with pt.no_grad():
-            out = _inject_pose(tokens, model.vae.encode_tensor(frames), zero_w, pack.n_total, cfg.patch)
+            out = _inject_pose(tokens, model.vae.encode_tensor(frames), zero_w, pack.condition.shape[1], cfg.patch)
         assert np.array_equal(out.data, tokens.data)
 
 
@@ -243,7 +243,7 @@ def test_default_forward_runs_one_attention_op_per_layer():
     cfg = DiTConfig()
     model = AnimationModel(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    side = model.vae.spatial_factor * cfg.latent_size
+    side = SPATIAL_FACTOR * cfg.latent_size
     pack = build_animation_pack(model.vae, rng.random((3, side, side)).astype(np.float32), 2, None, rng)
     x_t = Tensor(rng.standard_normal(pack.noise.shape).astype(np.float32))
     with pt.no_grad(), pt.profile_ops() as prof:

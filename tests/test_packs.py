@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from puppetflow.packs import (
-    ConditionPack,
     and_pool_mask,
     build_animation_pack,
     build_replacement_pack,
@@ -39,18 +38,17 @@ def stamp_mask_oracle(n_total, g, dims):
 class TestAnimationPack:
     def test_78_frame_segment_layout(self, vae):
         pack = build_animation_pack(vae, ref_image(), 20, None, np.random.default_rng(0))
-        assert pack.n_total == 21
-        assert pack.layout.reference == (0, 1)
-        assert pack.layout.target == (1, 21)
+        assert pack.condition.shape[1] == 21
+        assert pack.n_temporal == 0
         np.testing.assert_array_equal(pack.mask.data[:, 0], 1.0)
         np.testing.assert_array_equal(pack.mask.data[:, 1:], 0.0)
-        assert pack.window_frames() == 77
+        assert pack.window_frame_map[-1][1] == 77
 
     def test_two_temporal_latents_mask_first_three(self, vae):
         guide = vae.encode(small_clip(5))
         pack = build_animation_pack(vae, ref_image(), 20, guide, np.random.default_rng(0))
-        assert pack.layout.temporal == (1, 3)
-        assert pack.layout.target == (3, 21)
+        assert pack.n_temporal == 2
+        assert pack.condition.shape[1] == 21
         np.testing.assert_array_equal(pack.mask.data[:, :3], 1.0)
         np.testing.assert_array_equal(pack.mask.data[:, 3:], 0.0)
         np.testing.assert_array_equal(pack.condition.data[:, 1:3], guide.latents.data)
@@ -58,8 +56,7 @@ class TestAnimationPack:
     def test_condition_zero_over_target(self, vae):
         guide = vae.encode(small_clip(1))
         pack = build_animation_pack(vae, ref_image(), 6, guide, np.random.default_rng(1))
-        a, b = pack.layout.target
-        np.testing.assert_array_equal(pack.condition.data[:, a:b], 0.0)
+        np.testing.assert_array_equal(pack.condition.data[:, 1 + pack.n_temporal :], 0.0)
 
     def test_mask_matches_stamping_oracle_over_random_configs(self, vae):
         rng = np.random.default_rng(7)
@@ -149,7 +146,7 @@ class TestReplacementPack:
                 ani = build_animation_pack(
                     vae, ref_image(5), latent_count(t), guide, np.random.default_rng(4), window_frames=t
                 )
-                assert rep.layout == ani.layout
+                assert rep.n_temporal == ani.n_temporal
                 assert rep.window_frame_map == ani.window_frame_map
                 assert np.array_equal(rep.mask.data, ani.mask.data)
                 assert np.array_equal(rep.condition.data, ani.condition.data)

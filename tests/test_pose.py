@@ -18,7 +18,6 @@ from puppetflow.skeleton import (
     N_LIMBS,
     ROOT,
     TOPOLOGY,
-    PoseSequence,
     Skeleton,
     load_pose_sequence,
     save_pose_sequence,
@@ -61,7 +60,7 @@ class TestSkeletonModel:
 
 class TestSkeletonFile:
     def test_round_trip_bit_exact(self, tmp_path):
-        seq = PoseSequence([random_skeleton(s) for s in range(4)])
+        seq = [random_skeleton(s) for s in range(4)]
         p = tmp_path / "seq.skel"
         save_pose_sequence(p, seq)
         back = load_pose_sequence(p)
@@ -72,7 +71,7 @@ class TestSkeletonFile:
 
     def test_header_line(self, tmp_path):
         p = tmp_path / "one.skel"
-        save_pose_sequence(p, PoseSequence([random_skeleton()]))
+        save_pose_sequence(p, [random_skeleton()])
         first = p.read_text().splitlines()[0]
         assert first == "SKEL v1 joints=17 frames=1"
         second = p.read_text().splitlines()[1]
@@ -82,7 +81,7 @@ class TestSkeletonFile:
 class TestSkeletonFileErrors:
     def saved(self, tmp_path, frames=2):
         p = tmp_path / "seq.skel"
-        save_pose_sequence(p, PoseSequence([random_skeleton(s) for s in range(frames)]))
+        save_pose_sequence(p, [random_skeleton(s) for s in range(frames)])
         return p, p.read_text()
 
     def assert_rejected(self, p, text):
@@ -241,7 +240,7 @@ class TestRetargetParams:
 
 class TestRetargetSequence:
     def test_identity_is_bit_exact_noop(self):
-        seq = PoseSequence([random_skeleton(s) for s in range(3)])
+        seq = [random_skeleton(s) for s in range(3)]
         params = compute_retarget_params(seq[0], seq[0], "full_body")
         out = retarget_sequence(seq, params)
         for a, b in zip(seq, out):
@@ -265,7 +264,7 @@ class TestRetargetSequence:
 
     def test_anchor_lands_on_translated_position(self):
         ref = random_skeleton(17)
-        seq = PoseSequence([random_skeleton(3000 + s) for s in range(5)])
+        seq = [random_skeleton(3000 + s) for s in range(5)]
         params = compute_sequence_params(ref, seq, "portrait")
         out = retarget_sequence(seq, params)
         for orig, new in zip(seq, out):
@@ -295,5 +294,5 @@ class TestRetargetSequence:
         for s in [1.0, 2.0, 4.0]:  # drive limb lengths vary; median picks 2.0
             sk = Skeleton(ref.joints * s, ref.confidence.copy())
             frames.append(sk)
-        params = compute_sequence_params(ref, PoseSequence(frames), "full_body")
+        params = compute_sequence_params(ref, frames, "full_body")
         np.testing.assert_allclose(params.ratios, 0.5, atol=1e-12)

@@ -130,6 +130,38 @@ class TestFrameRuns:
         monkeypatch.setattr(pt, "conv2d", no_conv)
         self.assert_rejected(fmap)
 
+    @staticmethod
+    def reference_is_frame_run(frame_map):
+        """The definition itself: the map equals the tail of frame_ranges(end)."""
+        if len(frame_map) == 0 or frame_map[-1][1] < 1:
+            return False
+        return [tuple(r) for r in frame_map] == frame_ranges(frame_map[-1][1])[-len(frame_map):]
+
+    def test_agrees_with_the_definition_on_every_run(self):
+        for t in range(1, 65):
+            ranges = frame_ranges(t)
+            for i in range(len(ranges)):
+                for j in range(i + 1, len(ranges) + 1):
+                    assert is_frame_run(ranges[i:j]) and self.reference_is_frame_run(ranges[i:j])
+
+    @settings(max_examples=500, deadline=None)
+    @given(start=st.integers(-6, 30), steps=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 5)), max_size=8))
+    def test_agrees_with_the_definition_on_random_maps(self, start, steps):
+        # each range starts just before, at or just after the previous end and
+        # may be empty or reversed, so most maps are near misses of a run
+        fmap, a = [], start
+        for jump, width in steps:
+            a += jump
+            fmap.append((a, a + width))
+            a += width
+        assert is_frame_run(fmap) == self.reference_is_frame_run(fmap)
+
+    def test_maps_that_end_far_into_a_stream(self):
+        end = 1 + 1_000_000 * TEMPORAL_GROUP
+        assert is_frame_run([(end - TEMPORAL_GROUP, end)])
+        assert not is_frame_run([(1, end)])  # one range over a million groups
+        assert not is_frame_run([(0, 1), (1, end)])
+
     def assert_rejected(self, fmap):
         assert not is_frame_run(fmap)
         with pytest.raises(ShapeError, match="not a run"):

@@ -37,7 +37,7 @@ from puppetflow.retarget import (
     compute_tpose_params,
     retarget_sequence,
 )
-from puppetflow.skeleton import PoseSequence, Skeleton
+from puppetflow.skeleton import Skeleton
 
 SEEDS = 40
 RETARGET_SEEDS = 8
@@ -77,7 +77,7 @@ def digest(seeds: int) -> str:
     return h.hexdigest()
 
 
-def _partly_hidden(seq: PoseSequence) -> PoseSequence:
+def _partly_hidden(seq: list[Skeleton]) -> list[Skeleton]:
     out = []
     for t, sk in enumerate(seq):
         sk = sk.copy()
@@ -85,7 +85,7 @@ def _partly_hidden(seq: PoseSequence) -> PoseSequence:
         if t % 2:
             sk.confidence[9] = 0.0  # left wrist: measurable in half the frames
         out.append(sk)
-    return PoseSequence(out)
+    return out
 
 
 def retarget_digest(seeds: int) -> str:
