@@ -207,13 +207,17 @@ def render_scene_frame(scene: PuppetScene, t: int):
 
 
 def render_scene(scene: PuppetScene):
-    frames, masks = [], []
+    """-> (clip of T float32 frames [T,3,S,S], float32 subject masks [T,1,S,S]).
+
+    Frame t and mask t are `render_scene_frame(scene, t)`, the frame rounded
+    to float32; both arrays are C-contiguous and filled in place.
+    """
+    h = w = scene.size
+    frames = np.empty((scene.frames, 3, h, w), dtype=np.float32)
+    masks = np.empty((scene.frames, 1, h, w), dtype=np.float32)
     for t in range(scene.frames):
-        f, m = render_scene_frame(scene, t)
-        frames.append(f.astype(np.float32))
-        masks.append(m)
-    clip = VideoClip(Tensor(np.stack(frames)))
-    return clip, np.stack(masks)[:, None]
+        frames[t], masks[t, 0] = render_scene_frame(scene, t)
+    return VideoClip(Tensor(frames)), masks
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +428,7 @@ def relight_augment(
     if mask.max() < 0.5:
         warnings.warn("relight: empty subject mask, augmentation skipped")
         return RelightResult(img.astype(np.float32), bg, gain, bias, ramp_amp, applied=False)
-    ys, xs = np.mgrid[0:h, 0:w]
+    xs, ys = np.arange(w), np.arange(h)[:, None]
     proj = (xs * np.cos(theta) + ys * np.sin(theta)) / np.hypot(h, w)
     proj = (proj - proj.min()) / max(proj.max() - proj.min(), 1e-9)
     ramp = 1.0 + ramp_amp * (proj - 0.5)
@@ -464,7 +468,7 @@ def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> 
         raise ShapeError(f"estimate_face_params: frame must be square [3,S,S], got {frame.shape}")
     size = frame.shape[1]
     geo = face_geometry(sk)
-    ys, xs = np.mgrid[0:size, 0:size]
+    xs, ys = np.arange(size), np.arange(size)[:, None]
     disc = (xs - geo.center[0]) ** 2 + (ys - geo.center[1]) ** 2 <= geo.radius**2
     if not disc.any():
         return (float("nan"), float("nan"))

@@ -2,14 +2,19 @@
 
 Capsules and ellipses are drawn here alone: a coverage is computed once over
 a clipped bounding box and `_blend` composites it, optionally raising a mask.
+The coverage is evaluated on broadcast axes, a column of the box's rows and a
+row of its columns, so the first binary op builds the 2D alpha and no index
+grid is materialised; each pixel sees the same operations as on a full grid.
 A pose frame draws each limb as a capsule in a unique color and each joint as
 a disc in its parent limb's color, 4 px wide on a 256 px canvas and scaled
-with it, in a fixed order, so outputs never depend on evaluation order.
+with it, in a fixed order, so outputs never depend on evaluation order. The
+colors are the read-only constant `LIMB_PALETTE`.
 """
 
 from __future__ import annotations
 
 import colorsys
+import math
 
 import numpy as np
 
@@ -19,25 +24,25 @@ from .tensor import Tensor
 BASE_WIDTH = 4.0
 BASE_CANVAS = 256.0
 
-
-def limb_palette() -> np.ndarray:
-    """N_LIMBS visually distinct RGB colors, fixed across runs."""
-    return np.array([colorsys.hsv_to_rgb(i / N_LIMBS, 1.0, 1.0) for i in range(N_LIMBS)], dtype=np.float64)
+# N_LIMBS visually distinct RGB colors, fixed across runs
+LIMB_PALETTE = np.array([colorsys.hsv_to_rgb(i / N_LIMBS, 1.0, 1.0) for i in range(N_LIMBS)], dtype=np.float64)
+LIMB_PALETTE.setflags(write=False)
 
 
 def _coverage(shape, lo, hi, alpha_at):
     """((rows, cols), alpha) of a shape lying inside the (x, y) box lo..hi:
     `alpha_at(xs, ys)` is evaluated over that box plus a 1 px margin, clipped
-    to the (H, W) canvas. None when no pixel is covered."""
+    to the (H, W) canvas, with `xs` a [W'] row of columns and `ys` an [H', 1]
+    column of rows that broadcast to the [H', W'] alpha. None when no pixel is
+    covered."""
     h, w = shape
-    lo_x = max(int(np.floor(lo[0] - 1)), 0)
-    hi_x = min(int(np.ceil(hi[0] + 1)) + 1, w)
-    lo_y = max(int(np.floor(lo[1] - 1)), 0)
-    hi_y = min(int(np.ceil(hi[1] + 1)) + 1, h)
+    lo_x = max(math.floor(lo[0] - 1), 0)
+    hi_x = min(math.ceil(hi[0] + 1) + 1, w)
+    lo_y = max(math.floor(lo[1] - 1), 0)
+    hi_y = min(math.ceil(hi[1] + 1) + 1, h)
     if lo_x >= hi_x or lo_y >= hi_y:
         return None
-    ys, xs = np.mgrid[lo_y:hi_y, lo_x:hi_x]
-    alpha = alpha_at(xs, ys)
+    alpha = alpha_at(np.arange(lo_x, hi_x), np.arange(lo_y, hi_y)[:, None])
     if alpha.max() <= 0.0:
         return None
     return (slice(lo_y, hi_y), slice(lo_x, hi_x)), alpha
@@ -54,9 +59,9 @@ def _capsule(shape, p0, p1, radius: float):
         if seg2 == 0.0:
             dist = np.hypot(xs - x0, ys - y0)
         else:
-            t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / seg2, 0.0, 1.0)
+            t = (((xs - x0) * dx + (ys - y0) * dy) / seg2).clip(0.0, 1.0)
             dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
-        return np.clip(radius + 0.5 - dist, 0.0, 1.0)
+        return (radius + 0.5 - dist).clip(0.0, 1.0)
 
     lo = (min(x0, x1) - radius, min(y0, y1) - radius)
     return _coverage(shape, lo, (max(x0, x1) + radius, max(y0, y1) + radius), alpha_at)
@@ -70,7 +75,7 @@ def _ellipse(shape, center, axis_u, a: float, b: float):
         du = dx * axis_u[0] + dy * axis_u[1]
         dv = -dx * axis_u[1] + dy * axis_u[0]
         q = np.sqrt((du / max(a, 1e-6)) ** 2 + (dv / max(b, 1e-6)) ** 2)
-        return np.clip(0.5 + (1.0 - q) * min(a, b), 0.0, 1.0)
+        return (0.5 + (1.0 - q) * min(a, b)).clip(0.0, 1.0)
 
     r = max(a, b)
     return _coverage(shape, (center[0] - r, center[1] - r), (center[0] + r, center[1] + r), alpha_at)
@@ -99,15 +104,14 @@ def rasterize_pose(sk: Skeleton, height: int, width: int, dtype=np.float32) -> T
     """Skeleton -> [3,H,W] pose frame on black, limbs in unique colors."""
     img = np.zeros((3, height, width), dtype=np.float64)
     line_r = 0.5 * BASE_WIDTH * min(height, width) / BASE_CANVAS
-    palette = limb_palette()
     conf = sk.confidence >= CONF_THRESHOLD
     for i, (p, c) in enumerate(TOPOLOGY):
         if conf[p] and conf[c]:
-            blend_capsule(img, sk.joints[p], sk.joints[c], line_r, palette[i])
+            blend_capsule(img, sk.joints[p], sk.joints[c], line_r, LIMB_PALETTE[i])
     joint_color = {}
     for i, (p, c) in enumerate(TOPOLOGY):
-        joint_color[c] = palette[i]
-        joint_color.setdefault(p, palette[i])
+        joint_color[c] = LIMB_PALETTE[i]
+        joint_color.setdefault(p, LIMB_PALETTE[i])
     for j in range(sk.joints.shape[0]):
         if conf[j]:
             blend_capsule(img, sk.joints[j], sk.joints[j], line_r * 1.5, joint_color[j])

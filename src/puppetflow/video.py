@@ -47,10 +47,12 @@ def frame_ranges(frames: int) -> list[tuple[int, int]]:
 def is_frame_run(frame_map) -> bool:
     """True if the map is a run of consecutive entries of frame_ranges(end), where its last range ends.
 
-    Only the ranges from the map's start on are built, at most one per map
-    entry, so the cost follows the map's length and not the frame it ends at.
+    Every bound must be an `int` or `np.integer`; any other bound, such as
+    5.0 or nan, makes the map no run. Only the ranges from the map's start on
+    are built, at most one per map entry, so the cost follows the map's length
+    and not the frame it ends at.
     """
-    if len(frame_map) == 0:
+    if len(frame_map) == 0 or not all(isinstance(b, (int, np.integer)) for r in frame_map for b in r):
         return False
     start, end = frame_map[0][0], frame_map[-1][1]
     if start != 0 and (start < 1 or start % TEMPORAL_GROUP != 1):  # -3 % 4 == 1 as well

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from puppetflow.rasterize import limb_palette, rasterize_pose
+from puppetflow.rasterize import LIMB_PALETTE, rasterize_pose
 from puppetflow.retarget import (
     RetargetParams,
     anchor_point,
@@ -150,8 +150,8 @@ class TestRasterize:
         assert np.array_equal(a, b)
 
     def test_limb_colors_unique(self):
-        pal = limb_palette()
-        assert len({tuple(np.round(c, 6)) for c in pal}) == N_LIMBS
+        assert len({tuple(np.round(c, 6)) for c in LIMB_PALETTE}) == N_LIMBS
+        assert not LIMB_PALETTE.flags.writeable
 
     def test_shift_equivariance(self):
         sk = random_skeleton(6, origin=(100.0, 100.0))

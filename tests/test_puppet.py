@@ -77,6 +77,21 @@ class TestScene:
         other = generate_scene(12, 3, framing, 64)
         assert not np.array_equal(a.clip.frames.data, other.clip.frames.data)
 
+    @pytest.mark.parametrize("framing", FRAMINGS)
+    def test_clip_and_mask_layout(self, framing):
+        # the frames and masks are filled in place; the render digest hashes
+        # them as float64, so only this pins their dtype and layout
+        t, size = 4, 48
+        sample = generate_scene(6, t, framing, size)
+        frames, masks = sample.clip.frames.data, sample.masks
+        assert frames.dtype == np.float32 and frames.shape == (t, 3, size, size) and frames.flags.c_contiguous
+        assert masks.dtype == np.float32 and masks.shape == (t, 1, size, size) and masks.flags.c_contiguous
+        assert np.array_equal(np.unique(masks), [0.0, 1.0])
+        for k in range(t):
+            frame, mask = render_scene_frame(sample.scene, k)
+            assert np.array_equal(masks[k, 0], mask)
+            assert np.array_equal(frames[k], frame.astype(np.float32))
+
     @pytest.mark.parametrize("seed,framing", [(s, f) for s in (0, 5) for f in FRAMINGS])
     def test_limb_lengths_constant(self, seed, framing):
         sample = generate_scene(seed, 9, framing, 64)

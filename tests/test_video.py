@@ -162,13 +162,34 @@ class TestFrameRuns:
         assert not is_frame_run([(1, end)])  # one range over a million groups
         assert not is_frame_run([(0, 1), (1, end)])
 
-    def assert_rejected(self, fmap):
+    @pytest.mark.parametrize(
+        "fmap",
+        [[(0, 1), (1, 5.0)], [(5.0, 9), (9, 13)], [(0, 1), (1, float("nan"))]],
+        ids=["float-end", "float-start", "nan-end"],
+    )
+    def test_non_integer_bounds_are_rejected_everywhere(self, fmap):
+        self.assert_rejected(fmap, frames=4)
+
+    @pytest.mark.parametrize("ranges", [frame_ranges(9), frame_ranges(13)[2:]], ids=["from-0", "mid-stream"])
+    def test_numpy_integer_bounds_are_accepted_everywhere(self, ranges):
+        fmap = [(np.int64(a), np.int64(b)) for a, b in ranges]
+        frames = ranges[-1][1] - ranges[0][0]
+        assert is_frame_run(fmap)
+        assert self.vae.decode(LatentVideo(zero_latents(len(fmap)), fmap)).length == frames
+        rows = Tensor(np.zeros((frames, N_COEFF), dtype=np.float32))
+        assert self.downsampler(rows, fmap).shape[0] == len(fmap)
+
+    def assert_rejected(self, fmap, frames=None):
+        """Each entry point raises its own error; `frames` sizes the downsampler's rows
+        where the map's bounds cannot."""
         assert not is_frame_run(fmap)
         with pytest.raises(ShapeError, match="not a run"):
             LatentVideo(zero_latents(len(fmap)), fmap)
         with pytest.raises(ShapeError, match="not a run"):
             self.vae.decode_tensor(zero_latents(len(fmap)), fmap)
-        rows = Tensor(np.zeros((fmap[-1][1] - fmap[0][0], N_COEFF), dtype=np.float32))
+        if frames is None:
+            frames = fmap[-1][1] - fmap[0][0]
+        rows = Tensor(np.zeros((frames, N_COEFF), dtype=np.float32))
         with pytest.raises(AlignmentError, match="gap or an overlap"):
             self.downsampler(rows, fmap)
 

@@ -1,0 +1,158 @@
+"""Alternating parent/change pairs of the benchmark, summarised in BENCH_<workload>.json.
+
+    python3 tools/bench_pairs.py WORKLOAD PARENT_CHECKOUT CHANGE_CHECKOUT FIRST-LAST
+
+For each seed in FIRST..LAST it runs `perfbench/run.py --workload WORKLOAD
+--seed SEED --seconds S` in both checkouts, one after the other, the parent
+first on odd seeds and the change first on even ones. S is `run_seconds` from
+the change checkout's `BENCHMARK.json`, so both sides run for the benchmark's
+own length. A run that is not `correct` or reports a failed op stops the tool
+before anything is written.
+
+The summary replaces `BENCH_<workload>.json` in the change checkout. It keeps
+the schema of the earlier bench files: one set with every pair's `op_p50_s`,
+each side's quartiles (linear interpolation), the change's wins and the
+median change in percent; each pair also carries every end-to-end metric of
+both runs, and `quartiles` gives each side's quartiles of every metric. The
+two commits come from the run records and the host from the change's first
+record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRIC = "op_p50_s"
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+    """-> (record, result) of one benchmark run, or SystemExit if it is not clean."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.stderr.write(proc.stderr[-4000:])
+        raise SystemExit(f"{checkout}: seed {seed} exited with {proc.returncode}")
+    record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        sys.stderr.write(proc.stderr[-4000:])
+        raise SystemExit(f"{checkout}: seed {seed} rejected: correct={result['correct']}, "
+                         f"{result['failed']} of {result['attempted']} ops failed")
+    return record, result
+
+
+def sig(x):
+    return float(f"{x:.5g}")
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": sig(q1), "median": sig(median), "q3": sig(q3)}
+
+
+def side_commit(records, side):
+    commits = {r["env"]["commit"] for r in records}
+    if len(commits) != 1:
+        raise SystemExit(f"{side} runs report several commits: {sorted(commits)}")
+    return commits.pop()
+
+
+def host(env):
+    model = "unknown CPU"
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return (f"{env['nproc']}-CPU {env['machine']} {model}, Python {env['python']}, numpy {env['numpy']}, "
+            f"{env['blas']}, {env['blas_threads']} BLAS thread(s)")
+
+
+def summarise(workload, seconds, seeds, runs, subject):
+    """`runs` maps each side to its (record, result) per seed, in seed order."""
+    values = {side: [{k: m["value"] for k, m in result["metrics"].items()} for _, result in runs[side]]
+              for side in ("parent", "change")}
+    pairs = []
+    for k, seed in enumerate(seeds):
+        pairs.append({"seed": seed, "first": "parent" if seed % 2 else "change",
+                      "parent": sig(values["parent"][k][METRIC]),
+                      "change": sig(values["change"][k][METRIC]),
+                      "metrics": {side: values[side][k] for side in ("parent", "change")}})
+    p50 = {side: [v[METRIC] for v in values[side]] for side in values}
+    wins = sum(c < p for p, c in zip(p50["parent"], p50["change"]))
+    medians = {side: statistics.median(p50[side]) for side in p50}
+    names = list(values["change"][0])
+    unit = runs["change"][0][1]["metrics"][METRIC]["unit"]
+    return {
+        "workload": workload,
+        "metric": METRIC,
+        "unit": unit,
+        "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {seconds:g}",
+        "method": ("alternating parent/change pairs, parent first on odd seeds; every run reported "
+                   "correct with no failed op; quartiles by linear interpolation"),
+        "parent": side_commit([r for r, _ in runs["parent"]], "parent"),
+        "change": side_commit([r for r, _ in runs["change"]], "change"),
+        "host": host(runs["change"][0][0]["env"]),
+        "sets": [{
+            "version": subject,
+            "seeds": f"{seeds[0]}-{seeds[-1]}",
+            "pairs": pairs,
+            f"parent_{METRIC}": quartiles(p50["parent"]),
+            f"change_{METRIC}": quartiles(p50["change"]),
+            "change_wins": f"{wins}/{len(seeds)}",
+            "median_change_pct": round(100.0 * (medians["change"] / medians["parent"] - 1.0), 1),
+            "parent_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["parent"])),
+            "change_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["change"])),
+            "quartiles": {side: {n: quartiles([v[n] for v in values[side]]) for n in names}
+                          for side in ("parent", "change")},
+        }],
+    }
+
+
+def seed_range(text):
+    first, _, last = text.partition("-")
+    try:
+        seeds = list(range(int(first), int(last) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected FIRST-LAST, got {text!r}") from None
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need at least two seeds for quartiles, got {text!r}")
+    return seeds
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload")
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("seeds", type=seed_range)
+    args = parser.parse_args(argv)
+
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    runs = {"parent": [], "change": []}
+    for seed in args.seeds:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            record, result = run_once(getattr(args, side), args.workload, seed, seconds)
+            runs[side].append((record, result))
+            print(f"seed {seed} {side}: {METRIC} {result['metrics'][METRIC]['value']:.4f}", file=sys.stderr)
+    subject = subprocess.run(["git", "log", "-1", "--format=%s"], cwd=args.change,
+                             capture_output=True, text=True).stdout.strip()
+    summary = summarise(args.workload, seconds, args.seeds, runs, subject or "change checkout")
+    out = args.change / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(summary, indent=1) + "\n")
+    s = summary["sets"][0]
+    print(f"{out}: {s['change_wins']} pairs won, median {s['median_change_pct']:+.1f}%, "
+          f"parent {s[f'parent_{METRIC}']}, change {s[f'change_{METRIC}']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
