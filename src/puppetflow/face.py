@@ -283,7 +283,7 @@ class FaceEncoder:
                     pt.conv2d(h, self.params[f"conv{k}.w"], self.params[f"conv{k}.b"], stride=2, pad=1)
                 )
             pooled.append(pt.mean_axis(pt.reshape(h, (1, _ENC_CHANNELS[-1], 64)), 2))  # GAP over 8x8
-        feats = pt.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0]
+        feats = pt.concat(pooled, axis=0)
         return pt.linear(feats, self.params["head.w"], self.params["head.b"])
 
 
@@ -324,10 +324,8 @@ class TemporalDownsampler:
             )
         base = frame_map[0][0]
         taps = [b - 1 - base for _, b in frame_map]
-        x = pt.transpose(per_frame, (1, 0))  # [m, T]
-        h = pt.silu(pt.causal_conv1d(x, self.params["down1.w"]))
-        y = pt.causal_conv1d(h, self.params["down2.w"], taps=taps)
-        return pt.transpose(y, (1, 0))  # [T_z, width]
+        h = pt.silu(pt.causal_conv1d(per_frame, self.params["down1.w"]))
+        return pt.causal_conv1d(h, self.params["down2.w"], taps=taps)  # [T_z, width]
 
 
 @dataclass

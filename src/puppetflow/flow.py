@@ -63,7 +63,7 @@ def flow_loss(
     c = pred_v.shape[0]
     w_full = np.broadcast_to(w, pred_v.shape).astype(pred_v.data.dtype)
     diff = pt.sub(pred_v, Tensor(v_target.astype(pred_v.data.dtype)))
-    weighted = pt.mul_const(pt.mul(diff, diff), w_full)
+    weighted = pt.mul(pt.mul(diff, diff), Tensor(w_full))
     return pt.scale(pt.sum_all(weighted), 1.0 / (c * n_gen))
 
 

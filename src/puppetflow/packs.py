@@ -4,12 +4,14 @@ A pack is the (noise, condition, mask) latent triple the denoiser consumes.
 Position 0 is always the reference latent (mask 1). Positions 1 onward form
 the window, a fresh frame stream whose first latent covers one pixel frame
 (`window_frame_map`). The first `n_temporal` window positions, 0 to 2 of
-them, carry temporal guidance (ground-truth latents, mask 1) to chain long
-videos; the rest, positions 1 + n_temporal onward, are the target that
-sampling returns. Both modes share this one input layout and differ only in
-the environment behind the window: replacement carries environment latents
-with the subject region knocked out of both the condition and the mask, and
-animation is the case with no environment, condition 0 / mask 0 everywhere.
+them, carry temporal guidance (mask 1) to chain long videos: the re-encode
+of the last 1 or 5 frames of the previous output, whose frame map must be
+the window's first 1 or 2 ranges. The rest, positions 1 + n_temporal
+onward, are the target that sampling returns. Both modes share this one
+input layout and differ only in the environment behind the window:
+replacement carries environment latents with the subject region knocked out
+of both the condition and the mask, and animation is the case with no
+environment, condition 0 / mask 0 everywhere.
 
 All functions are pure; randomness comes in through an explicit generator,
 so concurrent callers stay reproducible.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, ShapeError, Tensor
+from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
 from .vae import ToyVAE
 from .video import SPATIAL_FACTOR, TEMPORAL_GROUP, LatentVideo, VideoClip, frame_ranges, latent_count
 
@@ -83,7 +85,7 @@ def _assemble_pack(
 
     Window positions carry `env_latents` where `keep` is 1 and are generated
     where it is 0; temporal guidance, when present, overlays the first 1 or
-    2 window positions. Noise covers every position, reference included: the
+    2 window positions, and its frame map must equal theirs. Noise covers every position, reference included: the
     model denoises the full sequence and the caller discards the
     reference/guidance portions afterwards.
     """
@@ -93,6 +95,11 @@ def _assemble_pack(
         raise ConfigError(f"temporal guidance must be 1 or 2 latents, got {g}")
     if n_window < g:
         raise ConfigError(f"window of {n_window} latents cannot hold {g} guidance latents")
+    if g and [tuple(r) for r in temporal_latents.frame_map] != window_frame_map[:g]:
+        raise AlignmentError(
+            f"guidance frame map {list(temporal_latents.frame_map)} is not the window's "
+            f"first {g} ranges {window_frame_map[:g]}"
+        )
     ref = _encode_reference(vae, ref_image)
     cz, _, h, w = ref.shape
     cond = np.zeros((cz, 1 + n_window, h, w), dtype=vae.dtype)

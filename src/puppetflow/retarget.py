@@ -33,7 +33,6 @@ class RetargetParams:
     ratios: np.ndarray  # [N_LIMBS], reference/driving length per edge
     anchor: str  # "ankle_mid" | "neck_mid"
     offset: np.ndarray  # (dx, dy) applied to every frame's anchor
-    source: str  # "per-frame-limb" | "t-pose"
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -101,7 +100,7 @@ def compute_tpose_params(
     anchor = anchor_for_framing(framing)
     ref_a = anchor_point(ref_anchor_sk or ref_tpose, anchor)
     drive_a = anchor_point(drive_anchor_sk or drive_tpose, anchor)
-    return RetargetParams(ratios, anchor, ref_a - drive_a, "t-pose", warnings)
+    return RetargetParams(ratios, anchor, ref_a - drive_a, warnings)
 
 
 def compute_sequence_params(
@@ -113,7 +112,7 @@ def compute_sequence_params(
     ratios, warnings = _limb_ratios(ref_sk, drive_seq)
     anchor = anchor_for_framing(framing)
     offset = anchor_point(ref_sk, anchor) - anchor_point(drive_seq[0], anchor)
-    return RetargetParams(ratios, anchor, offset, "per-frame-limb", warnings)
+    return RetargetParams(ratios, anchor, offset, warnings)
 
 
 def retarget_skeleton(sk: Skeleton, params: RetargetParams) -> Skeleton:

@@ -233,18 +233,6 @@ class Tensor:
             node.grad = None
 
 
-def tensor(data, dtype=NARROW, requires_grad=False):
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def zeros(shape, dtype=NARROW, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=NARROW, requires_grad=False):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 def _make(data, parents, bwd, op):
     if _finite_checks.get() and not np.isfinite(data).all():
         raise NumericalError(f"non-finite output of op '{op}'")
@@ -274,7 +262,11 @@ def _sum_to_trailing(g, n):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; `b` may also be a trailing-dim vector (bias)."""
+    """Elementwise sum; `b` may also be a trailing-dim vector (bias).
+
+    A leaf with `requires_grad=False` is a constant here and in every op:
+    backward never accumulates into it.
+    """
     _same_dtype("add", a, b)
     if a.shape != b.shape and not _trailing_ok(a, b):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
@@ -335,29 +327,6 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
         a.accumulate_grad(g)
 
     return _make(a.data + a.data.dtype.type(s), (a,), bwd, "add_scalar")
-
-
-def add_const(a: Tensor, arr: np.ndarray) -> Tensor:
-    """Add a constant array (not a graph node), such as a latent shift."""
-    if arr.shape != a.shape:
-        raise ShapeError(f"add_const: shapes {a.shape} and {arr.shape} differ")
-
-    def bwd(g):
-        a.accumulate_grad(g)
-
-    return _make(a.data + arr.astype(a.data.dtype), (a,), bwd, "add_const")
-
-
-def mul_const(a: Tensor, arr: np.ndarray) -> Tensor:
-    """Multiply by a constant array (loss masks, region weights)."""
-    if arr.shape != a.shape and not (arr.ndim == 1 and a.shape[-1] == arr.shape[0]):
-        raise ShapeError(f"mul_const: shapes {a.shape} and {arr.shape} differ")
-    c = arr.astype(a.data.dtype)
-
-    def bwd(g):
-        a.accumulate_grad(g * c)
-
-    return _make(a.data * c, (a,), bwd, "mul_const")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -662,11 +631,11 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 # convolutions
 
 
-_COLUMN_BLOCK_BYTES = 2**19  # window copy per GEMM in a strided conv forward
+_COLUMN_BLOCK_BYTES = 2**19  # window copy per GEMM in the conv forward
 
 
-def _strided_conv(xp, w2, kh, kw, stride, ho, wo):
-    """Strided conv forward, padded xp [N,Ci,Hp,Wp] and w2 [Co,Ci*K*K] -> [N,Co,Ho,Wo].
+def _conv_forward(xp, w2, kh, kw, stride, ho, wo):
+    """Conv forward, padded xp [N,Ci,Hp,Wp] and w2 [Co,Ci*K*K] -> [N,Co,Ho,Wo].
 
     Output rows run in blocks whose kernel windows fill at most
     `_COLUMN_BLOCK_BYTES` (one output row at the least); each block copies its
@@ -730,12 +699,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     """2D convolution, x [N,Ci,H,W], w [Co,Ci,K,K].
 
     Every layout is channel-major, so GEMM results land in NCHW without a
-    transpose copy. Stride 1 builds no column buffer: one GEMM of the stacked
-    taps [K*K*Co, Ci] over the flat padded input [N, Ci, Hp*Wp], then a sum of
-    the K*K shifted slices. Larger strides copy the windows of a block of
-    output rows at a time into columns and run one GEMM per block
-    (`_strided_conv`). Stride-1 output therefore sums in a different order
-    from a direct dot product over (Ci, K, K).
+    transpose copy. The forward is the same at every stride: it copies the
+    windows of a block of output rows at a time into columns and runs one
+    GEMM of the weights [Co, Ci*K*K] per block (`_conv_forward`).
 
     Backward builds no columns. The weight gradient runs one batched GEMM
     per tap of the output gradient against a contiguous shifted slice of the
@@ -758,16 +724,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} with pad {pad}")
     hp, wp = h + 2 * pad, wd + 2 * pad
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    if stride == 1:
-        taps = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-        y = np.matmul(taps, xp.reshape(n, ci, hp * wp)).reshape(n, kh, kw, co, hp, wp)
-        out = y[:, 0, 0, :, :ho, :wo].copy()
-        for ky in range(kh):
-            for kx in range(kw):
-                if ky or kx:
-                    out += y[:, ky, kx, :, ky : ky + ho, kx : kx + wo]
-    else:
-        out = _strided_conv(xp, w.data.reshape(co, -1), kh, kw, stride, ho, wo)
+    out = _conv_forward(xp, w.data.reshape(co, -1), kh, kw, stride, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
 
@@ -850,30 +807,30 @@ def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, taps=None) -> Tensor:
-    """1D causal convolution: x [Ci,T], kernel [Co,Ci,K] -> [Co, len(taps)].
+    """1D causal convolution, time-major: x [T,Ci], kernel [Co,Ci,K] -> [len(taps), Co].
 
     `taps`, a non-empty list of integer input positions, defaults to every
     position 0..T-1. Left padding of K-1 zeros only, so the output for tap p
-    depends only on x[:, p-K+1 : p+1]. Built from tape ops: the time-major
-    input under K-1 zero rows, one `take_rows` of every tap's window, and one
-    `matmul` by the kernel.
+    depends only on x[p-K+1 : p+1]. Built from tape ops: the input under K-1
+    zero rows, one `take_rows` of every tap's window, and one `matmul` by the
+    kernel.
     """
     if kernel.ndim != 3 or x.ndim != 2:
         raise ShapeError(f"causal_conv1d: shapes {x.shape} and {kernel.shape} unsupported")
     co, ci, kk = kernel.shape
     if kk <= 0:
         raise ConfigError(f"causal_conv1d: kernel size must be positive, got {kk}")
-    if x.shape[0] != ci:
-        raise ShapeError(f"causal_conv1d: input channels {x.shape[0]} != kernel channels {ci}")
-    t_in = x.shape[1]
+    if x.shape[1] != ci:
+        raise ShapeError(f"causal_conv1d: input channels {x.shape[1]} != kernel channels {ci}")
+    t_in = x.shape[0]
     taps = np.arange(t_in) if taps is None else np.asarray(taps)
     if taps.ndim != 1 or not taps.size or taps.dtype.kind not in "iu" or taps.min() < 0 or taps.max() >= t_in:
         raise ShapeError(f"causal_conv1d: taps {taps.tolist()} are not a non-empty list of integers in [0, {t_in})")
     pad = Tensor(np.zeros((kk - 1, ci), dtype=x.data.dtype))
-    xp = concat([pad, transpose(x, (1, 0))], axis=0)  # [K-1+T, Ci]; padded row p+k is raw p-K+1+k
+    xp = concat([pad, x], axis=0)  # [K-1+T, Ci]; padded row p+k is raw p-K+1+k
     win = reshape(take_rows(xp, (taps[:, None] + np.arange(kk)).reshape(-1)), (taps.size, kk * ci))
     wk = reshape(transpose(kernel, (2, 1, 0)), (kk * ci, co))
-    return transpose(matmul(win, wk), (1, 0))
+    return matmul(win, wk)
 
 
 # ---------------------------------------------------------------------------

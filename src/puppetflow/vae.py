@@ -111,11 +111,10 @@ class ToyVAE:
             k = rest.shape[0] // TEMPORAL_GROUP
             grouped = pt.reshape(rest, (k, TEMPORAL_GROUP * FEAT) + tuple(rest.shape[2:]))
             parts.append(pt.conv2d(grouped, self.params["enc_group.w"], self.params["enc_group.b"]))
-        z = pt.concat(parts, axis=0) if len(parts) > 1 else parts[0]  # [T_z, C_z, h, w]
-        z = pt.transpose(z, (1, 0, 2, 3))
-        shift = self.latent_shift.reshape(LATENT_CHANNELS, 1, 1, 1)
-        inv = (1.0 / self.latent_scale).reshape(LATENT_CHANNELS, 1, 1, 1)
-        return pt.mul_const(pt.add_const(z, -np.broadcast_to(shift, z.shape)), np.broadcast_to(inv, z.shape))
+        z = pt.transpose(pt.concat(parts, axis=0), (1, 0, 2, 3))  # [C_z, T_z, h, w]
+        shift = Tensor(-np.broadcast_to(self.latent_shift, z.shape))
+        inv = Tensor(np.broadcast_to(1.0 / self.latent_scale, z.shape))
+        return pt.mul(pt.add(z, shift), inv)
 
     def decode_tensor(self, z: Tensor, frame_map) -> Tensor:
         """[C_z,T_z,h,w] + frame map -> [T,3,H,W], unclamped, differentiable.
@@ -127,9 +126,9 @@ class ToyVAE:
             raise ShapeError(f"frame_map has {len(frame_map)} ranges for {z.shape[1]} latents")
         if not is_frame_run(frame_map):
             raise ShapeError(f"frame_map {list(frame_map)} is not a run of frame_ranges")
-        scale = np.broadcast_to(self.latent_scale.reshape(LATENT_CHANNELS, 1, 1, 1), z.shape)
-        shift = np.broadcast_to(self.latent_shift.reshape(LATENT_CHANNELS, 1, 1, 1), z.shape)
-        z = pt.add_const(pt.mul_const(z, scale), shift)
+        scale = Tensor(np.broadcast_to(self.latent_scale, z.shape))
+        shift = Tensor(np.broadcast_to(self.latent_shift, z.shape))
+        z = pt.add(pt.mul(z, scale), shift)
         zt = pt.transpose(z, (1, 0, 2, 3))  # [T_z, C_z, h, w]
         t_z = zt.shape[0]
         feat_parts = []
@@ -142,7 +141,7 @@ class ToyVAE:
             g = pt.conv2d(groups, self.params["dec_group.w"], self.params["dec_group.b"])
             g = pt.reshape(g, (g.shape[0] * TEMPORAL_GROUP, FEAT) + tuple(g.shape[2:]))
             feat_parts.append(g)
-        feats = pt.concat(feat_parts, axis=0) if len(feat_parts) > 1 else feat_parts[0]
+        feats = pt.concat(feat_parts, axis=0)
         frames = frame_map[-1][1] - frame_map[0][0]
         if frames != feats.shape[0]:  # only the last range of a run can be partial
             feats = pt.slice_axis(feats, 0, 0, frames)

@@ -222,7 +222,7 @@ def test_conv2d_weight_grads_with_frozen_input(seed, case):
 @pytest.mark.parametrize("seed", range(2))
 def test_causal_conv1d_grads(stride, seed):
     rng = np.random.default_rng(500 + seed)
-    x = wt(rng, (3, 9))
+    x = wt(rng, (9, 3))
     w = wt(rng, (2, 3, 4))
 
     def f(x_, w_):
@@ -236,7 +236,7 @@ def test_causal_conv1d_grads_with_partial_group_taps():
     # The temporal downsampler's taps on 11 frames: the last group is short, so
     # the windows of taps 8 and 10 overlap and their gradients add.
     rng = np.random.default_rng(510)
-    x, w = wt(rng, (3, 11)), wt(rng, (2, 3, 4))
+    x, w = wt(rng, (11, 3)), wt(rng, (2, 3, 4))
 
     def f(x_, w_):
         y = pt.causal_conv1d(x_, w_, taps=[0, 4, 8, 10])
@@ -289,7 +289,7 @@ def test_every_differentiable_op_passes_20_seeds():
         def f(x_, w_, g_):
             h = pt.silu(pt.conv2d(x_, w_, stride=2, pad=1))
             toks = pt.patchify(pt.reshape(h, (2, 2, 2, 2)), (1, 2, 2))
-            toks = pt.layer_norm(toks, g_, pt.zeros(8, dtype=WIDE))
+            toks = pt.layer_norm(toks, g_, Tensor(np.zeros(8, dtype=WIDE)))
             att = pt.attention(toks, toks, toks)
             return pt.scale(pt.sum_all(pt.mul(att, att)), 1.0 / att.size)
 

@@ -9,9 +9,9 @@ from puppetflow.packs import (
     build_replacement_pack,
     sample_temporal_use,
 )
-from puppetflow.tensor import ConfigError, ShapeError, Tensor
+from puppetflow.tensor import AlignmentError, ConfigError, ShapeError, Tensor
 from puppetflow.vae import ToyVAE
-from puppetflow.video import VideoClip, frame_ranges, latent_count
+from puppetflow.video import LatentVideo, VideoClip, frame_ranges, latent_count
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,38 @@ class TestReplacementPack:
         ani = build_animation_pack(vae, ref_image(9), 2, guide, np.random.default_rng(5))
         np.testing.assert_array_equal(rep.mask.data[:, :3], ani.mask.data[:, :3])
         np.testing.assert_allclose(rep.condition.data[:, :3], ani.condition.data[:, :3], atol=1e-6)
+
+
+# (window frames, guide): guidance whose frame map is not the window's first
+# ranges. A slice from mid-stream, and a 5-frame guide in a 3-frame window.
+MISALIGNED_GUIDES = {
+    "mid-stream": (9, [(5, 9), (9, 13)]),
+    "longer-group": (3, [(0, 1), (1, 5)]),
+}
+
+
+class TestGuidanceAlignment:
+    def guide(self, vae, frame_map):
+        cz, _, h, w = vae.encode_frames(ref_image()[None]).shape
+        latents = np.random.default_rng(31).standard_normal((cz, len(frame_map), h, w))
+        return LatentVideo(Tensor(latents.astype(np.float32)), frame_map)
+
+    @pytest.mark.parametrize("case", sorted(MISALIGNED_GUIDES))
+    def test_animation_rejects_misaligned_guide(self, vae, case):
+        t, fmap = MISALIGNED_GUIDES[case]
+        with pytest.raises(AlignmentError, match="guidance frame map"):
+            build_animation_pack(
+                vae, ref_image(), latent_count(t), self.guide(vae, fmap), np.random.default_rng(0), window_frames=t
+            )
+
+    @pytest.mark.parametrize("case", sorted(MISALIGNED_GUIDES))
+    def test_replacement_rejects_misaligned_guide(self, vae, case):
+        t, fmap = MISALIGNED_GUIDES[case]
+        masks = np.zeros((t, 1, 16, 16), dtype=np.float32)
+        with pytest.raises(AlignmentError, match="guidance frame map"):
+            build_replacement_pack(
+                vae, ref_image(), small_clip(t), masks, self.guide(vae, fmap), np.random.default_rng(0)
+            )
 
 
 class TestTemporalUse:

@@ -283,7 +283,7 @@ class TestRetargetSequence:
 
     def test_idempotent_with_identity_params(self):
         drive = random_skeleton(20)
-        ident = RetargetParams(np.ones(N_LIMBS), "ankle_mid", np.zeros(2), "per-frame-limb")
+        ident = RetargetParams(np.ones(N_LIMBS), "ankle_mid", np.zeros(2))
         once = retarget_skeleton(drive, ident)
         twice = retarget_skeleton(once, ident)
         assert np.array_equal(once.joints, twice.joints)

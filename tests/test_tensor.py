@@ -28,7 +28,6 @@ from puppetflow.tensor import (
     matmul,
     patchify,
     slice_axis,
-    tensor,
     unpatchify,
 )
 
@@ -38,7 +37,7 @@ def rng(seed=0):
 
 
 def wide(arr):
-    return tensor(np.asarray(arr, dtype=WIDE), dtype=WIDE)
+    return Tensor(np.asarray(arr, dtype=WIDE))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ class TestMatmul:
 
 class TestCausalConv1d:
     def test_delta_kernel_is_identity(self):
-        x = rng(7).standard_normal((2, 9))
+        x = rng(7).standard_normal((9, 2))
         k = np.zeros((2, 2, 3))
         for c in range(2):
             k[c, c, -1] = 1.0  # last tap reads the current sample
@@ -93,41 +92,41 @@ class TestCausalConv1d:
         np.testing.assert_array_equal(out.data, x)
 
     def test_output_length_ceil(self):
-        x = wide(rng(8).standard_normal((1, 5)))
+        x = wide(rng(8).standard_normal((5, 1)))
         k = wide(rng(9).standard_normal((1, 1, 1)))
-        assert causal_conv1d(x, k, taps=np.arange(0, 5, 4)).shape == (1, 2)
+        assert causal_conv1d(x, k, taps=np.arange(0, 5, 4)).shape == (2, 1)
 
     @pytest.mark.parametrize("stride", [1, 2, 4])
     def test_causality_under_perturbation(self, stride):
         # Perturb x at every t0; outputs with t*stride < t0 must be bit-identical.
         r = rng(10)
-        x = r.standard_normal((3, 11))
+        x = r.standard_normal((11, 3))
         k = wide(r.standard_normal((2, 3, 4)))
         base = causal_conv1d(wide(x), k, taps=np.arange(0, 11, stride)).data
         for t0 in range(11):
             xp = x.copy()
-            xp[:, t0] += 1.0
+            xp[t0] += 1.0
             pert = causal_conv1d(wide(xp), k, taps=np.arange(0, 11, stride)).data
-            for t in range(base.shape[1]):
+            for t in range(base.shape[0]):
                 if t * stride < t0:
-                    assert np.array_equal(base[:, t], pert[:, t])
+                    assert np.array_equal(base[t], pert[t])
 
     def test_invalid_params(self):
-        x = wide(np.zeros((1, 4)))
+        x = wide(np.zeros((4, 1)))
         with pytest.raises(ConfigError):
             causal_conv1d(x, wide(np.zeros((1, 1, 0))))
 
     def test_tap_positions(self):
-        x = wide(np.arange(8, dtype=WIDE).reshape(1, 8))
+        x = wide(np.arange(8, dtype=WIDE).reshape(8, 1))
         k = np.zeros((1, 1, 1))
         k[0, 0, 0] = 1.0
         out = causal_conv1d(x, wide(k), taps=[0, 4, 7])
-        np.testing.assert_array_equal(out.data, [[0.0, 4.0, 7.0]])
+        np.testing.assert_array_equal(out.data, [[0.0], [4.0], [7.0]])
 
     @pytest.mark.parametrize("taps", [[0.5], [], np.zeros(0, dtype=int), [1.0, 3.0], [[0, 1]], [-1], [4]],
                              ids=["fraction", "empty", "empty-int", "float", "2d", "negative", "past-end"])
     def test_bad_taps_raise_shape_error(self, taps):
-        x = wide(np.zeros((1, 4)))
+        x = wide(np.zeros((4, 1)))
         with pytest.raises(ShapeError, match="taps"):
             causal_conv1d(x, wide(np.zeros((1, 1, 2))), taps=taps)
 
@@ -187,7 +186,7 @@ class TestAttention:
             logits = (q[:, cols] @ k[:, cols].T) * np.float32(1.0 / np.sqrt(dh))
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             expect[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
-        out = attention(tensor(q), tensor(k), tensor(v), heads)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), heads)
         assert out.dtype == np.float32
         assert np.abs(out.data - expect).max() <= 1e-6
 
@@ -271,7 +270,7 @@ class TestElementwise:
 
     def test_mixed_precision_rejected(self):
         with pytest.raises(ConfigError):
-            pt.add(tensor(np.zeros(3)), wide(np.zeros(3)))
+            pt.add(Tensor(np.zeros(3, dtype=np.float32)), wide(np.zeros(3)))
 
     def test_concat_slice_round_trip(self):
         a = rng(24).standard_normal((2, 3))
@@ -282,8 +281,8 @@ class TestElementwise:
 
     def test_layer_norm_normalizes(self):
         x = wide(rng(26).standard_normal((6, 8)) * 3 + 1)
-        g = pt.ones(8, dtype=WIDE)
-        b = pt.zeros(8, dtype=WIDE)
+        g = wide(np.ones(8))
+        b = wide(np.zeros(8))
         out = layer_norm(x, g, b).data
         np.testing.assert_allclose(out.mean(axis=-1), 0, atol=1e-9)
         np.testing.assert_allclose(out.var(axis=-1), 1, atol=1e-4)
@@ -291,12 +290,12 @@ class TestElementwise:
     def test_layer_norm_identity_on_unit_input(self):
         # gamma=1, beta=0 on an already-normalized row leaves it (nearly) unchanged
         row = np.array([[-1.0, 1.0]])
-        out = layer_norm(wide(row), pt.ones(2, dtype=WIDE), pt.zeros(2, dtype=WIDE), eps=0.0)
+        out = layer_norm(wide(row), wide(np.ones(2)), wide(np.zeros(2)), eps=0.0)
         np.testing.assert_allclose(out.data, row, atol=1e-12)
 
     def test_linear_identity(self):
         x = wide(rng(28).standard_normal((5, 4)))
-        out = linear(x, wide(np.eye(4)), pt.zeros(4, dtype=WIDE))
+        out = linear(x, wide(np.eye(4)), wide(np.zeros(4)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_silu_gelu_zero_fixed_point(self):
@@ -338,12 +337,13 @@ class TestElementwise:
 # conv2d against a direct oracle
 
 
-# (stride, pad, kernel, H, W): a same-size 3x3 conv, the VAE 1x1 heads, the face
-# and VAE encoders, then no padding, pad 2, stride 3 with an even kernel, and
-# odd and non-square frames.
+# (stride, pad, kernel, H, W): a same-size 3x3 conv, the VAE 1x1 heads, the
+# decoder's 2x2 phase conv, the face and VAE encoders, then no padding, pad 2,
+# stride 3 with an even kernel, and odd and non-square frames.
 CONV_CASES = [
     (1, 1, 3, 6, 7),
     (1, 0, 1, 5, 5),
+    (1, 1, 2, 6, 7),
     (2, 1, 3, 6, 7),
     (2, 0, 3, 7, 7),
     (1, 2, 3, 5, 8),
@@ -382,11 +382,19 @@ def tap_oracle(x, w, stride, pad):
     return out
 
 
-# (N, Ci, Co, H, W) at stride 2, pad 1, kernel 3: the first face-encoder layer
-# at 512 px, and N > 1. Both split the strided forward into several row blocks
-# with a short last one.
-BLOCK_CASES = [(1, 3, 4, 512, 512), (2, 16, 2, 84, 84)]
-BLOCK_IDS = [f"n{n}-ci{ci}-{h}x{w}" for n, ci, _, h, w in BLOCK_CASES]
+# (stride, pad, kernel, N, Ci, Co, H, W): the first face-encoder layer at
+# 512 px, a stride-2 3x3 conv with N > 1, and the decoder's stride-1 2x2
+# phase conv at its middle-stage width. Each splits the forward into several
+# row blocks with a short last one. The stride-2 3x3 cases are named by size.
+BLOCK_CASES = [
+    (2, 1, 3, 1, 3, 4, 512, 512),
+    (2, 1, 3, 2, 16, 2, 84, 84),
+    (1, 1, 2, 3, 32, 8, 32, 32),
+]
+BLOCK_IDS = [
+    f"n{n}-ci{ci}-{h}x{w}" + ("" if (s, p, k) == (2, 1, 3) else f"-s{s}-p{p}-k{k}")
+    for s, p, k, n, ci, _, h, w in BLOCK_CASES
+]
 
 
 def gamma32(terms):
@@ -474,31 +482,31 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, WIDE])
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
     def test_column_blocks_leave_a_remainder(self, case, dtype):
-        n, ci, _, h, _ = case
-        ho = (h - 1) // 2 + 1
-        rows = pt._COLUMN_BLOCK_BYTES // (n * ci * 9 * ho * np.dtype(dtype).itemsize)
+        stride, pad, k, n, ci, _, h, wd = case
+        ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+        rows = pt._COLUMN_BLOCK_BYTES // (n * ci * k * k * wo * np.dtype(dtype).itemsize)
         assert 1 < rows < ho and ho % rows
 
     def test_blocked_forward_against_nested_loop_oracle(self):
-        n, ci, co, h, wd = BLOCK_CASES[1]
+        stride, pad, k, n, ci, co, h, wd = BLOCK_CASES[1]
         r = rng(34)
-        x, w = r.standard_normal((n, ci, h, wd)), r.standard_normal((co, ci, 3, 3))
-        out = conv2d(wide(x), wide(w), stride=2, pad=1).data
-        ref = conv_oracle(x, w, 2, 1)
-        np.testing.assert_allclose(tap_oracle(x, w, 2, 1), ref, atol=1e-12)
+        x, w = r.standard_normal((n, ci, h, wd)), r.standard_normal((co, ci, k, k))
+        out = conv2d(wide(x), wide(w), stride=stride, pad=pad).data
+        ref = conv_oracle(x, w, stride, pad)
+        np.testing.assert_allclose(tap_oracle(x, w, stride, pad), ref, atol=1e-12)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
     def test_blocked_forward_against_tap_oracle(self, case):
-        n, ci, co, h, wd = case
+        stride, pad, k, n, ci, co, h, wd = case
         r = rng(35)
         x = r.random((n, ci, h, wd), dtype=np.float32)
-        w = r.standard_normal((co, ci, 3, 3)).astype(np.float32)
-        ref = tap_oracle(x, w, 2, 1)
-        np.testing.assert_allclose(conv2d(wide(x), wide(w), stride=2, pad=1).data, ref, atol=1e-12)
-        got = conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
+        w = r.standard_normal((co, ci, k, k)).astype(np.float32)
+        ref = tap_oracle(x, w, stride, pad)
+        np.testing.assert_allclose(conv2d(wide(x), wide(w), stride=stride, pad=pad).data, ref, atol=1e-12)
+        got = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
         assert got.dtype == np.float32
-        assert (np.abs(got - ref) <= gamma32(ci * 9) * tap_oracle(x, np.abs(w), 2, 1)).all()
+        assert (np.abs(got - ref) <= gamma32(ci * k * k) * tap_oracle(x, np.abs(w), stride, pad)).all()
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -697,16 +705,16 @@ class TestFlagsPerThread:
 )
 def test_causal_conv_never_sees_future(t, stride, k, seed):
     r = np.random.default_rng(seed)
-    x = r.standard_normal((2, t))
+    x = r.standard_normal((t, 2))
     w = wide(r.standard_normal((1, 2, k)))
     base = causal_conv1d(wide(x), w, taps=np.arange(0, t, stride)).data
     t0 = int(r.integers(0, t))
     xp = x.copy()
-    xp[:, t0] = r.standard_normal(2)
+    xp[t0] = r.standard_normal(2)
     pert = causal_conv1d(wide(xp), w, taps=np.arange(0, t, stride)).data
-    for ti in range(base.shape[1]):
+    for ti in range(base.shape[0]):
         if ti * stride < t0:
-            assert np.array_equal(base[:, ti], pert[:, ti])
+            assert np.array_equal(base[ti], pert[ti])
 
 
 @settings(max_examples=30, deadline=None)
@@ -731,13 +739,13 @@ class TestDumpFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         x = rng(31).standard_normal((3, 5, 2)).astype(np.float32)
         p = tmp_path / "t.want"
-        dump_tensor(p, tensor(x))
+        dump_tensor(p, Tensor(x))
         back = load_tensor(p)
         assert np.array_equal(back.data, x)
 
     def test_header_layout(self, tmp_path):
         p = tmp_path / "t.want"
-        dump_tensor(p, tensor(np.zeros((2, 3), dtype=np.float32)))
+        dump_tensor(p, Tensor(np.zeros((2, 3), dtype=np.float32)))
         raw = p.read_bytes()
         assert raw[:4] == b"WANT"
         assert int.from_bytes(raw[4:8], "little") == 1
@@ -749,13 +757,13 @@ class TestDumpFormat:
     def test_row_major_payload(self, tmp_path):
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
         p = tmp_path / "t.want"
-        dump_tensor(p, tensor(x))
+        dump_tensor(p, Tensor(x))
         payload = np.frombuffer(p.read_bytes()[28:], dtype="<f4")
         np.testing.assert_array_equal(payload, np.arange(6, dtype=np.float32))
 
     def test_every_truncation_raises_shape_error(self, tmp_path):
         p = tmp_path / "t.want"
-        dump_tensor(p, tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
+        dump_tensor(p, Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
         raw = p.read_bytes()
         cut = tmp_path / "cut.want"
         for n in range(len(raw)):

@@ -9,12 +9,13 @@ the change checkout's `BENCHMARK.json`, so both sides run for the benchmark's
 own length. A run that is not `correct` or reports a failed op stops the tool
 before anything is written.
 
-The summary replaces `BENCH_<workload>.json` in the change checkout. It keeps
-the schema of the earlier bench files: one set with every pair's `op_p50_s`,
-each side's quartiles (linear interpolation), the change's wins and the
-median change in percent; each pair also carries every end-to-end metric of
-both runs, and `quartiles` gives each side's quartiles of every metric. The
-two commits come from the run records and the host from the change's first
+The summary is one set appended to the `sets` of `BENCH_<workload>.json` in
+the change checkout; the file is made, with the workload, metric, command and
+method, if it is missing. A set holds every pair's `op_p50_s`, each side's
+quartiles (linear interpolation), the change's wins and the median change in
+percent; each pair also carries every end-to-end metric of both runs, and
+`quartiles` gives each side's quartiles of every metric. The set's two
+commits come from the run records and its host from the change's first
 record.
 """
 
@@ -75,8 +76,21 @@ def host(env):
             f"{env['blas']}, {env['blas_threads']} BLAS thread(s)")
 
 
-def summarise(workload, seconds, seeds, runs, subject):
-    """`runs` maps each side to its (record, result) per seed, in seed order."""
+def header(workload, seconds, unit):
+    """The fields of a new bench file, before its first set."""
+    return {
+        "workload": workload,
+        "metric": METRIC,
+        "unit": unit,
+        "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {seconds:g}",
+        "method": ("alternating parent/change pairs, parent first on odd seeds; every run reported "
+                   "correct with no failed op; quartiles by linear interpolation"),
+        "sets": [],
+    }
+
+
+def summarise(seeds, runs, subject):
+    """One set; `runs` maps each side to its (record, result) per seed, in seed order."""
     values = {side: [{k: m["value"] for k, m in result["metrics"].items()} for _, result in runs[side]]
               for side in ("parent", "change")}
     pairs = []
@@ -89,30 +103,21 @@ def summarise(workload, seconds, seeds, runs, subject):
     wins = sum(c < p for p, c in zip(p50["parent"], p50["change"]))
     medians = {side: statistics.median(p50[side]) for side in p50}
     names = list(values["change"][0])
-    unit = runs["change"][0][1]["metrics"][METRIC]["unit"]
     return {
-        "workload": workload,
-        "metric": METRIC,
-        "unit": unit,
-        "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {seconds:g}",
-        "method": ("alternating parent/change pairs, parent first on odd seeds; every run reported "
-                   "correct with no failed op; quartiles by linear interpolation"),
+        "version": subject,
         "parent": side_commit([r for r, _ in runs["parent"]], "parent"),
         "change": side_commit([r for r, _ in runs["change"]], "change"),
         "host": host(runs["change"][0][0]["env"]),
-        "sets": [{
-            "version": subject,
-            "seeds": f"{seeds[0]}-{seeds[-1]}",
-            "pairs": pairs,
-            f"parent_{METRIC}": quartiles(p50["parent"]),
-            f"change_{METRIC}": quartiles(p50["change"]),
-            "change_wins": f"{wins}/{len(seeds)}",
-            "median_change_pct": round(100.0 * (medians["change"] / medians["parent"] - 1.0), 1),
-            "parent_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["parent"])),
-            "change_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["change"])),
-            "quartiles": {side: {n: quartiles([v[n] for v in values[side]]) for n in names}
-                          for side in ("parent", "change")},
-        }],
+        "seeds": f"{seeds[0]}-{seeds[-1]}",
+        "pairs": pairs,
+        f"parent_{METRIC}": quartiles(p50["parent"]),
+        f"change_{METRIC}": quartiles(p50["change"]),
+        "change_wins": f"{wins}/{len(seeds)}",
+        "median_change_pct": round(100.0 * (medians["change"] / medians["parent"] - 1.0), 1),
+        "parent_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["parent"])),
+        "change_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["change"])),
+        "quartiles": {side: {n: quartiles([v[n] for v in values[side]]) for n in names}
+                      for side in ("parent", "change")},
     }
 
 
@@ -145,10 +150,12 @@ def main(argv=None):
             print(f"seed {seed} {side}: {METRIC} {result['metrics'][METRIC]['value']:.4f}", file=sys.stderr)
     subject = subprocess.run(["git", "log", "-1", "--format=%s"], cwd=args.change,
                              capture_output=True, text=True).stdout.strip()
-    summary = summarise(args.workload, seconds, args.seeds, runs, subject or "change checkout")
+    s = summarise(args.seeds, runs, subject or "change checkout")
     out = args.change / f"BENCH_{args.workload}.json"
-    out.write_text(json.dumps(summary, indent=1) + "\n")
-    s = summary["sets"][0]
+    unit = runs["change"][0][1]["metrics"][METRIC]["unit"]
+    bench = json.loads(out.read_text()) if out.is_file() else header(args.workload, seconds, unit)
+    bench["sets"].append(s)
+    out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"{out}: {s['change_wins']} pairs won, median {s['median_change_pct']:+.1f}%, "
           f"parent {s[f'parent_{METRIC}']}, change {s[f'change_{METRIC}']}")
     return 0
