@@ -85,9 +85,9 @@ def _assemble_pack(
 
     Window positions carry `env_latents` where `keep` is 1 and are generated
     where it is 0; temporal guidance, when present, overlays the first 1 or
-    2 window positions, and its frame map must equal theirs. Noise covers every position, reference included: the
-    model denoises the full sequence and the caller discards the
-    reference/guidance portions afterwards.
+    2 window positions, and its frame map must equal theirs. Noise covers
+    every position, reference included: the model denoises the full sequence
+    and the caller discards the reference/guidance portions afterwards.
     """
     n_window = len(window_frame_map)
     g = 0 if temporal_latents is None else temporal_latents.t_z
