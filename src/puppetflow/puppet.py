@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import colorsys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rasterize import _blend, _capsule, _ellipse, blend_capsule
+from .rasterize import _blend, _capsule, _ellipse, _frame_groups, blend_capsule
 from .retarget import FRAMINGS
 from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, Skeleton
 from .tensor import ConfigError, ShapeError, Tensor
@@ -97,16 +97,24 @@ class PuppetScene:
     def frames(self) -> int:
         return self.root_path.shape[0]
 
-    def skeleton(self, t: int) -> Skeleton:
-        joints = np.zeros((N_JOINTS, 2))
-        joints[ROOT] = self.root_path[t]
+    def _joints(self, frames=slice(None)) -> np.ndarray:
+        """[T', 17, 2] joints of `frames` (a slice or index list), placed edge
+        by edge in `TOPOLOGY` order for all of them at once."""
+        root = self.root_path[frames]
+        joints = np.zeros((len(root), N_JOINTS, 2))
+        joints[:, ROOT] = root
         for i, (p, c) in enumerate(TOPOLOGY):
-            r = np.deg2rad(self.edge_angles[t, i])
-            joints[c] = joints[p] + self.limb_lengths[i] * np.array([np.cos(r), np.sin(r)])
-        return Skeleton(joints, np.ones(N_JOINTS))
+            r = np.deg2rad(self.edge_angles[frames, i])
+            joints[:, c] = joints[:, p] + self.limb_lengths[i] * np.stack([np.cos(r), np.sin(r)], axis=1)
+        return joints
+
+    def skeleton(self, t: int) -> Skeleton:
+        return Skeleton(self._joints([t])[0], np.ones(N_JOINTS))
 
     def pose_sequence(self) -> list[Skeleton]:
-        return [self.skeleton(t) for t in range(self.frames)]
+        """Every frame's skeleton, all frames' joints computed in one pass;
+        frame t equals `skeleton(t)`."""
+        return [Skeleton(j, np.ones(N_JOINTS)) for j in self._joints()]
 
 
 @dataclass
@@ -158,51 +166,73 @@ def mouth_curve(geo: FaceGeometry, curvature: float, n: int = 9) -> np.ndarray:
     return (1 - ts) ** 2 * p0 + 2 * ts * (1 - ts) * p1 + ts**2 * p2
 
 
-def _draw_head(img, acc, geo: FaceGeometry, skin, openness, pupil) -> None:
-    """Head disc, then eyes with pupils; `acc` (or None) takes the mask."""
-    shape = img.shape[1:]
-    _blend(img, _ellipse(shape, geo.center, geo.side, geo.radius, geo.radius), skin, acc)
-    eye_b = (0.08 + 0.92 * openness) * geo.eye_b_max
+def _stacked(geos: list[FaceGeometry]) -> FaceGeometry:
+    """Per-frame geometries as one FaceGeometry of [T, ...] arrays; `eyes`
+    stays a pair, each eye [T, 2]."""
+    stacked = {f.name: np.stack([getattr(g, f.name) for g in geos]) for f in fields(FaceGeometry)}
+    stacked["eyes"] = tuple(stacked["eyes"].transpose(1, 0, 2))
+    return FaceGeometry(**stacked)
+
+
+def _draw_head(imgs, acc, geo: FaceGeometry, skin, openness, pupil) -> None:
+    """Head disc, then eyes with pupils, on [T,3,H,W] `imgs` with the
+    `_stacked` geometry of the T frames; `openness` and the pupil offset
+    (px, py) are scalars or [T]. `acc` (or None) takes the mask."""
+    shape = imgs.shape[2:]
+    _blend(imgs, _ellipse(shape, geo.center, geo.side, geo.radius, geo.radius), skin, acc)
+    eye_b = (0.08 + 0.92 * np.asarray(openness)) * geo.eye_b_max
     pupil_r = 0.38 * geo.eye_a
     px, py = pupil
+    lift = np.maximum(eye_b - 0.5 * pupil_r, 0.0)
+    off = (px * (geo.eye_a - pupil_r))[:, None] * geo.side - (py * lift)[:, None] * geo.up
+    pr = np.minimum(pupil_r, np.maximum(eye_b, 0.12 * geo.eye_a))
     for eye in geo.eyes:
-        _blend(img, _ellipse(shape, eye, geo.side, geo.eye_a, eye_b), SCLERA, acc)
-        off = px * (geo.eye_a - pupil_r) * geo.side - py * max(eye_b - 0.5 * pupil_r, 0.0) * geo.up
-        pr = min(pupil_r, max(eye_b, 0.12 * geo.eye_a))
-        _blend(img, _ellipse(shape, eye + off, geo.side, pr, pr), PUPIL, acc)
+        _blend(imgs, _ellipse(shape, eye, geo.side, geo.eye_a, eye_b), SCLERA, acc)
+        _blend(imgs, _ellipse(shape, eye + off, geo.side, pr, pr), PUPIL, acc)
 
 
-def _mouth_covers(shape, geo: FaceGeometry, curvature) -> list:
-    """Coverage of each mouth capsule on an (H, W) canvas, in drawing order."""
-    pts = mouth_curve(geo, curvature)
-    return [_capsule(shape, a, b, geo.mouth_thickness) for a, b in zip(pts, pts[1:])]
+def _mouth_covers(shape, geos: list[FaceGeometry], curvature) -> list:
+    """Cover of each mouth capsule on an (H, W) canvas, in drawing order, over
+    the frames of `geos`, each with its own curvature."""
+    pts = np.stack([mouth_curve(g, c) for g, c in zip(geos, curvature)])
+    thickness = np.array([g.mouth_thickness for g in geos])
+    return [_capsule(shape, pts[:, k], pts[:, k + 1], thickness) for k in range(pts.shape[1] - 1)]
 
 
-def _draw_mouth(img, acc, covers) -> None:
-    """Blend `_mouth_covers` over a drawn head; `acc` (or None) takes the mask."""
+def _draw_mouth(imgs, acc, covers) -> None:
+    """Blend `_mouth_covers` over drawn heads; `acc` (or None) takes the mask."""
     for cover in covers:
-        _blend(img, cover, MOUTH, acc)
+        _blend(imgs, cover, MOUTH, acc)
 
 
-def render_scene_frame(scene: PuppetScene, t: int):
-    """-> (frame [3,H,W] float64 in [0,1], subject mask [H,W] float)."""
-    h = w = scene.size
-    sk = scene.skeleton(t)
-    img = scene.background.render(h, w)
-    acc = np.zeros((h, w))
+def _draw_scene(scene: PuppetScene, frames, imgs: np.ndarray, acc: np.ndarray) -> None:
+    """Draw scene frames `frames` (a slice or index list) over the
+    backgrounds in [T',3,S,S] `imgs`, raising [T',S,S] `acc` to the
+    subject's alpha: body capsules, shoulder bar, head, eyes, pupils, mouth."""
+    shape = imgs.shape[2:]
+    joints = scene._joints(frames)
     s = scene.limb_lengths.sum()  # stable overall scale proxy
     for i, (p, c) in enumerate(TOPOLOGY):
         part = _EDGE_PART[i]
         if part is None:
             continue
         width = _EDGE_WIDTH[i] * s * 0.28
-        _blend(img, _capsule((h, w), sk.joints[p], sk.joints[c], width), scene.colors[part], acc)
+        _blend(imgs, _capsule(shape, joints[:, p], joints[:, c], width), scene.colors[part], acc)
     # shoulder bar for visual solidity (not a topology edge)
-    _blend(img, _capsule((h, w), sk.joints[5], sk.joints[6], _EDGE_WIDTH[5] * s * 0.28), scene.colors["torso"], acc)
-    openness, curv, px, py = scene.face_params[t]
-    geo = face_geometry(sk)
-    _draw_head(img, acc, geo, scene.colors["skin"], openness, (px, py))
-    _draw_mouth(img, acc, _mouth_covers((h, w), geo, curv))
+    _blend(imgs, _capsule(shape, joints[:, 5], joints[:, 6], _EDGE_WIDTH[5] * s * 0.28), scene.colors["torso"], acc)
+    openness, curvature, px, py = scene.face_params[frames].T
+    geos = [face_geometry(Skeleton(j, np.ones(N_JOINTS))) for j in joints]
+    _draw_head(imgs, acc, _stacked(geos), scene.colors["skin"], openness, (px, py))
+    _draw_mouth(imgs, acc, _mouth_covers(shape, geos, curvature))
+
+
+def render_scene_frame(scene: PuppetScene, t: int):
+    """-> (frame [3,H,W] float64 in [0,1], subject mask [H,W] float).
+
+    The one-frame case of `render_scene`, drawn on a canvas of its own."""
+    h = w = scene.size
+    img, acc = scene.background.render(h, w), np.zeros((h, w))
+    _draw_scene(scene, [t], img[None], acc[None])
     return np.clip(img, 0.0, 1.0), (acc >= 0.5).astype(np.float32)
 
 
@@ -210,13 +240,24 @@ def render_scene(scene: PuppetScene):
     """-> (clip of T float32 frames [T,3,S,S], float32 subject masks [T,1,S,S]).
 
     Frame t and mask t are `render_scene_frame(scene, t)`, the frame rounded
-    to float32; both arrays are C-contiguous and filled in place.
+    to float32; both arrays are C-contiguous and filled in place. The
+    background is rendered once and the frames are drawn in the groups of
+    `rasterize._frame_groups`, each shape once per group, on one float64
+    canvas that every group reuses.
     """
     h = w = scene.size
     frames = np.empty((scene.frames, 3, h, w), dtype=np.float32)
     masks = np.empty((scene.frames, 1, h, w), dtype=np.float32)
-    for t in range(scene.frames):
-        frames[t], masks[t, 0] = render_scene_frame(scene, t)
+    background = scene.background.render(h, w)
+    groups = _frame_groups(scene.frames, background.shape)
+    n = groups[0].stop if groups else 0
+    canvas, alpha = np.empty((n, 3, h, w)), np.empty((n, h, w))
+    for group in groups:
+        imgs, acc = canvas[: group.stop - group.start], alpha[: group.stop - group.start]
+        imgs[...], acc[...] = background, 0.0
+        _draw_scene(scene, group, imgs, acc)
+        frames[group] = np.clip(imgs, 0.0, 1.0, out=imgs)
+        np.greater_equal(acc, 0.5, out=masks[group, 0])
     return VideoClip(Tensor(frames)), masks
 
 
@@ -309,13 +350,12 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
         edge_angles=angles,
         face_params=face_params,
     )
-    # face edges follow the head-up direction; resolve them frame by frame
-    for t in range(frames):
-        sk = scene.skeleton(t)  # face angles still the placeholder zeros
-        up = sk.joints[0] - 0.5 * (sk.joints[5] + sk.joints[6])
-        theta = np.rad2deg(np.arctan2(up[1], up[0]))
-        for e, offset in _FACE_OFFSET.items():
-            scene.edge_angles[t, e] = theta + offset
+    # face edges follow the head-up direction, which no face edge moves
+    joints = scene._joints()  # face angles still the placeholder zeros
+    up = joints[:, 0] - 0.5 * (joints[:, 5] + joints[:, 6])
+    theta = np.rad2deg(np.arctan2(up[:, 1], up[:, 0]))
+    for e, offset in _FACE_OFFSET.items():
+        scene.edge_angles[:, e] = theta + offset
 
     # place the frame-0 anchor at the framing target, drift on top
     sk0 = scene.skeleton(0)
@@ -358,10 +398,10 @@ def region_weight_map(
     out = np.ones((1, height, width), dtype=np.float32)
 
     def paint(center, axis_u, a, b, value):
-        cover = _ellipse((height, width), center, axis_u, a, b)
+        cover = _ellipse((height, width), center[None], axis_u[None], a, b)
         if cover is not None:
-            (rows, cols), alpha = cover
-            region = out[0, rows, cols]
+            ((x, y),), (alpha,) = cover
+            region = out[0, y : y + alpha.shape[0], x : x + alpha.shape[1]]
             np.maximum(region, value, out=region, where=alpha >= 0.5)
 
     paint(geo.center, geo.side, geo.radius, geo.radius, w_head)
@@ -371,9 +411,8 @@ def region_weight_map(
         paint(eye, geo.side, 1.3 * geo.eye_a, 1.3 * max(eye_b, geo.eye_b_max), w_eyes)
     # the mouth threshold applies to the blended union of its segments
     pts = mouth_curve(geo, float(face_params[1]))
-    canvas = np.zeros((3, height, width))
-    for a, b in zip(pts, pts[1:]):
-        blend_capsule(canvas, a, b, 1.5 * geo.mouth_thickness, (1.0, 1.0, 1.0))
+    canvas = np.zeros((1, height, width))
+    blend_capsule(canvas, pts[:-1], pts[1:], 1.5 * geo.mouth_thickness, (1.0,))
     np.maximum(out[0], w_mouth, out=out[0], where=canvas[0] >= 0.5)
     return out
 
@@ -446,11 +485,11 @@ CURVATURE_GRID = np.linspace(-1.0, 1.0, 11)
 
 def render_face_template(sk: Skeleton, skin_color, openness, curvature, pupil, size: int):
     """Face-only render over black, for template-matching estimation."""
-    img = np.zeros((3, size, size))
+    img = np.zeros((1, 3, size, size))
     geo = face_geometry(sk)
-    _draw_head(img, None, geo, skin_color, openness, pupil)
-    _draw_mouth(img, None, _mouth_covers((size, size), geo, curvature))
-    return img
+    _draw_head(img, None, _stacked([geo]), skin_color, openness, pupil)
+    _draw_mouth(img, None, _mouth_covers((size, size), [geo], [curvature]))
+    return img[0]
 
 
 def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> tuple:
@@ -460,8 +499,9 @@ def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> 
     The scene geometry and identity are known at evaluation time; only the
     expression is read out of the pixels. Each template is drawn as
     `render_face_template` draws it, bit for bit, from shared parts: the head
-    and eyes once per openness, the mouth coverages once per curvature, and
-    per template a copy of the head with only the mouth blended on.
+    and eyes once per openness, and per openness a stack of head copies, one
+    frame per curvature in groups of `rasterize._frame_groups`, with the
+    mouth coverages of all curvatures, computed once, blended on together.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 3 or frame.shape[0] != 3 or frame.shape[1] != frame.shape[2]:
@@ -474,14 +514,20 @@ def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> 
         return (float("nan"), float("nan"))
     target = frame[:, disc]
     best = (np.inf, 0.0, 0.0)
-    mouths = [_mouth_covers((size, size), geo, c) for c in CURVATURE_GRID]
+    groups = _frame_groups(len(CURVATURE_GRID), frame.shape)
+    mouths = [_mouth_covers((size, size), [geo] * (g.stop - g.start), CURVATURE_GRID[g]) for g in groups]
+    head_geo = _stacked([geo])
+    stack = np.empty((groups[0].stop, 3, size, size))
     for o in OPENNESS_GRID:
-        head = np.zeros((3, size, size))
-        _draw_head(head, None, geo, skin_color, o, pupil)
-        for c, covers in zip(CURVATURE_GRID, mouths):
-            tmpl = head.copy()
-            _draw_mouth(tmpl, None, covers)
-            err = float(((tmpl[:, disc] - target) ** 2).sum())
-            if err < best[0]:
-                best = (err, float(o), float(c))
+        head = np.zeros((1, 3, size, size))
+        _draw_head(head, None, head_geo, skin_color, o, pupil)
+        for g, covers in zip(groups, mouths):
+            tmpls = stack[: g.stop - g.start]
+            tmpls[...] = head
+            _draw_mouth(tmpls, None, covers)
+            # each template's [3, disc] block is summed as one contiguous array
+            for c, sq in zip(CURVATURE_GRID[g], (tmpls[:, :, disc] - target) ** 2):
+                err = float(sq.sum())
+                if err < best[0]:
+                    best = (err, float(o), float(c))
     return best[1], best[2]

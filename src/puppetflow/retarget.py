@@ -79,11 +79,6 @@ def _limb_ratios(ref_sk: Skeleton, drive_seq):
     return ratios, warnings
 
 
-def compute_retarget_params(ref_sk: Skeleton, drive_sk: Skeleton, framing: str) -> RetargetParams:
-    """Ratios from one skeleton pair; offset maps driving anchor onto reference anchor."""
-    return compute_sequence_params(ref_sk, [drive_sk], framing)
-
-
 def compute_tpose_params(
     ref_tpose: Skeleton,
     drive_tpose: Skeleton,

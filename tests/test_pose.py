@@ -7,7 +7,6 @@ from puppetflow.rasterize import LIMB_PALETTE, rasterize_pose
 from puppetflow.retarget import (
     RetargetParams,
     anchor_point,
-    compute_retarget_params,
     compute_sequence_params,
     compute_tpose_params,
     retarget_sequence,
@@ -182,7 +181,7 @@ class TestRasterize:
 class TestRetargetParams:
     def test_identity_pair(self):
         sk = random_skeleton(9)
-        params = compute_retarget_params(sk, sk, "full_body")
+        params = compute_sequence_params(sk, [sk], "full_body")
         np.testing.assert_array_equal(params.ratios, np.ones(N_LIMBS))
         np.testing.assert_array_equal(params.offset, np.zeros(2))
         assert params.is_identity()
@@ -190,7 +189,7 @@ class TestRetargetParams:
     def test_uniform_double_gives_half(self):
         ref = random_skeleton(10)
         drive = Skeleton(ref.joints * 2.0, ref.confidence.copy())
-        params = compute_retarget_params(ref, drive, "full_body")
+        params = compute_sequence_params(ref, [drive], "full_body")
         np.testing.assert_allclose(params.ratios, 0.5, atol=1e-12)
 
     def test_geometric_oracle_random_pairs(self):
@@ -198,7 +197,7 @@ class TestRetargetParams:
         for trial in range(20):
             ref = random_skeleton(100 + trial)
             drive = random_skeleton(200 + trial)
-            params = compute_retarget_params(ref, drive, "half_body")
+            params = compute_sequence_params(ref, [drive], "half_body")
             for i, (p, c) in enumerate(TOPOLOGY):
                 expect = np.linalg.norm(ref.joints[c] - ref.joints[p]) / np.linalg.norm(
                     drive.joints[c] - drive.joints[p]
@@ -209,7 +208,7 @@ class TestRetargetParams:
         ref = random_skeleton(12)
         drive = random_skeleton(13)
         drive.joints[15] = drive.joints[13]  # left shin collapses
-        params = compute_retarget_params(ref, drive, "full_body")
+        params = compute_sequence_params(ref, [drive], "full_body")
         idx = TOPOLOGY.index((13, 15))
         assert params.ratios[idx] == 1.0
         assert len(params.warnings) == 1
@@ -218,11 +217,11 @@ class TestRetargetParams:
 
     def test_anchor_selection(self):
         sk = random_skeleton(14)
-        assert compute_retarget_params(sk, sk, "full_body").anchor == "ankle_mid"
-        assert compute_retarget_params(sk, sk, "half_body").anchor == "neck_mid"
-        assert compute_retarget_params(sk, sk, "portrait").anchor == "neck_mid"
+        assert compute_sequence_params(sk, [sk], "full_body").anchor == "ankle_mid"
+        assert compute_sequence_params(sk, [sk], "half_body").anchor == "neck_mid"
+        assert compute_sequence_params(sk, [sk], "portrait").anchor == "neck_mid"
         with pytest.raises(ConfigError):
-            compute_retarget_params(sk, sk, "wide")
+            compute_sequence_params(sk, [sk], "wide")
 
     def test_tpose_beats_foreshortened_motion(self):
         # Honest standardized poses recover true proportions; a foreshortened
@@ -232,7 +231,7 @@ class TestRetargetParams:
         fore = Skeleton(drive_t.joints.copy(), drive_t.confidence.copy())
         fore.joints[9] = fore.joints[7] + 0.2 * (fore.joints[9] - fore.joints[7])
         tp = compute_tpose_params(ref_t, drive_t)
-        pf = compute_retarget_params(ref_t, fore, "full_body")
+        pf = compute_sequence_params(ref_t, [fore], "full_body")
         idx = TOPOLOGY.index((7, 9))
         np.testing.assert_allclose(tp.ratios, 1 / 3, atol=1e-12)
         assert abs(pf.ratios[idx] - 1 / 3) > 1.0
@@ -241,7 +240,7 @@ class TestRetargetParams:
 class TestRetargetSequence:
     def test_identity_is_bit_exact_noop(self):
         seq = [random_skeleton(s) for s in range(3)]
-        params = compute_retarget_params(seq[0], seq[0], "full_body")
+        params = compute_sequence_params(seq[0], [seq[0]], "full_body")
         out = retarget_sequence(seq, params)
         for a, b in zip(seq, out):
             assert np.array_equal(a.joints, b.joints)
@@ -252,7 +251,7 @@ class TestRetargetSequence:
         for trial in range(100):
             ref = random_skeleton(1000 + trial)
             drive = random_skeleton(2000 + trial)
-            params = compute_retarget_params(ref, drive, "full_body")
+            params = compute_sequence_params(ref, [drive], "full_body")
             out = retarget_skeleton(drive, params)
             ref_len = ref.limb_lengths()
             for i, (p, c) in enumerate(TOPOLOGY):
@@ -274,7 +273,7 @@ class TestRetargetSequence:
     def test_commutes_with_global_translation(self):
         ref = random_skeleton(18)
         drive = random_skeleton(19)
-        params = compute_retarget_params(ref, drive, "full_body")
+        params = compute_sequence_params(ref, [drive], "full_body")
         out_a = retarget_skeleton(drive, params).joints
         moved = drive.copy()
         moved.joints += (37.0, -12.0)

@@ -28,7 +28,7 @@ def shifted(sk, offset):
 
 
 def white_ellipse(canvas, center, axis_u, a, b):
-    _blend(canvas, _ellipse(canvas.shape[1:], center, axis_u, a, b), WHITE)
+    _blend(canvas[None], _ellipse(canvas.shape[1:], [center], [axis_u], a, b), WHITE)
 
 
 class TestBlendMask:
@@ -48,16 +48,16 @@ class TestBlendMask:
             radius = rng.uniform(0.2, 5.0)
             canvas = np.zeros((3, h, w))
             if k % 2:
-                cover = _capsule((h, w), p0, p1, radius)
+                cover = _capsule((h, w), [p0], [p1], radius)
                 blend_capsule(canvas, p0, p1, radius, WHITE)
             else:
                 axis = np.array([np.cos(k), np.sin(k)])
                 a, b = radius, rng.uniform(0.2, 5.0)
-                cover = _ellipse((h, w), p0, axis, a, b)
+                cover = _ellipse((h, w), [p0], [axis], a, b)
                 white_ellipse(canvas, p0, axis, a, b)
             color = rng.random(3)
-            _blend(img, cover, color, acc)
-            _blend(plain, cover, color)
+            _blend(img[None], cover, color, acc[None])
+            _blend(plain[None], cover, color)
             np.maximum(ref, canvas[0], out=ref)
         assert np.array_equal(acc, ref)
         assert np.array_equal(img, plain)

@@ -3,7 +3,7 @@ retargeter produce.
 
 A refactor of `puppet.py`, `rasterize.py`, `skeleton.py` or `retarget.py`
 that claims bit-identical output runs this on both commits and compares the
-two printed digests:
+three printed digests:
 
     PYTHONPATH=src python3 tools/render_digest.py
 
@@ -18,8 +18,14 @@ each framing it retargets a driving pose sequence onto the reference pose of
 another seed, once as generated and once with a wrist hidden in every other
 frame and an ear hidden in all of them. It hashes the `compute_sequence_params`
 ratios, offset and warning count, the `retarget_sequence` joints and their
-rasterization, and `compute_retarget_params` and `compute_tpose_params` on the
-first frame pair.
+rasterization, and the one-frame `compute_sequence_params` and
+`compute_tpose_params` on the first frame pair.
+
+The third line is the clip digest. For each of `CLIP_SEEDS` seeds and each
+framing it hashes a clip of the benchmark's size, `CLIP_FRAMES` frames of
+`CLIP_SIZE` px, which the renderer and the rasterizer draw in more than one
+frame group: the scene frames and masks, and the rasterized poses with the
+same wrist and ear hidden.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from puppetflow import puppet
 from puppetflow.rasterize import rasterize_sequence
 from puppetflow.retarget import (
     FRAMINGS,
-    compute_retarget_params,
     compute_sequence_params,
     compute_tpose_params,
     retarget_sequence,
@@ -43,6 +48,9 @@ SEEDS = 40
 RETARGET_SEEDS = 8
 RETARGET_FRAMES = 9
 RETARGET_SIZE = 128
+CLIP_SEEDS = 4
+CLIP_FRAMES = 17
+CLIP_SIZE = 128
 
 
 def _hasher():
@@ -103,7 +111,7 @@ def retarget_digest(seeds: int) -> str:
                 out = retarget_sequence(seq, params)
                 put([sk.joints for sk in out])
                 put(rasterize_sequence(out, size, size).data)
-                pair = compute_retarget_params(ref, seq[0], framing)
+                pair = compute_sequence_params(ref, [seq[0]], framing)
                 tpose = compute_tpose_params(ref, seq[0], framing, ref, seq[1])
                 for p in (pair, tpose):
                     put(p.ratios)
@@ -112,6 +120,18 @@ def retarget_digest(seeds: int) -> str:
     return h.hexdigest()
 
 
+def clip_digest(seeds: int) -> str:
+    h, put = _hasher()
+    for seed in range(seeds):
+        for framing in FRAMINGS:
+            sample = puppet.generate_scene(seed, CLIP_FRAMES, framing, CLIP_SIZE)
+            put(sample.clip.frames.data)
+            put(sample.masks)
+            put(rasterize_sequence(_partly_hidden(sample.poses), CLIP_SIZE, CLIP_SIZE).data)
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print(digest(SEEDS))
     print(retarget_digest(RETARGET_SEEDS))
+    print(clip_digest(CLIP_SEEDS))
