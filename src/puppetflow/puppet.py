@@ -397,18 +397,19 @@ def region_weight_map(
     geo = face_geometry(sk)
     out = np.ones((1, height, width), dtype=np.float32)
 
-    def paint(center, axis_u, a, b, value):
-        cover = _ellipse((height, width), center[None], axis_u[None], a, b)
+    def paint(centers, a, b, value):
+        """Raise `out` to `value` where an ellipse at one of the [K, 2]
+        `centers`, each a frame of one cover, reaches alpha 0.5."""
+        cover = _ellipse((height, width), centers, [geo.side] * len(centers), a, b)
         if cover is not None:
-            ((x, y),), (alpha,) = cover
-            region = out[0, y : y + alpha.shape[0], x : x + alpha.shape[1]]
-            np.maximum(region, value, out=region, where=alpha >= 0.5)
+            for (x, y), alpha in zip(cover[0].tolist(), cover[1]):
+                region = out[0, y : y + alpha.shape[0], x : x + alpha.shape[1]]
+                np.maximum(region, value, out=region, where=alpha >= 0.5)
 
-    paint(geo.center, geo.side, geo.radius, geo.radius, w_head)
+    paint([geo.center], geo.radius, geo.radius, w_head)
     openness = float(face_params[0])
     eye_b = max((0.08 + 0.92 * openness) * geo.eye_b_max, 0.3 * geo.eye_a)
-    for eye in geo.eyes:
-        paint(eye, geo.side, 1.3 * geo.eye_a, 1.3 * max(eye_b, geo.eye_b_max), w_eyes)
+    paint(geo.eyes, 1.3 * geo.eye_a, 1.3 * max(eye_b, geo.eye_b_max), w_eyes)
     # the mouth threshold applies to the blended union of its segments
     pts = mouth_curve(geo, float(face_params[1]))
     canvas = np.zeros((1, height, width))

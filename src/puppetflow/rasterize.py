@@ -189,6 +189,13 @@ def _windows(a: np.ndarray, bh: int, bw: int) -> np.ndarray:
     return as_strided(a, (*lead, h - bh + 1, w - bw + 1, bh, bw), (*a.strides, *a.strides[-2:]))
 
 
+def _over(region: np.ndarray, alpha: np.ndarray, color) -> None:
+    """Blend `color` [C] over `region` [..., C, bh, bw] in place by `alpha`,
+    which broadcasts against it: the float64 blend of every drawing path."""
+    region *= 1.0 - alpha
+    region += np.asarray(color, dtype=region.dtype).reshape(-1, 1, 1) * alpha
+
+
 def _blend(imgs: np.ndarray, cover, color, acc=None) -> None:
     """Alpha-blend `color` [C] over [T, C, H, W] `imgs` by a `_capsule` or
     `_ellipse` cover, and raise the [T, H, W] `acc`, if given, to it."""
@@ -199,9 +206,7 @@ def _blend(imgs: np.ndarray, cover, color, acc=None) -> None:
     bh, bw = alpha.shape[1:]
     windows = _windows(imgs, bh, bw)
     region = windows[t, :, y, x]  # [T, C, bh, bw]
-    a = alpha[:, None]
-    region *= 1.0 - a
-    region += np.asarray(color, dtype=imgs.dtype).reshape(1, -1, 1, 1) * a
+    _over(region, alpha[:, None], color)
     windows[t, :, y, x] = region
     if acc is not None:
         windows = _windows(acc, bh, bw)
@@ -211,12 +216,16 @@ def _blend(imgs: np.ndarray, cover, color, acc=None) -> None:
 def blend_capsule(img: np.ndarray, p0, p1, radius: float, color) -> None:
     """Alpha-blend an anti-aliased thick segment (disc when p0 == p1) over
     [C, H, W] `img` in a [C] color. With [K, 2] points it blends the K
-    segments one after another, their coverages computed together."""
+    segments one after another, their coverages computed together: segment
+    k is frame k of one cover, blended in place through a view of its
+    window."""
     p0, p1 = np.reshape(p0, (-1, 2)), np.reshape(p1, (-1, 2))
     cover = _capsule(img.shape[1:], p0, p1, radius)
     if cover is not None:
-        for origin, alpha in zip(*cover):
-            _blend(img[None], (origin[None], alpha[None]), color)
+        origin, alpha = cover
+        windows = _windows(img, *alpha.shape[1:])
+        for (x, y), segment in zip(origin.tolist(), alpha):
+            _over(windows[:, y, x], segment, color)
 
 
 def rasterize_pose(sk: Skeleton, height: int, width: int, dtype=np.float32) -> Tensor:
