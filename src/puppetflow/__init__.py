@@ -4,7 +4,7 @@ The modules, bottom up:
 
 - `tensor`: numpy-backed tensors with reverse-mode differentiation, the ops
   the models use, and the `no_grad`, `finite_checks` and `profile_ops`
-  contexts; `gradcheck` verifies its gradients by finite differences.
+  contexts.
 - `video`: clips, latent timelines and frame files; `vae`: a toy causal
   video autoencoder.
 - `skeleton`, `retarget`, `rasterize`: pose sequences, retargeting onto a

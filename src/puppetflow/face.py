@@ -39,6 +39,12 @@ N_COEFF = 20  # motion coefficients per frame
 DOWN_WIDTH = 64  # channel width after temporal downsampling
 _ENC_CHANNELS = (3, 4, 8, 8, 16, 16, 32)
 _NOISE_CHUNK = 2**16  # float64 noise values per worker draw
+# augmentation: zoom, per-channel gain and bias, each uniform over its range,
+# and additive Gaussian noise whose sigma is uniform over [0, NOISE_HI)
+SCALE_RANGE = (0.9, 1.1)
+GAIN_RANGE = (0.8, 1.2)
+BIAS_RANGE = (-0.1, 0.1)
+NOISE_HI = 0.05
 
 
 @dataclass
@@ -116,27 +122,6 @@ def crop_face(frame: Tensor, sk: Skeleton) -> FaceCrop | None:
     return FaceCrop(Tensor(out.astype(np.float32, copy=False)), box)
 
 
-@dataclass
-class FaceAugmentConfig:
-    scale_lo: float = 0.9
-    scale_hi: float = 1.1
-    gain_lo: float = 0.8
-    gain_hi: float = 1.2
-    bias_lo: float = -0.1
-    bias_hi: float = 0.1
-    noise_hi: float = 0.05
-
-    def __post_init__(self):
-        if self.scale_lo <= 0:
-            raise ConfigError(f"FaceAugmentConfig: scale_lo must be positive, got {self.scale_lo}")
-        for name in ("scale", "gain", "bias"):
-            lo, hi = getattr(self, f"{name}_lo"), getattr(self, f"{name}_hi")
-            if lo > hi:
-                raise ConfigError(f"FaceAugmentConfig: {name}_lo {lo} exceeds {name}_hi {hi}")
-        if self.noise_hi < 0:
-            raise ConfigError(f"FaceAugmentConfig: noise_hi must be non-negative, got {self.noise_hi}")
-
-
 def _current_cpu() -> int | None:
     """CPU the calling thread last ran on (field 39 of its Linux stat), or None."""
     try:
@@ -164,7 +149,7 @@ def _avoid_cpu(cpu: int | None) -> None:
             pass
 
 
-def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> FaceCrop:
+def augment_face(face: FaceCrop, rng) -> FaceCrop:
     """Train-time identity-scrambling: rescale, color jitter, additive noise.
 
     Draw order is fixed (scale, 3 gains, 3 biases, sigma, then the float64
@@ -180,16 +165,15 @@ def augment_face(face: FaceCrop, rng, cfg: FaceAugmentConfig | None = None) -> F
     inherits none), and it is kept off the caller's CPU where the process
     may use another one (`_avoid_cpu`).
     """
-    cfg = cfg or FaceAugmentConfig()
     if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
         raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
     if not isinstance(rng, np.random.Generator):
         raise ConfigError(f"augment_face: rng must be a numpy Generator, got {type(rng).__name__}")
     img = face.image.data
-    s = float(rng.uniform(cfg.scale_lo, cfg.scale_hi))
-    gains = rng.uniform(cfg.gain_lo, cfg.gain_hi, 3).astype(img.dtype)
-    biases = rng.uniform(cfg.bias_lo, cfg.bias_hi, 3).astype(img.dtype)
-    sigma = float(rng.uniform(0.0, cfg.noise_hi))
+    s = float(rng.uniform(*SCALE_RANGE))
+    gains = rng.uniform(*GAIN_RANGE, 3).astype(img.dtype)
+    biases = rng.uniform(*BIAS_RANGE, 3).astype(img.dtype)
+    sigma = float(rng.uniform(0.0, NOISE_HI))
     side = FACE_SIZE / s
     off = (FACE_SIZE - side) / 2.0
     noise = np.empty(img.size, dtype=np.float64)
@@ -248,8 +232,7 @@ class MotionBasis:
 class FaceEncoder:
     """Six stride-2 stages 512 -> 8, pooled, projected to motion coefficients."""
 
-    def __init__(self, rng, m: int = N_COEFF, dtype=np.float32):
-        self.m = m
+    def __init__(self, rng, dtype=np.float32):
         self.dtype = dtype
         p = {}
         for i in range(6):
@@ -257,13 +240,13 @@ class FaceEncoder:
             w = rng.standard_normal((co, ci, 3, 3)) * np.sqrt(2.0 / (ci * 9))
             p[f"conv{i}.w"] = Tensor(w.astype(dtype), requires_grad=True)
             p[f"conv{i}.b"] = Tensor(np.zeros(co, dtype=dtype), requires_grad=True)
-        head = rng.standard_normal((_ENC_CHANNELS[-1], m)) / np.sqrt(_ENC_CHANNELS[-1])
+        head = rng.standard_normal((_ENC_CHANNELS[-1], N_COEFF)) / np.sqrt(_ENC_CHANNELS[-1])
         p["head.w"] = Tensor(head.astype(dtype), requires_grad=True)
-        p["head.b"] = Tensor(np.zeros(m, dtype=dtype), requires_grad=True)
+        p["head.b"] = Tensor(np.zeros(N_COEFF, dtype=dtype), requires_grad=True)
         self.params = p
 
     def encode_batch(self, crops: Tensor) -> Tensor:
-        """[N,3,512,512] -> [N, m] coefficients, one crop at a time.
+        """[N,3,512,512] -> [N, N_COEFF] coefficients, one crop at a time.
 
         Each crop runs the six conv/SiLU stages on its own and is pooled; the
         head then runs once over the stacked pooled features. One crop per
@@ -301,11 +284,10 @@ class TemporalDownsampler:
     AlignmentError is raised.
     """
 
-    def __init__(self, rng, m: int = N_COEFF, width: int = DOWN_WIDTH, dtype=np.float32):
+    def __init__(self, rng, dtype=np.float32):
         mid = 32
-        self.m, self.width = m, width
-        w1 = rng.standard_normal((mid, m, 3)) * np.sqrt(2.0 / (m * 3))
-        w2 = rng.standard_normal((width, mid, TEMPORAL_GROUP)) * np.sqrt(2.0 / (mid * TEMPORAL_GROUP))
+        w1 = rng.standard_normal((mid, N_COEFF, 3)) * np.sqrt(2.0 / (N_COEFF * 3))
+        w2 = rng.standard_normal((DOWN_WIDTH, mid, TEMPORAL_GROUP)) * np.sqrt(2.0 / (mid * TEMPORAL_GROUP))
         self.params = {
             "down1.w": Tensor(w1.astype(dtype), requires_grad=True),
             "down2.w": Tensor(w2.astype(dtype), requires_grad=True),
@@ -325,15 +307,15 @@ class TemporalDownsampler:
         base = frame_map[0][0]
         taps = [b - 1 - base for _, b in frame_map]
         h = pt.silu(pt.causal_conv1d(per_frame, self.params["down1.w"]))
-        return pt.causal_conv1d(h, self.params["down2.w"], taps=taps)  # [T_z, width]
+        return pt.causal_conv1d(h, self.params["down2.w"], taps=taps)  # [T_z, DOWN_WIDTH]
 
 
 @dataclass
 class FaceLatentSequence:
     """Per-frame coefficients plus their latent-timeline alignment."""
 
-    per_frame: Tensor  # [T, m]
-    downsampled: Tensor  # [T_z, width]
+    per_frame: Tensor  # [T, N_COEFF]
+    downsampled: Tensor  # [T_z, DOWN_WIDTH]
 
     @property
     def t_z(self) -> int:

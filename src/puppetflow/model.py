@@ -18,18 +18,23 @@ whatever the previous training stage produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as pt
-from .face import DOWN_WIDTH, N_COEFF, FaceEncoder, MotionBasis, TemporalDownsampler
+from .face import DOWN_WIDTH, FaceEncoder, MotionBasis, TemporalDownsampler
 from .packs import ConditionPack
 from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
 from .vae import ToyVAE
 from .video import LATENT_CHANNELS
 
 TIME_FREQ_DIM = 64
+PATCH = (1, 2, 2)  # latent (t, h, w) patch per token
+MLP_RATIO = 4
+LORA_ALPHA = 16.0
+MAX_LATENTS = 24  # positional table length
 
 
 @dataclass
@@ -38,14 +43,8 @@ class DiTConfig:
     dim: int = 128
     n_heads: int = 4
     face_stride: int = 2  # face block after every k-th layer
-    patch: tuple = (1, 2, 2)
     lora_rank: int = 8
-    lora_alpha: float = 16.0
     latent_size: int = 16  # spatial side of the latent grid
-    max_latents: int = 24  # positional table length
-    face_width: int = DOWN_WIDTH
-    face_coeff: int = N_COEFF
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.face_stride < 1:
@@ -65,21 +64,19 @@ class DiTConfig:
 
     @property
     def tokens_per_step(self) -> int:
-        return (self.latent_size // self.patch[1]) * (self.latent_size // self.patch[2])
+        return (self.latent_size // PATCH[1]) * (self.latent_size // PATCH[2])
 
     @property
     def token_dim(self) -> int:
-        pt_, ph, pw = self.patch
-        return (2 * LATENT_CHANNELS + 1) * pt_ * ph * pw
+        return (2 * LATENT_CHANNELS + 1) * math.prod(PATCH)
 
     @property
     def out_dim(self) -> int:
-        pt_, ph, pw = self.patch
-        return LATENT_CHANNELS * pt_ * ph * pw
+        return LATENT_CHANNELS * math.prod(PATCH)
 
 
-def timestep_embedding(t: float, dim: int = TIME_FREQ_DIM, dtype=np.float32) -> Tensor:
-    half = dim // 2
+def timestep_embedding(t: float, dtype=np.float32) -> Tensor:
+    half = TIME_FREQ_DIM // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = t * freqs
     return Tensor(np.concatenate([np.cos(ang), np.sin(ang)]).astype(dtype))
@@ -100,9 +97,9 @@ class LoRAAdapter:
     with `up` zero-initialized, so a fresh adapter is exactly a no-op.
     """
 
-    def __init__(self, rng, targets: dict, rank: int, alpha: float, dtype=np.float32):
+    def __init__(self, rng, targets: dict, rank: int, dtype=np.float32):
         self.rank = rank
-        self.scale = alpha / rank
+        self.scale = LORA_ALPHA / rank
         self.params = {}
         for name, (d_in, d_out) in targets.items():
             if rank >= min(d_in, d_out):
@@ -132,10 +129,10 @@ class FaceBlock:
     """
 
     def __init__(self, rng, cfg: DiTConfig, null_latent: Tensor, dtype=np.float32):
-        d, fw = cfg.dim, cfg.face_width
+        d = cfg.dim
         self.null_latent = null_latent  # shared with the model's other face blocks
         self.params = {
-            "v": _init(rng, (fw, d), 1.0 / np.sqrt(fw), dtype),
+            "v": _init(rng, (DOWN_WIDTH, d), 1.0 / np.sqrt(DOWN_WIDTH), dtype),
             "o": _init(rng, (d, d), 0.02, dtype),
             "gate": _zeros((d,), dtype),
         }
@@ -177,21 +174,21 @@ class AnimationModel:
         self.cfg = cfg
         self.dtype = dtype
         self.vae = ToyVAE(rng, dtype)
-        self.face_encoder = FaceEncoder(rng, cfg.face_coeff, dtype)
-        self.basis = MotionBasis(rng, cfg.face_coeff, dtype)
-        self.downsampler = TemporalDownsampler(rng, cfg.face_coeff, cfg.face_width, dtype)
+        self.face_encoder = FaceEncoder(rng, dtype)
+        self.basis = MotionBasis(rng, dtype=dtype)
+        self.downsampler = TemporalDownsampler(rng, dtype)
         d = cfg.dim
         p = {}
         p["input.w"] = _init(rng, (cfg.token_dim, d), 1.0 / np.sqrt(cfg.token_dim), dtype)
         p["input.b"] = _zeros((d,), dtype)
         p["body.w"] = _zeros((cfg.out_dim, d), dtype)  # pose injection starts silent
-        p["pos.temporal"] = _init(rng, (cfg.max_latents, d), 0.02, dtype)
+        p["pos.temporal"] = _init(rng, (MAX_LATENTS, d), 0.02, dtype)
         p["pos.spatial"] = _init(rng, (cfg.tokens_per_step, d), 0.02, dtype)
         p["time.w1"] = _init(rng, (TIME_FREQ_DIM, d), 1.0 / np.sqrt(TIME_FREQ_DIM), dtype)
         p["time.b1"] = _zeros((d,), dtype)
         p["time.w2"] = _init(rng, (d, d), 1.0 / np.sqrt(d), dtype)
         p["time.b2"] = _zeros((d,), dtype)
-        hidden = cfg.mlp_ratio * d
+        hidden = MLP_RATIO * d
         for i in range(cfg.n_layers):
             pre = f"blocks.{i}"
             for proj in ("q", "k", "v", "o"):
@@ -206,7 +203,7 @@ class AnimationModel:
         p["final.ada.b"] = _zeros((2 * d,), dtype)
         p["final.w"] = _zeros((d, cfg.out_dim), dtype)  # zero-init output head
         p["final.b"] = _zeros((cfg.out_dim,), dtype)
-        p["null_face"] = _init(rng, (cfg.face_width,), 0.02, dtype)
+        p["null_face"] = _init(rng, (DOWN_WIDTH,), 0.02, dtype)
         self.params = p
         self.face_blocks = [FaceBlock(rng, cfg, p["null_face"], dtype) for _ in range(cfg.face_block_count)]
         self.lora: LoRAAdapter | None = None
@@ -222,9 +219,9 @@ class AnimationModel:
             for proj in ("q", "k", "v", "o"):
                 targets[f"blocks.{i}.attn.{proj}"] = (d, d)
         for j in range(self.cfg.face_block_count):
-            targets[f"face_blocks.{j}.v"] = (self.cfg.face_width, d)
+            targets[f"face_blocks.{j}.v"] = (DOWN_WIDTH, d)
             targets[f"face_blocks.{j}.o"] = (d, d)
-        self.lora = LoRAAdapter(rng, targets, self.cfg.lora_rank, self.cfg.lora_alpha, self.dtype)
+        self.lora = LoRAAdapter(rng, targets, self.cfg.lora_rank, self.dtype)
         return self.lora
 
     def named_params(self, roles=None) -> dict:
@@ -295,13 +292,13 @@ class AnimationModel:
         tps = cfg.tokens_per_step
 
         stacked = pt.concat([x_t, pack.condition, pack.mask], axis=0)
-        tokens = pt.linear(pt.patchify(stacked, cfg.patch), self.params["input.w"], self.params["input.b"])
+        tokens = pt.linear(pt.patchify(stacked, PATCH), self.params["input.w"], self.params["input.b"])
         step_of_token = np.repeat(np.arange(n_total), tps)
         tokens = pt.add(tokens, pt.take_rows(self.params["pos.temporal"], step_of_token))
         tokens = pt.add(tokens, pt.take_rows(self.params["pos.spatial"], np.tile(np.arange(tps), n_total)))
 
         if pose_latents is not None:
-            tokens = _inject_pose(tokens, pose_latents, self.params["body.w"], n_total, cfg.patch)
+            tokens = _inject_pose(tokens, pose_latents, self.params["body.w"], n_total)
 
         tfeat = self._time_features(t)
         x = tokens
@@ -324,10 +321,10 @@ class AnimationModel:
         x = pt.layer_norm(x, pt.add_scalar(sc, 1.0), sh)
         x = pt.linear(x, self.params["final.w"], self.params["final.b"])
         dims = (LATENT_CHANNELS,) + tuple(pack.condition.shape[1:])
-        return pt.unpatchify(x, dims, cfg.patch)
+        return pt.unpatchify(x, dims, PATCH)
 
 
-def _inject_pose(tokens: Tensor, pose_latents: Tensor, proj_w: Tensor, n_total: int, patch) -> Tensor:
+def _inject_pose(tokens: Tensor, pose_latents: Tensor, proj_w: Tensor, n_total: int) -> Tensor:
     """Add projected, patchified pose latents to the window tokens.
 
     Pose latents cover exactly the window (temporal guidance included); the
@@ -336,7 +333,7 @@ def _inject_pose(tokens: Tensor, pose_latents: Tensor, proj_w: Tensor, n_total: 
     n_window = n_total - 1
     if pose_latents.shape[1] != n_window:
         raise AlignmentError(f"pose latents cover {pose_latents.shape[1]} steps, window has {n_window}")
-    pose_tokens = pt.matmul(pt.patchify(pose_latents, patch), proj_w)
+    pose_tokens = pt.matmul(pt.patchify(pose_latents, PATCH), proj_w)
     tps = tokens.shape[0] // n_total
     ref = pt.slice_axis(tokens, 0, 0, tps)
     win = pt.add(pt.slice_axis(tokens, 0, tps, tokens.shape[0]), pose_tokens)

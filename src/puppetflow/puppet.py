@@ -15,7 +15,6 @@ retargeted skeletons alike.
 from __future__ import annotations
 
 import colorsys
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +52,7 @@ SCLERA = (1.0, 1.0, 1.0)
 PUPIL = (0.02, 0.02, 0.02)
 MOUTH = (0.05, 0.02, 0.02)
 HEAD_RADIUS_RATIO = 2.1  # of the mean nose-to-eye distance
+MOUTH_POINTS = 9  # points on the mouth curve, so 8 capsule segments
 
 
 @dataclass
@@ -156,13 +156,13 @@ def face_geometry(sk: Skeleton) -> FaceGeometry:
     )
 
 
-def mouth_curve(geo: FaceGeometry, curvature: float, n: int = 9) -> np.ndarray:
+def mouth_curve(geo: FaceGeometry, curvature: float) -> np.ndarray:
     """Quadratic bezier points; positive curvature bows the center downward
     (screen coordinates), i.e. a smile."""
     p0 = geo.mouth_center - geo.mouth_half_width * geo.side
     p2 = geo.mouth_center + geo.mouth_half_width * geo.side
     p1 = geo.mouth_center - 0.9 * curvature * geo.mouth_half_width * geo.up
-    ts = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+    ts = np.linspace(0.0, 1.0, MOUTH_POINTS).reshape(-1, 1)
     return (1 - ts) ** 2 * p0 + 2 * ts * (1 - ts) * p1 + ts**2 * p2
 
 
@@ -378,22 +378,15 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
 # ---------------------------------------------------------------------------
 # loss region weights
 
+HEAD_WEIGHT = 2.0
+EYE_WEIGHT = 4.0
+MOUTH_WEIGHT = 4.0
 
-def region_weight_map(
-    sk: Skeleton,
-    face_params,
-    height: int,
-    width: int,
-    w_head: float = 2.0,
-    w_eyes: float = 4.0,
-    w_mouth: float = 4.0,
-) -> np.ndarray:
+
+def region_weight_map(sk: Skeleton, face_params, height: int, width: int) -> np.ndarray:
     """[1,H,W] loss weights: 1 everywhere, raised over head/eye/mouth regions
     (max-combined). Regions clip at the canvas, so an off-screen head leaves
     the map uniform."""
-    for wv in (w_head, w_eyes, w_mouth):
-        if wv < 1.0:
-            raise ConfigError(f"region weights must be >= 1, got {wv}")
     geo = face_geometry(sk)
     out = np.ones((1, height, width), dtype=np.float32)
 
@@ -406,28 +399,24 @@ def region_weight_map(
                 region = out[0, y : y + alpha.shape[0], x : x + alpha.shape[1]]
                 np.maximum(region, value, out=region, where=alpha >= 0.5)
 
-    paint([geo.center], geo.radius, geo.radius, w_head)
+    paint([geo.center], geo.radius, geo.radius, HEAD_WEIGHT)
     openness = float(face_params[0])
     eye_b = max((0.08 + 0.92 * openness) * geo.eye_b_max, 0.3 * geo.eye_a)
-    paint(geo.eyes, 1.3 * geo.eye_a, 1.3 * max(eye_b, geo.eye_b_max), w_eyes)
+    paint(geo.eyes, 1.3 * geo.eye_a, 1.3 * max(eye_b, geo.eye_b_max), EYE_WEIGHT)
     # the mouth threshold applies to the blended union of its segments
     pts = mouth_curve(geo, float(face_params[1]))
     canvas = np.zeros((1, height, width))
     blend_capsule(canvas, pts[:-1], pts[1:], 1.5 * geo.mouth_thickness, (1.0,))
-    np.maximum(out[0], w_mouth, out=out[0], where=canvas[0] >= 0.5)
+    np.maximum(out[0], MOUTH_WEIGHT, out=out[0], where=canvas[0] >= 0.5)
     return out
 
 
 # ---------------------------------------------------------------------------
 # relight proxy
 
-
-@dataclass
-class RelightConfig:
-    cast_strength: float = 0.55
-    bias_strength: float = 0.12
-    ramp_hi: float = 0.15
-    identity_cast: bool = False
+CAST_STRENGTH = 0.55  # gain slope over the background's mean color
+BIAS_STRENGTH = 0.12
+RAMP_HI = 0.15  # the brightness ramp's amplitude is uniform over [0, RAMP_HI)
 
 
 @dataclass
@@ -441,15 +430,17 @@ class RelightResult:
 
 
 def relight_augment(
-    ref_frame: np.ndarray, subject_mask: np.ndarray, rng, cfg: RelightConfig | None = None
+    ref_frame: np.ndarray, subject_mask: np.ndarray, rng, *, identity_cast: bool = False
 ) -> RelightResult:
     """Composite the subject onto a fresh background with a lighting mismatch.
 
     The subject picks up an affine color cast derived from the new
     background's mean color plus a directional brightness ramp, producing a
-    reference whose lighting disagrees with the original clip.
+    reference whose lighting disagrees with the original clip. With
+    `identity_cast` the subject keeps its pixels (gain 1, bias 0, no ramp)
+    and only the background changes. An empty subject mask returns the frame
+    unchanged with `applied` False.
     """
-    cfg = cfg or RelightConfig()
     img = np.asarray(ref_frame, dtype=np.float64)
     mask = np.asarray(subject_mask, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3 or mask.shape not in (img.shape[1:], (1, *img.shape[1:])):
@@ -459,14 +450,13 @@ def relight_augment(
     bg = sample_background(rng)
     gain = np.ones(3)
     bias = np.zeros(3)
-    ramp_amp = 0.0 if cfg.identity_cast else float(rng.uniform(0.0, cfg.ramp_hi))
+    ramp_amp = 0.0 if identity_cast else float(rng.uniform(0.0, RAMP_HI))
     theta = rng.uniform(0.0, 2 * np.pi)
-    if not cfg.identity_cast:
+    if not identity_cast:
         mean = bg.mean_color()
-        gain = 1.0 + cfg.cast_strength * (mean - 0.5)
-        bias = cfg.bias_strength * (mean - 0.5)
+        gain = 1.0 + CAST_STRENGTH * (mean - 0.5)
+        bias = BIAS_STRENGTH * (mean - 0.5)
     if mask.max() < 0.5:
-        warnings.warn("relight: empty subject mask, augmentation skipped")
         return RelightResult(img.astype(np.float32), bg, gain, bias, ramp_amp, applied=False)
     xs, ys = np.arange(w), np.arange(h)[:, None]
     proj = (xs * np.cos(theta) + ys * np.sin(theta)) / np.hypot(h, w)

@@ -25,7 +25,7 @@ index gathers every frame's window from a strided view of all windows, the
 float64 blend runs on the stack and the result is scattered back; an
 optional [T, H, W] mask is raised the same way. Blending alpha 0 is an exact
 no-op, so undrawn frames and the margins of small boxes leave pixels as they
-were. The per-frame drawing functions are the one-frame case.
+were.
 
 A frame group's float64 canvas stays within `_GROUP_BYTES`, 10 frames of
 [3, 128, 128], and callers reuse one canvas for all of a clip's groups. In a
@@ -50,8 +50,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .skeleton import CONF_THRESHOLD, N_JOINTS, N_LIMBS, TOPOLOGY, Skeleton
-from .tensor import Tensor
+from .skeleton import CONF_THRESHOLD, N_JOINTS, N_LIMBS, TOPOLOGY
+from .tensor import NumericalError, Tensor
 
 BASE_WIDTH = 4.0
 BASE_CANVAS = 256.0
@@ -81,12 +81,19 @@ def _frames(drawn, *params):
     `drawn` is a [T] bool of the frames that draw the shape, or None for all
     of them. Parameters of frames left out are set to 0, so that no NaN or
     inf there reaches the arithmetic; a scalar applies to every frame and
-    stays a scalar."""
+    stays a scalar. A non-finite parameter of a drawn frame raises
+    NumericalError: one NaN endpoint leaves every bound finite while its
+    alpha is NaN."""
     params = [np.asarray(p, dtype=np.float64) for p in params]
     if drawn is None or np.all(drawn):
-        return [True] * len(params[0]), params
-    drawn = np.asarray(drawn, dtype=bool)
-    return drawn.tolist(), [np.where(drawn.reshape(-1, *[1] * (p.ndim - 1)), p, 0.0) if p.ndim else p for p in params]
+        drawn = [True] * len(params[0])
+    else:
+        drawn = np.asarray(drawn, dtype=bool)
+        params = [np.where(drawn.reshape(-1, *[1] * (p.ndim - 1)), p, 0.0) if p.ndim else p for p in params]
+        drawn = drawn.tolist()
+    if not all(np.isfinite(p).all() for p in params):
+        raise NumericalError("non-finite shape parameter in a drawn frame")
+    return drawn, params
 
 
 def _each(value: np.ndarray, frames: int) -> list:
@@ -99,11 +106,8 @@ def _coverage(shape, bounds, alpha_at):
     each frame's (lo_x, lo_y, hi_x, hi_y), None where the frame does not
     draw it. -> (origin [T, 2], alpha [T, bh, bw]) as the module docstring
     says, with `alpha_at(xs, ys)` evaluated on each window; None when no
-    pixel of any frame is covered.
-
-    A frame's box comes from the Python float arithmetic it always came
-    from, so a NaN or infinite bound of a drawn frame raises ValueError or
-    OverflowError as converting it to a pixel index always did."""
+    pixel of any frame is covered. The bounds are finite, as `_frames`
+    checks the parameters they come from."""
     h, w = shape
     boxes = []  # (x0, y0, x1, y1) per frame, empty where nothing is drawn
     for bound in bounds:
@@ -226,11 +230,6 @@ def blend_capsule(img: np.ndarray, p0, p1, radius: float, color) -> None:
         windows = _windows(img, *alpha.shape[1:])
         for (x, y), segment in zip(origin.tolist(), alpha):
             _over(windows[:, y, x], segment, color)
-
-
-def rasterize_pose(sk: Skeleton, height: int, width: int, dtype=np.float32) -> Tensor:
-    """Skeleton -> [3,H,W] pose frame on black, limbs in unique colors."""
-    return Tensor(rasterize_sequence([sk], height, width, dtype).data[0])
 
 
 def rasterize_sequence(seq, height: int, width: int, dtype=np.float32) -> Tensor:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, WIDE, finite_checks
+from puppetflow.tensor import WIDE, finite_checks
 
 
 def grad_check(f, xs, eps: float = 1e-6, abs_floor: float = 1e-8) -> float:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import puppetflow.tensor as pt
+from puppetflow.face import DOWN_WIDTH, N_COEFF
 from puppetflow.flow import FlowState, flow_loss, make_flow_state, sample
-from puppetflow.gradcheck import grad_check
 from puppetflow.model import AnimationModel
 from puppetflow.packs import build_animation_pack
 from puppetflow.tensor import ConditioningError, ConfigError, Tensor, WIDE
 
+from gradcheck import grad_check
 from test_model import tiny_cfg
 
 
@@ -91,7 +92,7 @@ def toy():
     ref = rng.random((3, 32, 32)).astype(np.float32)
     pack = build_animation_pack(model.vae, ref, 3, None, np.random.default_rng(2))
     pose = Tensor(rng.standard_normal((4, 3, 4, 4)).astype(np.float32))
-    face = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
+    face = Tensor(rng.standard_normal((3, DOWN_WIDTH)).astype(np.float32))
     return model, pack, pose, face
 
 
@@ -143,7 +144,7 @@ class TestSampler:
         gpack = build_animation_pack(
             model.vae, rng.random((3, 32, 32)).astype(np.float32), 3, guide, np.random.default_rng(3)
         )
-        gface = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
+        gface = Tensor(rng.standard_normal((3, DOWN_WIDTH)).astype(np.float32))
         out = sample(model, gpack, pose, gface, steps=1)
         assert out.latents.shape[1] == 2  # 3 window latents minus 1 guidance
         assert out.frame_map == [(1, 5), (5, 9)]  # frames of the window stream
@@ -167,7 +168,7 @@ class TestEndToEndGradients:
         ref = rng.random((3, 32, 32))
         pack = build_animation_pack(model.vae, ref, 3, None, np.random.default_rng(2))
         pose = Tensor(rng.standard_normal((4, 3, 4, 4)))
-        per_frame = Tensor(rng.standard_normal((9, cfg.face_coeff)))
+        per_frame = Tensor(rng.standard_normal((9, N_COEFF)))
         x0 = rng.standard_normal(pack.noise.shape)
         state = make_flow_state(x0, pack.noise.data, 0.4)
         mask = pack.mask.data

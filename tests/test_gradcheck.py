@@ -5,7 +5,8 @@ import pytest
 
 import puppetflow.tensor as pt
 from puppetflow.tensor import Tensor, WIDE
-from puppetflow.gradcheck import grad_check
+
+from gradcheck import grad_check
 
 
 def wt(rng, shape, scale=1.0):

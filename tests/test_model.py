@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import puppetflow.tensor as pt
+from puppetflow.face import DOWN_WIDTH
 from puppetflow.model import (
+    MAX_LATENTS,
     AnimationModel,
     DiTConfig,
     LoRAAdapter,
@@ -24,9 +26,6 @@ def tiny_cfg(**kw):
         face_stride=1,
         lora_rank=4,
         latent_size=4,
-        max_latents=8,
-        face_width=8,
-        face_coeff=4,
     )
     base.update(kw)
     return DiTConfig(**base)
@@ -41,7 +40,7 @@ def setup():
     pack = build_animation_pack(model.vae, ref, 3, None, np.random.default_rng(2))
     x_t = Tensor(rng.standard_normal(pack.noise.shape).astype(np.float32))
     pose = Tensor(rng.standard_normal((4, 3, 4, 4)).astype(np.float32))
-    face = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
+    face = Tensor(rng.standard_normal((3, DOWN_WIDTH)).astype(np.float32))
     return cfg, model, pack, x_t, pose, face
 
 
@@ -91,10 +90,13 @@ class TestForward:
         assert v.shape == pack.noise.shape
 
     def test_pack_longer_than_position_table_raises(self, setup):
-        cfg, _, pack, x_t, _, _ = setup
-        short = AnimationModel(tiny_cfg(max_latents=pack.condition.shape[1] - 1), np.random.default_rng(0))
+        # MAX_LATENTS target latents and the reference: one row past the table
+        _, model, _, _, _, _ = setup
+        rng = np.random.default_rng(2)
+        pack = build_animation_pack(model.vae, rng.random((3, 32, 32)).astype(np.float32), MAX_LATENTS, None, rng)
+        x_t = Tensor(np.zeros(pack.noise.shape, dtype=np.float32))
         with pytest.raises(ShapeError):
-            short.forward_tokens(x_t, pack, None, None, 0.5)
+            model.forward_tokens(x_t, pack, None, None, 0.5)
 
     def test_pose_length_mismatch_raises(self, setup):
         cfg, model, pack, x_t, _, face = setup
@@ -105,7 +107,7 @@ class TestForward:
     def test_face_length_mismatch_raises(self, setup):
         cfg, model, pack, x_t, pose, _ = setup
         model.face_blocks[0].params["gate"].data[:] = 1.0
-        bad = Tensor(np.zeros((2, 8), dtype=np.float32))
+        bad = Tensor(np.zeros((2, DOWN_WIDTH), dtype=np.float32))
         with pytest.raises(AlignmentError):
             model.forward_tokens(x_t, pack, pose, bad, 0.5)
 
@@ -118,13 +120,13 @@ class TestForward:
         tokens = Tensor(rng.standard_normal((pack.condition.shape[1] * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
         frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
         with pt.no_grad():
-            out = _inject_pose(tokens, model.vae.encode_tensor(frames), model.params["body.w"], pack.condition.shape[1], cfg.patch)
+            out = _inject_pose(tokens, model.vae.encode_tensor(frames), model.params["body.w"], pack.condition.shape[1])
             assert np.array_equal(out.data[: cfg.tokens_per_step], tokens.data[: cfg.tokens_per_step])
             assert np.abs(out.data[cfg.tokens_per_step :] - tokens.data[cfg.tokens_per_step :]).max() > 0
             # perturb a pose frame: reference tokens stay bit-identical
             frames2 = Tensor(frames.data.copy())
             frames2.data[4] += 0.5
-            out2 = _inject_pose(tokens, model.vae.encode_tensor(frames2), model.params["body.w"], pack.condition.shape[1], cfg.patch)
+            out2 = _inject_pose(tokens, model.vae.encode_tensor(frames2), model.params["body.w"], pack.condition.shape[1])
         assert np.array_equal(out2.data[: cfg.tokens_per_step], out.data[: cfg.tokens_per_step])
 
     def test_zero_body_projection_is_identity(self, setup):
@@ -134,7 +136,7 @@ class TestForward:
         frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
         zero_w = Tensor(np.zeros_like(model.params["body.w"].data))
         with pt.no_grad():
-            out = _inject_pose(tokens, model.vae.encode_tensor(frames), zero_w, pack.condition.shape[1], cfg.patch)
+            out = _inject_pose(tokens, model.vae.encode_tensor(frames), zero_w, pack.condition.shape[1])
         assert np.array_equal(out.data, tokens.data)
 
 
@@ -230,7 +232,7 @@ class TestFaceBlock:
         rng = np.random.default_rng(9)
         row = rng.standard_normal((1, cfg.dim)).astype(np.float32)
         tokens = Tensor(np.tile(row, (16, 1)))  # identical token content everywhere
-        face = Tensor(np.tile(rng.standard_normal((1, 8)).astype(np.float32), (3, 1)))
+        face = Tensor(np.tile(rng.standard_normal((1, DOWN_WIDTH)).astype(np.float32), (3, 1)))
         steps = np.repeat(np.arange(4), 4)
         with pt.no_grad():
             out = fb(tokens, face, steps, 3).data
@@ -254,6 +256,21 @@ def test_default_forward_runs_one_attention_op_per_layer():
     assert prof.ops["layer_norm"].calls == 2 * cfg.n_layers + 1
 
 
+def test_default_config_gives_the_benchmark_shapes():
+    # The benchmark builds the default model, and these shapes fix the draws
+    # of its weights.
+    cfg = DiTConfig()
+    model = AnimationModel(cfg, np.random.default_rng(0))
+    assert (1 + 5) * cfg.tokens_per_step == 384  # 5 latents and the reference
+    assert (cfg.token_dim, cfg.out_dim) == (36, 16)
+    p = model.params
+    assert p["input.w"].shape == (36, 128) and p["final.w"].shape == (128, 16)
+    assert p["pos.temporal"].shape == (MAX_LATENTS, 128) == (24, 128)
+    assert p["blocks.0.mlp.w1"].shape == (128, 512)
+    assert p["null_face"].shape == (DOWN_WIDTH,) and model.face_blocks[0].params["v"].shape == (DOWN_WIDTH, 128)
+    assert model.attach_lora().scale == 2.0
+
+
 class TestLoRA:
     def test_zero_up_matches_base_exactly(self, setup):
         cfg, model, pack, x_t, pose, face = setup
@@ -267,7 +284,7 @@ class TestLoRA:
     def test_dense_equivalence_oracle(self):
         rng = np.random.default_rng(11)
         d, r = 8, 4
-        adapter = LoRAAdapter(rng, {"layer": (d, d)}, rank=r, alpha=16.0, dtype=WIDE)
+        adapter = LoRAAdapter(rng, {"layer": (d, d)}, rank=r, dtype=WIDE)
         adapter.params["layer.up"].data[:] = rng.standard_normal((r, d))
         w = Tensor(rng.standard_normal((d, d)).astype(WIDE))
         x = Tensor(rng.standard_normal((5, d)).astype(WIDE))
@@ -279,12 +296,12 @@ class TestLoRA:
 
     def test_rank_at_dim_rejected(self):
         with pytest.raises(ConfigError):
-            LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=8, alpha=16.0)
+            LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=8)
 
     def test_gradients_flow_to_adapter_not_frozen_base(self):
         rng = np.random.default_rng(12)
         d = 8
-        adapter = LoRAAdapter(rng, {"layer": (d, d)}, rank=2, alpha=4.0)
+        adapter = LoRAAdapter(rng, {"layer": (d, d)}, rank=2)
         w = Tensor(rng.standard_normal((d, d)).astype(np.float32))  # frozen base
         x = Tensor(rng.standard_normal((3, d)).astype(np.float32))
         out = pt.sum_all(lora_forward(x, w, adapter, "layer"))
@@ -296,7 +313,7 @@ class TestLoRA:
 
     def test_untargeted_layer_untouched(self):
         rng = np.random.default_rng(13)
-        adapter = LoRAAdapter(rng, {"other": (8, 8)}, rank=2, alpha=4.0)
+        adapter = LoRAAdapter(rng, {"other": (8, 8)}, rank=2)
         w = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
         x = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
         with pt.no_grad():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from puppetflow.rasterize import LIMB_PALETTE, rasterize_pose
+from puppetflow.rasterize import LIMB_PALETTE, rasterize_sequence
 from puppetflow.retarget import (
     RetargetParams,
     anchor_point,
@@ -139,13 +139,13 @@ class TestRasterize:
     def test_off_canvas_is_black(self):
         sk = random_skeleton(4)
         sk.joints += 10_000.0
-        img = rasterize_pose(sk, 64, 64)
+        img = rasterize_sequence([sk], 64, 64)
         assert img.data.max() == 0.0
 
     def test_deterministic(self):
         sk = random_skeleton(5)
-        a = rasterize_pose(sk, 96, 96).data
-        b = rasterize_pose(sk, 96, 96).data
+        a = rasterize_sequence([sk], 96, 96).data[0]
+        b = rasterize_sequence([sk], 96, 96).data[0]
         assert np.array_equal(a, b)
 
     def test_limb_colors_unique(self):
@@ -156,24 +156,24 @@ class TestRasterize:
         sk = random_skeleton(6, origin=(100.0, 100.0))
         sk.joints = np.round(sk.joints * 4) / 4  # exactly representable coords
         d = 16
-        base = rasterize_pose(sk, 256, 256).data
+        base = rasterize_sequence([sk], 256, 256).data[0]
         moved = sk.copy()
         moved.joints += d
-        shifted = rasterize_pose(moved, 256, 256).data
+        shifted = rasterize_sequence([moved], 256, 256).data[0]
         np.testing.assert_allclose(base[:, 32:200, 32:200], shifted[:, 32 + d : 200 + d, 32 + d : 200 + d], atol=1e-6)
 
     def test_hidden_limbs_not_drawn(self):
         sk = random_skeleton(7)
-        full = rasterize_pose(sk, 128, 128).data
+        full = rasterize_sequence([sk], 128, 128).data[0]
         sk2 = sk.copy()
         sk2.confidence[:] = 0.0
-        assert rasterize_pose(sk2, 128, 128).data.max() == 0.0
+        assert rasterize_sequence([sk2], 128, 128).data[0].max() == 0.0
         assert full.max() > 0.0
 
     def test_zero_length_limb_draws_disc(self):
         sk = random_skeleton(8)
         sk.joints[:] = (64.0, 64.0)
-        img = rasterize_pose(sk, 128, 128).data
+        img = rasterize_sequence([sk], 128, 128).data[0]
         assert img.max() > 0.0
         assert (img[:, :50, :] == 0).all()
 

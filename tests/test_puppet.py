@@ -1,13 +1,13 @@
 """Puppet corpus generator: the invariants its docstrings claim."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from puppetflow import puppet
 from puppetflow.puppet import (
-    RelightConfig,
     estimate_face_params,
     face_geometry,
     generate_scene,
@@ -168,13 +168,21 @@ class TestRelight:
     def test_identity_cast_changes_only_background(self, framing):
         sample = generate_scene(8, 1, framing, 64)
         frame, mask = sample.clip.frames.data[0], sample.masks[0]
-        res = relight_augment(frame, mask, np.random.default_rng(1), RelightConfig(identity_cast=True))
+        res = relight_augment(frame, mask, np.random.default_rng(1), identity_cast=True)
         assert res.applied
         subject = mask[0] >= 0.5
         assert subject.any() and not subject.all()
         assert np.array_equal(res.image[:, subject], frame[:, subject])
         bg = res.background.render(64, 64).astype(np.float32)
         assert np.array_equal(res.image[:, ~subject], bg[:, ~subject])
+
+    def test_empty_mask_returns_the_frame_unapplied_without_a_warning(self):
+        frame = generate_scene(8, 1, "portrait", 32).clip.frames.data[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = relight_augment(frame, np.zeros((1, 32, 32)), np.random.default_rng(1))
+        assert not res.applied
+        assert res.image.dtype == np.float32 and np.array_equal(res.image, frame)
 
 
 def scene_with_face(seed, framing, openness, curvature):

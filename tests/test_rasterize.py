@@ -25,10 +25,12 @@ from puppetflow.rasterize import (
     _capsule,
     _ellipse,
     _frame_groups,
+    blend_capsule,
     rasterize_sequence,
 )
 from puppetflow.retarget import FRAMINGS
 from puppetflow.skeleton import CONF_THRESHOLD, N_JOINTS, TOPOLOGY
+from puppetflow.tensor import NumericalError
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -193,15 +195,27 @@ class TestCoverageMatchesIndexGrid:
 
     @pytest.mark.parametrize("bad,error", [(float("nan"), ValueError), (float("inf"), OverflowError)])
     def test_non_finite_bounds_raise_as_before(self, bad, error):
+        # the references fail converting a bound to a pixel index, with
+        # `error`; the covers fail on the parameter, before any bound
         p = np.array([bad, 3.0])
-        for draw in (
-            lambda: ref_capsule((8, 8), p, p, 1.0),
-            lambda: _capsule((8, 8), [p], [p], 1.0),
-            lambda: ref_ellipse((8, 8), p, X, 2.0, 1.0),
-            lambda: _ellipse((8, 8), [p], [X], 2.0, 1.0),
-        ):
+        for ref in (lambda: ref_capsule((8, 8), p, p, 1.0), lambda: ref_ellipse((8, 8), p, X, 2.0, 1.0)):
             with pytest.raises(error):
+                ref()
+        for draw in (lambda: _capsule((8, 8), [p], [p], 1.0), lambda: _ellipse((8, 8), [p], [X], 2.0, 1.0)):
+            with pytest.raises(NumericalError):
                 draw()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_one_non_finite_endpoint_raises(self, end, bad):
+        # min and max of a finite and a NaN coordinate may both return the
+        # finite one, so every bound can be finite while alpha is NaN
+        pts = [[2.0, 2.0], [4.0, 3.0]]
+        pts[end][0] = bad
+        img = np.zeros((3, 8, 8))
+        with pytest.raises(NumericalError):
+            blend_capsule(img, pts[0], pts[1], 1.0, (1.0, 1.0, 1.0))
+        assert not img.any()
 
 
 class TestFrameStacks:
@@ -238,17 +252,19 @@ class TestFrameStacks:
         good = np.array([4.0, 3.0])
         pts = np.array([good, [bad, 3.0], good + 1.0])
         if kind == "capsule":
-            refs = [ref_capsule((8, 8), p, p, 1.0) for p in pts[::2]]
+            ref = lambda p: ref_capsule((8, 8), p, p, 1.0)  # noqa: E731
             draw = lambda drawn: _capsule((8, 8), pts, pts, 1.0, drawn)  # noqa: E731
         else:
-            refs = [ref_ellipse((8, 8), p, X, 2.0, 1.0) for p in pts[::2]]
+            ref = lambda p: ref_ellipse((8, 8), p, X, 2.0, 1.0)  # noqa: E731
             draw = lambda drawn: _ellipse((8, 8), pts, [X] * 3, 2.0, 1.0, drawn)  # noqa: E731
-        with pytest.raises(error):
+        with pytest.raises(error):  # the bad frame drawn on its own, by the reference
+            ref(pts[1])
+        with pytest.raises(NumericalError):
             draw([True, True, True])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = draw([True, False, True])
-        assert_frame_windows((8, 8), got, [refs[0], None, refs[1]])
+        assert_frame_windows((8, 8), got, [ref(pts[0]), None, ref(pts[2])])
 
     def test_no_frame_drawn_is_none(self):
         p = np.array([[4.0, 4.0], [5.0, 5.0]])
