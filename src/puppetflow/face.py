@@ -233,7 +233,6 @@ class FaceEncoder:
     """Six stride-2 stages 512 -> 8, pooled, projected to motion coefficients."""
 
     def __init__(self, rng, dtype=np.float32):
-        self.dtype = dtype
         p = {}
         for i in range(6):
             ci, co = _ENC_CHANNELS[i], _ENC_CHANNELS[i + 1]

@@ -98,7 +98,6 @@ class LoRAAdapter:
     """
 
     def __init__(self, rng, targets: dict, rank: int, dtype=np.float32):
-        self.rank = rank
         self.scale = LORA_ALPHA / rank
         self.params = {}
         for name, (d_in, d_out) in targets.items():

@@ -91,7 +91,8 @@ def _frames(drawn, *params):
         drawn = np.asarray(drawn, dtype=bool)
         params = [np.where(drawn.reshape(-1, *[1] * (p.ndim - 1)), p, 0.0) if p.ndim else p for p in params]
         drawn = drawn.tolist()
-    if not all(np.isfinite(p).all() for p in params):
+    flat = np.concatenate([p.ravel() for p in params])
+    if np.count_nonzero(np.isfinite(flat)) < flat.size:
         raise NumericalError("non-finite shape parameter in a drawn frame")
     return drawn, params
 
