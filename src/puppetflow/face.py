@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tensor as pt
 from .skeleton import CONF_THRESHOLD, HEAD_JOINTS, Skeleton
-from .tensor import AlignmentError, ConfigError, ShapeError, Tensor
+from .tensor import AlignmentError, ConfigError, NumericalError, ShapeError, Tensor
 from .video import TEMPORAL_GROUP, is_frame_run
 
 FACE_SIZE = 512
@@ -94,11 +94,16 @@ def bilinear_resize(image: np.ndarray, box, out_size: int) -> np.ndarray:
 
 
 def head_box(sk: Skeleton, height: int, width: int):
-    """Square crop box around confident head keypoints, or None if fewer than 2."""
+    """Square crop box around confident head keypoints, or None if fewer than 2.
+
+    A confident head keypoint that is NaN or infinite raises NumericalError.
+    """
     pts = [sk.joints[j] for j in HEAD_JOINTS if sk.confidence[j] >= CONF_THRESHOLD]
     if len(pts) < 2:
         return None
     pts = np.asarray(pts)
+    if not np.isfinite(pts).all():
+        raise NumericalError(f"non-finite confident head keypoint in {pts.tolist()}")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     side = max(float((hi - lo).max()) * CROP_EXPANSION, MIN_BOX_SIDE)
     side = min(side, float(min(height, width)))
@@ -111,7 +116,8 @@ def head_box(sk: Skeleton, height: int, width: int):
 def crop_face(frame: Tensor, sk: Skeleton) -> FaceCrop | None:
     """Skeleton-guided face crop; None is the no-face signal (fewer than two
     confident head keypoints), in which case callers fall back to the model's
-    learned null face latent."""
+    learned null face latent. A non-finite confident head keypoint raises
+    NumericalError (`head_box`)."""
     img = frame.data if isinstance(frame, Tensor) else np.asarray(frame)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"frame must be [3,H,W], got {img.shape}")
@@ -315,10 +321,6 @@ class FaceLatentSequence:
 
     per_frame: Tensor  # [T, N_COEFF]
     downsampled: Tensor  # [T_z, DOWN_WIDTH]
-
-    @property
-    def t_z(self) -> int:
-        return self.downsampled.shape[0]
 
 
 def encode_face_sequence(

@@ -51,6 +51,8 @@ def and_pool_mask(pixel_mask: np.ndarray) -> np.ndarray:
     if every pixel it covers (its frame range times its 8x8 spatial cell) is
     1, so no subject pixel is ever marked preserved.
     """
+    if pixel_mask.ndim != 4 or pixel_mask.shape[1] != 1:
+        raise ShapeError(f"mask must be [T,1,H,W], got {pixel_mask.shape}")
     t, _, h, w = pixel_mask.shape
     s = SPATIAL_FACTOR
     if h % s or w % s:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rasterize import _blend, _capsule, _ellipse, _frame_groups, blend_capsule
-from .retarget import FRAMINGS
+from .retarget import FRAMINGS, anchor_point
 from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, Skeleton
 from .tensor import ConfigError, ShapeError, Tensor
 from .video import VideoClip
@@ -287,6 +287,9 @@ def sample_background(rng) -> Background:
 
 
 _FRAMING_SCALE = {"full_body": 105.0, "half_body": 190.0, "portrait": 260.0}
+# frame-0 anchor height as a share of the canvas, and the per-axis scale of
+# its jitter
+_PLACEMENT = {"full_body": (0.88, (1.0, 0.3)), "half_body": (0.62, (1.0, 1.0)), "portrait": (0.45, (0.6, 0.6))}
 
 
 @dataclass
@@ -304,6 +307,8 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
         raise ConfigError(f"unknown framing {framing!r}, expected one of {FRAMINGS}")
     if frames < 1 or size < 1:
         raise ConfigError(f"need at least one frame of at least one pixel, got {frames} frames of {size} px")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     s = _FRAMING_SCALE[framing] * rng.uniform(0.9, 1.1) * size / 128.0
     lengths = _EDGE_PROPORTION * s * rng.uniform(0.85, 1.15, N_LIMBS)
@@ -357,18 +362,13 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
     for e, offset in _FACE_OFFSET.items():
         scene.edge_angles[:, e] = theta + offset
 
-    # place the frame-0 anchor at the framing target, drift on top
+    # place the frame-0 anchor (a portrait's face centre) at the framing
+    # target, drift on top
     sk0 = scene.skeleton(0)
-    jitter = rng.uniform(-0.05, 0.05, 2) * size
-    if framing == "full_body":
-        anchor = 0.5 * (sk0.joints[15] + sk0.joints[16])
-        target = np.array([0.5 * size, 0.88 * size]) + jitter * np.array([1.0, 0.3])
-    elif framing == "half_body":
-        anchor = 0.5 * (sk0.joints[5] + sk0.joints[6])
-        target = np.array([0.5 * size, 0.62 * size]) + jitter
-    else:
-        anchor = face_geometry(sk0).center
-        target = np.array([0.5 * size, 0.45 * size]) + jitter * 0.6
+    height, spread = _PLACEMENT[framing]
+    jitter = rng.uniform(-0.05, 0.05, 2) * size * np.array(spread)
+    anchor = face_geometry(sk0).center if framing == "portrait" else anchor_point(sk0, framing)
+    target = np.array([0.5 * size, height * size]) + jitter
     scene.root_path = (target - anchor) + drift - drift[0]
 
     clip, masks = render_scene(scene)
@@ -423,9 +423,6 @@ RAMP_HI = 0.15  # the brightness ramp's amplitude is uniform over [0, RAMP_HI)
 class RelightResult:
     image: np.ndarray  # [3, H, W]
     background: Background
-    gain: np.ndarray  # [3]
-    bias: np.ndarray  # [3]
-    ramp_amp: float
     applied: bool
 
 
@@ -457,14 +454,14 @@ def relight_augment(
         gain = 1.0 + CAST_STRENGTH * (mean - 0.5)
         bias = BIAS_STRENGTH * (mean - 0.5)
     if mask.max() < 0.5:
-        return RelightResult(img.astype(np.float32), bg, gain, bias, ramp_amp, applied=False)
+        return RelightResult(img.astype(np.float32), bg, applied=False)
     xs, ys = np.arange(w), np.arange(h)[:, None]
     proj = (xs * np.cos(theta) + ys * np.sin(theta)) / np.hypot(h, w)
     proj = (proj - proj.min()) / max(proj.max() - proj.min(), 1e-9)
     ramp = 1.0 + ramp_amp * (proj - 0.5)
     subject = np.clip(img * gain.reshape(3, 1, 1) * ramp + bias.reshape(3, 1, 1), 0.0, 1.0)
     out = np.where(mask >= 0.5, subject, bg.render(h, w))
-    return RelightResult(out.astype(np.float32), bg, gain, bias, ramp_amp, applied=True)
+    return RelightResult(out.astype(np.float32), bg, applied=True)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .skeleton import CONF_THRESHOLD, N_JOINTS, N_LIMBS, TOPOLOGY
-from .tensor import NumericalError, Tensor
+from .tensor import ConfigError, NumericalError, ShapeError, Tensor
 
 BASE_WIDTH = 4.0
 BASE_CANVAS = 256.0
@@ -233,15 +233,19 @@ def blend_capsule(img: np.ndarray, p0, p1, radius: float, color) -> None:
             _over(windows[:, y, x], segment, color)
 
 
-def rasterize_sequence(seq, height: int, width: int, dtype=np.float32) -> Tensor:
-    """Skeletons -> [T,3,H,W] pose frames, each drawn as the module docstring
-    says: a limb where both its joints clear the confidence bar, a joint
-    where it does."""
+def rasterize_sequence(seq, height: int, width: int) -> Tensor:
+    """Skeletons -> [T,3,H,W] float32 pose frames, each drawn as the module
+    docstring says: a limb where both its joints clear the confidence bar, a
+    joint where it does. T and the frame size must be at least 1."""
+    if len(seq) == 0:
+        raise ShapeError("rasterize_sequence: no skeletons to draw")
+    if height < 1 or width < 1:
+        raise ConfigError(f"rasterize_sequence: frame size {height}x{width} has no pixel")
     joints = np.stack([sk.joints for sk in seq])
     shown = np.stack([sk.confidence for sk in seq]) >= CONF_THRESHOLD
     shape = (height, width)
     line_r = 0.5 * BASE_WIDTH * min(height, width) / BASE_CANVAS
-    out = np.empty((len(seq), 3, height, width), dtype=dtype)
+    out = np.empty((len(seq), 3, height, width), dtype=np.float32)
     groups = _frame_groups(len(seq), out.shape[1:])
     canvas = np.empty((groups[0].stop, *out.shape[1:]))  # reused by every group
     for group in groups:

@@ -24,14 +24,16 @@ import numpy as np
 from .skeleton import N_LIMBS, TOPOLOGY, Skeleton
 from .tensor import ConfigError
 
-FRAMINGS = ("full_body", "half_body", "portrait")
+# the two joints whose midpoint is the anchor point of each framing
+_ANCHOR_JOINTS = {"full_body": (15, 16), "half_body": (5, 6), "portrait": (5, 6)}
+FRAMINGS = tuple(_ANCHOR_JOINTS)
 DEGENERATE_LENGTH = 1e-8
 
 
 @dataclass
 class RetargetParams:
     ratios: np.ndarray  # [N_LIMBS], reference/driving length per edge
-    anchor: str  # "ankle_mid" | "neck_mid"
+    framing: str  # one of FRAMINGS, which picks the anchor point
     offset: np.ndarray  # (dx, dy) applied to every frame's anchor
     warnings: list = field(default_factory=list)
 
@@ -45,18 +47,11 @@ class RetargetParams:
         return bool((self.ratios == 1.0).all() and (self.offset == 0.0).all())
 
 
-def anchor_for_framing(framing: str) -> str:
-    if framing not in FRAMINGS:
+def anchor_point(sk: Skeleton, framing: str) -> np.ndarray:
+    if framing not in _ANCHOR_JOINTS:
         raise ConfigError(f"unknown framing {framing!r}, expected one of {FRAMINGS}")
-    return "ankle_mid" if framing == "full_body" else "neck_mid"
-
-
-def anchor_point(sk: Skeleton, anchor: str) -> np.ndarray:
-    if anchor == "ankle_mid":
-        return 0.5 * (sk.joints[15] + sk.joints[16])
-    if anchor == "neck_mid":
-        return 0.5 * (sk.joints[5] + sk.joints[6])
-    raise ConfigError(f"unknown anchor {anchor!r}")
+    a, b = _ANCHOR_JOINTS[framing]
+    return 0.5 * (sk.joints[a] + sk.joints[b])
 
 
 def _limb_ratios(ref_sk: Skeleton, drive_seq):
@@ -92,10 +87,9 @@ def compute_tpose_params(
     the actual inputs, so it is taken from `*_anchor_sk` when given.
     """
     ratios, warnings = _limb_ratios(ref_tpose, [drive_tpose])
-    anchor = anchor_for_framing(framing)
-    ref_a = anchor_point(ref_anchor_sk or ref_tpose, anchor)
-    drive_a = anchor_point(drive_anchor_sk or drive_tpose, anchor)
-    return RetargetParams(ratios, anchor, ref_a - drive_a, warnings)
+    ref_a = anchor_point(ref_anchor_sk or ref_tpose, framing)
+    drive_a = anchor_point(drive_anchor_sk or drive_tpose, framing)
+    return RetargetParams(ratios, framing, ref_a - drive_a, warnings)
 
 
 def compute_sequence_params(
@@ -105,9 +99,8 @@ def compute_sequence_params(
     if len(drive_seq) == 0:
         raise ConfigError("empty driving sequence")
     ratios, warnings = _limb_ratios(ref_sk, drive_seq)
-    anchor = anchor_for_framing(framing)
-    offset = anchor_point(ref_sk, anchor) - anchor_point(drive_seq[0], anchor)
-    return RetargetParams(ratios, anchor, offset, warnings)
+    offset = anchor_point(ref_sk, framing) - anchor_point(drive_seq[0], framing)
+    return RetargetParams(ratios, framing, offset, warnings)
 
 
 def retarget_skeleton(sk: Skeleton, params: RetargetParams) -> Skeleton:
@@ -117,8 +110,8 @@ def retarget_skeleton(sk: Skeleton, params: RetargetParams) -> Skeleton:
     for i, (p, c) in enumerate(TOPOLOGY):  # parents first, so new_joints[p] is placed
         new_joints[c] = new_joints[p] + params.ratios[i] * (sk.joints[c] - sk.joints[p])
     scaled = Skeleton(new_joints, sk.confidence.copy())
-    target = anchor_point(sk, params.anchor) + params.offset
-    scaled.joints += target - anchor_point(scaled, params.anchor)
+    target = anchor_point(sk, params.framing) + params.offset
+    scaled.joints += target - anchor_point(scaled, params.framing)
     return scaled
 
 

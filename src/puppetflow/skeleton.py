@@ -1,13 +1,14 @@
 """17-joint skeletons, pose sequences, and their text file format.
 
-The joint set is the usual COCO-style head/torso/limb layout. `TOPOLOGY` is
-the one limb tree of the format: a spanning tree rooted at `ROOT`, the left
-hip in the pelvis role, listing every parent before its children. Every
-skeleton, pose file, rasterizer and retargeter uses it; a pose file whose edge
-line differs is rejected on load. Derived anchor points (ankle midpoint,
-shoulder-midpoint "neck") live in `retarget`. Joints below the confidence
-threshold are treated as missing: their limbs are not rasterized and
-contribute no retarget ratio.
+The joints are COCO-17 in COCO order: nose (0), eyes (1-2), ears (3-4),
+shoulders (5-6), elbows (7-8), wrists (9-10), hips (11-12), knees (13-14) and
+ankles (15-16), each pair left first. `TOPOLOGY` is the one limb tree of the
+format: a spanning tree rooted at `ROOT`, the left hip in the pelvis role,
+listing every parent before its children. Every skeleton, pose file,
+rasterizer and retargeter uses it; a pose file whose edge line differs is
+rejected on load. Derived anchor points (ankle midpoint, shoulder-midpoint
+"neck") live in `retarget`. Joints below the confidence threshold are treated
+as missing: their limbs are not rasterized and contribute no retarget ratio.
 """
 
 from __future__ import annotations
@@ -20,25 +21,6 @@ import numpy as np
 
 from .tensor import ShapeError
 
-JOINT_NAMES = (
-    "nose",
-    "left_eye",
-    "right_eye",
-    "left_ear",
-    "right_ear",
-    "left_shoulder",
-    "right_shoulder",
-    "left_elbow",
-    "right_elbow",
-    "left_wrist",
-    "right_wrist",
-    "left_hip",
-    "right_hip",
-    "left_knee",
-    "right_knee",
-    "left_ankle",
-    "right_ankle",
-)
 N_JOINTS = 17
 ROOT = 11  # left hip anchors the pelvis end of the tree
 

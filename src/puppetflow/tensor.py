@@ -351,13 +351,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ bias). x is [..., D_in] flattened to 2D internally."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b. x is [..., D_in] flattened to 2D internally."""
     lead = x.shape[:-1]
-    x2 = reshape(x, (-1, x.shape[-1]))
-    y = matmul(x2, w)
-    if b is not None:
-        y = add(y, b)
+    y = add(matmul(reshape(x, (-1, x.shape[-1])), w), b)
     return reshape(y, lead + (w.shape[1],))
 
 
@@ -438,23 +435,20 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd, "sum")
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def sum_axis(a: Tensor, axis: int) -> Tensor:
     try:
-        out = a.data.sum(axis=axis, keepdims=keepdims)
+        out = a.data.sum(axis=axis)
     except ValueError as e:  # numpy's AxisError
         raise ShapeError(f"sum_axis: axis {axis} out of range for shape {a.shape}") from e
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+        a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
 
     return _make(out, (a,), bwd, "sum_axis")
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.shape[axis]
-    return scale(sum_axis(a, axis, keepdims), 1.0 / n)
+def mean_axis(a: Tensor, axis: int) -> Tensor:
+    return scale(sum_axis(a, axis), 1.0 / a.shape[axis])
 
 
 def _sigmoid_np(x):
@@ -513,12 +507,16 @@ def powc(a: Tensor, p: float) -> Tensor:
     return _make(out.astype(a.data.dtype), (a,), bwd, "powc")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # added to the variance in `layer_norm`
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalization over the last axis with gain `gamma` and bias `beta`.
 
     Gain and bias may be graph nodes, so adaLN is one call:
     `layer_norm(x, add_scalar(scale, 1.0), shift)`. The input is centred and
-    scaled in place in one buffer, which backward keeps.
+    scaled in place in one buffer, which backward keeps. The variance gets
+    `LN_EPS` added before the square root.
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -527,7 +525,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]
     inv /= d
-    inv += eps
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
@@ -690,13 +688,13 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
 
 
 def _check_conv_operands(op, x, w, b):
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise ShapeError(f"{op}: bias {b.shape} does not match {w.shape[0]} output channels")
-    _same_dtype(op, x, w, *(() if b is None else (b,)))
+    _same_dtype(op, x, w, b)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2D convolution, x [N,Ci,H,W], w [Co,Ci,K,K].
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """2D convolution plus bias, x [N,Ci,H,W], w [Co,Ci,K,K], b [Co].
 
     Every layout is channel-major, so GEMM results land in NCHW without a
     transpose copy. The forward is the same at every stride: it copies the
@@ -725,12 +723,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     hp, wp = h + 2 * pad, wd + 2 * pad
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     out = _conv_forward(xp, w.data.reshape(co, -1), kh, kw, stride, ho, wo)
-    if b is not None:
-        out += b.data.reshape(1, co, 1, 1)
+    out += b.data.reshape(1, co, 1, 1)
 
     def bwd(g):
         gf = g.reshape(n, co, ho * wo)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             w.accumulate_grad(_conv2d_weight_grad(x.data, g, kh, kw, stride, pad))
@@ -743,8 +740,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                     gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += gcols[:, ky, kx]
             x.accumulate_grad(gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, bwd, "conv2d")
+    return _make(out, (x, w, b), bwd, "conv2d")
 
 
 # Along one axis, a 3x3 kernel over a nearest-2x upsampled input reads, for
@@ -779,7 +775,7 @@ def _interleave_phases(y: Tensor) -> Tensor:
     return _make(out.reshape(n, co, 2 * h, 2 * wd), (y,), bwd, "interleave_phases")
 
 
-def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """conv2d(nearest 2x upsample of x, w, b, stride=1, pad=1) for 3x3 `w`.
 
     x [N,Ci,H,W], w [Co,Ci,3,3] -> [N,Co,2H,2W], without the upsampled
@@ -802,8 +798,7 @@ def _upsample_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     mix = Tensor(_PHASE_MIX.T.astype(w.data.dtype))
     taps = reshape(matmul(reshape(w, (co * ci, 9)), mix), (co, ci, 2, 2, 2, 2))  # [Co, Ci, a, b, ty, tx]
     taps = reshape(transpose(taps, (2, 3, 0, 1, 4, 5)), (4 * co, ci, 2, 2))
-    bias = None if b is None else concat([b] * 4, axis=0)
-    return _interleave_phases(conv2d(x, taps, bias, pad=1))
+    return _interleave_phases(conv2d(x, taps, concat([b] * 4, axis=0), pad=1))
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, taps=None) -> Tensor:
@@ -879,7 +874,8 @@ def dump_tensor(path, t: Tensor | np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
-def load_tensor(path, dtype=NARROW, requires_grad=False) -> Tensor:
+def load_tensor(path) -> Tensor:
+    """Read a `dump_tensor` file as a float32 leaf."""
     with open(path, "rb") as f:
         raw = f.read()
 
@@ -902,4 +898,4 @@ def load_tensor(path, dtype=NARROW, requires_grad=False) -> Tensor:
         data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
     except ValueError as e:  # more axes than numpy allows, or a zero-size shape too large to index
         raise ShapeError(f"{path}: cannot make an array of shape {dims}: {e}") from e
-    return Tensor(data.astype(dtype), requires_grad=requires_grad)
+    return Tensor(data.astype(NARROW))

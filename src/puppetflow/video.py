@@ -30,18 +30,15 @@ TEMPORAL_GROUP = 4
 LATENT_CHANNELS = 4
 
 
-def latent_count(frames: int) -> int:
-    """len(frame_ranges(frames)), without building the ranges."""
-    if frames < 1:
-        raise ShapeError(f"clip needs at least 1 frame, got {frames}")
-    return 1 + -(-(frames - 1) // TEMPORAL_GROUP)
-
-
 def frame_ranges(frames: int) -> list[tuple[int, int]]:
     """Half-open pixel ranges per latent; partitions [0, frames) in order."""
-    if frames < 1:
-        raise ShapeError(f"clip needs at least 1 frame, got {frames}")
+    if not isinstance(frames, (int, np.integer)) or frames < 1:
+        raise ShapeError(f"clip needs a whole number of frames, at least 1, got {frames!r}")
     return [(0, 1)] + [(a, min(a + TEMPORAL_GROUP, frames)) for a in range(1, frames, TEMPORAL_GROUP)]
+
+
+def latent_count(frames: int) -> int:
+    return len(frame_ranges(frames))
 
 
 def is_frame_run(frame_map) -> bool:
@@ -114,10 +111,6 @@ class LatentVideo:
     def t_z(self) -> int:
         return self.latents.shape[1]
 
-    @property
-    def total_frames(self) -> int:
-        return self.frame_map[-1][1] - self.frame_map[0][0]
-
 
 # ---------------------------------------------------------------------------
 # frame files
@@ -180,7 +173,7 @@ def _read_frames(directory: Path, name: str, magic: bytes, frames: int) -> np.nd
     return np.stack(arrays)
 
 
-def load_clip(directory, dtype=np.float32) -> VideoClip:
+def load_clip(directory) -> VideoClip:
     directory = Path(directory)
     meta_path = directory / "clip.meta"
     try:
@@ -192,7 +185,7 @@ def load_clip(directory, dtype=np.float32) -> VideoClip:
     if frames is None or fps is None:
         raise ShapeError(f"{meta_path}: needs frames=<int> and fps=<float> lines, got {meta!r}")
     arr = _read_frames(directory, "frame_{:05d}.ppm", b"P6", int(frames.group(1)))
-    arr = np.ascontiguousarray(arr.transpose(0, 3, 1, 2), dtype=dtype) / 255.0
+    arr = np.ascontiguousarray(arr.transpose(0, 3, 1, 2), dtype=np.float32) / 255.0
     return VideoClip(Tensor(arr), frame_rate=float(fps.group(1)))
 
 

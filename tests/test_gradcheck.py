@@ -160,9 +160,10 @@ def test_upsample_conv2d_grads(seed, case):
 def test_upsample_conv2d_weight_grads_with_frozen_input():
     rng = np.random.default_rng(460)
     x, w = wt(rng, (2, 3, 4, 5)), wt(rng, (2, 3, 3, 3))
+    zero = Tensor(np.zeros(2, dtype=WIDE))
 
     def f(w_):
-        return pt.sum_all(pt.silu(pt._upsample_conv2d(x, w_)))
+        return pt.sum_all(pt.silu(pt._upsample_conv2d(x, w_, zero)))
 
     assert grad_check(f, [w], eps=1e-5) <= 1e-5
     assert x.grad is None
@@ -288,7 +289,7 @@ def test_every_differentiable_op_passes_20_seeds():
         g = wt(rng, (8,))
 
         def f(x_, w_, g_):
-            h = pt.silu(pt.conv2d(x_, w_, stride=2, pad=1))
+            h = pt.silu(pt.conv2d(x_, w_, Tensor(np.zeros(2, dtype=WIDE)), stride=2, pad=1))
             toks = pt.patchify(pt.reshape(h, (2, 2, 2, 2)), (1, 2, 2))
             toks = pt.layer_norm(toks, g_, Tensor(np.zeros(8, dtype=WIDE)))
             att = pt.attention(toks, toks, toks)

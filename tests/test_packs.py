@@ -119,6 +119,11 @@ class TestAndPooling:
         with pytest.raises(ShapeError, match="divisible"):
             and_pool_mask(np.ones((5, 1) + hw, dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(5, 16, 16), (5, 3, 16, 16), (1, 5, 1, 16, 16)])
+    def test_mask_not_t1hw_raises(self, shape):
+        with pytest.raises(ShapeError, match=r"\[T,1,H,W\]"):
+            and_pool_mask(np.ones(shape, dtype=np.float32))
+
     def test_single_subject_pixel_clears_cell(self):
         m = np.ones((5, 1, 16, 16), dtype=np.float32)
         m[3, 0, 9, 2] = 0.0  # frame 3 belongs to latent 1 (frames 1..4)

@@ -170,6 +170,15 @@ class TestRasterize:
         assert rasterize_sequence([sk2], 128, 128).data[0].max() == 0.0
         assert full.max() > 0.0
 
+    def test_empty_sequence_raises(self):
+        with pytest.raises(ShapeError, match="no skeletons"):
+            rasterize_sequence([], 64, 64)
+
+    @pytest.mark.parametrize("hw", [(0, 64), (64, 0)])
+    def test_frame_of_no_pixels_raises(self, hw):
+        with pytest.raises(ConfigError, match="no pixel"):
+            rasterize_sequence([random_skeleton(9)], *hw)
+
     def test_zero_length_limb_draws_disc(self):
         sk = random_skeleton(8)
         sk.joints[:] = (64.0, 64.0)
@@ -217,9 +226,12 @@ class TestRetargetParams:
 
     def test_anchor_selection(self):
         sk = random_skeleton(14)
-        assert compute_sequence_params(sk, [sk], "full_body").anchor == "ankle_mid"
-        assert compute_sequence_params(sk, [sk], "half_body").anchor == "neck_mid"
-        assert compute_sequence_params(sk, [sk], "portrait").anchor == "neck_mid"
+        ankles, shoulders = sk.joints[[15, 16]].mean(axis=0), sk.joints[[5, 6]].mean(axis=0)
+        np.testing.assert_allclose(anchor_point(sk, "full_body"), ankles, atol=1e-12)
+        np.testing.assert_allclose(anchor_point(sk, "half_body"), shoulders, atol=1e-12)
+        np.testing.assert_allclose(anchor_point(sk, "portrait"), shoulders, atol=1e-12)
+        with pytest.raises(ConfigError):
+            anchor_point(sk, "wide")
         with pytest.raises(ConfigError):
             compute_sequence_params(sk, [sk], "wide")
 
@@ -267,8 +279,8 @@ class TestRetargetSequence:
         params = compute_sequence_params(ref, seq, "portrait")
         out = retarget_sequence(seq, params)
         for orig, new in zip(seq, out):
-            expect = anchor_point(orig, "neck_mid") + params.offset
-            np.testing.assert_allclose(anchor_point(new, "neck_mid"), expect, atol=1e-9)
+            expect = anchor_point(orig, "portrait") + params.offset
+            np.testing.assert_allclose(anchor_point(new, "portrait"), expect, atol=1e-9)
 
     def test_commutes_with_global_translation(self):
         ref = random_skeleton(18)
@@ -282,7 +294,7 @@ class TestRetargetSequence:
 
     def test_idempotent_with_identity_params(self):
         drive = random_skeleton(20)
-        ident = RetargetParams(np.ones(N_LIMBS), "ankle_mid", np.zeros(2))
+        ident = RetargetParams(np.ones(N_LIMBS), "full_body", np.zeros(2))
         once = retarget_skeleton(drive, ident)
         twice = retarget_skeleton(once, ident)
         assert np.array_equal(once.joints, twice.joints)

@@ -240,6 +240,10 @@ class TestInputErrors:
         with pytest.raises(ConfigError, match="px"):
             generate_scene(0, 1, "portrait", size)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            generate_scene(-1, 1, "portrait", 32)
+
     def test_unknown_background_kind(self):
         with pytest.raises(ConfigError, match="solidd"):
             puppet.Background("solidd", (0.1, 0.2, 0.3), (0.3, 0.2, 0.1))

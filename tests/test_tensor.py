@@ -288,10 +288,10 @@ class TestElementwise:
         np.testing.assert_allclose(out.var(axis=-1), 1, atol=1e-4)
 
     def test_layer_norm_identity_on_unit_input(self):
-        # gamma=1, beta=0 on an already-normalized row leaves it (nearly) unchanged
+        # gamma=1, beta=0 on an already-normalized row only divides it by sqrt(1 + eps)
         row = np.array([[-1.0, 1.0]])
-        out = layer_norm(wide(row), wide(np.ones(2)), wide(np.zeros(2)), eps=0.0)
-        np.testing.assert_allclose(out.data, row, atol=1e-12)
+        out = layer_norm(wide(row), wide(np.ones(2)), wide(np.zeros(2)))
+        np.testing.assert_allclose(out.data, row / np.sqrt(1.0 + pt.LN_EPS), atol=1e-12)
 
     def test_linear_identity(self):
         x = wide(rng(28).standard_normal((5, 4)))
@@ -450,7 +450,7 @@ class TestConv2d:
         r = rng(30)
         x = r.standard_normal((2, 3, h, wd))
         w = r.standard_normal((4, 3, k, k))
-        out = conv2d(wide(x), wide(w), stride=stride, pad=pad).data
+        out = conv2d(wide(x), wide(w), wide(np.zeros(4)), stride=stride, pad=pad).data
         np.testing.assert_allclose(out, conv_oracle(x, w, stride, pad), atol=1e-12)
 
     @pytest.mark.parametrize("case", CONV_CASES, ids=CONV_IDS)
@@ -467,7 +467,7 @@ class TestConv2d:
         def run(xa, wa, dtype):
             xt = Tensor(xa.astype(dtype), requires_grad=True)
             wt = Tensor(wa.astype(dtype), requires_grad=True)
-            y = conv2d(xt, wt, stride=stride, pad=pad)
+            y = conv2d(xt, wt, Tensor(np.zeros(co, dtype=dtype)), stride=stride, pad=pad)
             y.backward(np.ones_like(y.data))
             return y.data, xt.grad, wt.grad
 
@@ -491,7 +491,7 @@ class TestConv2d:
         stride, pad, k, n, ci, co, h, wd = BLOCK_CASES[1]
         r = rng(34)
         x, w = r.standard_normal((n, ci, h, wd)), r.standard_normal((co, ci, k, k))
-        out = conv2d(wide(x), wide(w), stride=stride, pad=pad).data
+        out = conv2d(wide(x), wide(w), wide(np.zeros(co)), stride=stride, pad=pad).data
         ref = conv_oracle(x, w, stride, pad)
         np.testing.assert_allclose(tap_oracle(x, w, stride, pad), ref, atol=1e-12)
         np.testing.assert_allclose(out, ref, atol=1e-12)
@@ -503,18 +503,18 @@ class TestConv2d:
         x = r.random((n, ci, h, wd), dtype=np.float32)
         w = r.standard_normal((co, ci, k, k)).astype(np.float32)
         ref = tap_oracle(x, w, stride, pad)
-        np.testing.assert_allclose(conv2d(wide(x), wide(w), stride=stride, pad=pad).data, ref, atol=1e-12)
-        got = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+        np.testing.assert_allclose(conv2d(wide(x), wide(w), wide(np.zeros(co)), stride=stride, pad=pad).data, ref, atol=1e-12)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(co, dtype=np.float32)), stride=stride, pad=pad).data
         assert got.dtype == np.float32
         assert (np.abs(got - ref) <= gamma32(ci * k * k) * tap_oracle(x, np.abs(w), stride, pad)).all()
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv2d(wide(np.zeros((1, 3, 8, 8))), wide(np.zeros((4, 2, 3, 3))))
+            conv2d(wide(np.zeros((1, 3, 8, 8))), wide(np.zeros((4, 2, 3, 3))), wide(np.zeros(4)))
 
     def test_negative_pad_raises(self):
         with pytest.raises(ConfigError, match="pad"):
-            conv2d(wide(np.zeros((1, 2, 8, 8))), wide(np.zeros((4, 2, 3, 3))), pad=-1)
+            conv2d(wide(np.zeros((1, 2, 8, 8))), wide(np.zeros((4, 2, 3, 3))), wide(np.zeros(4)), pad=-1)
 
     @pytest.mark.parametrize("bias", [np.zeros(4), np.zeros((3, 1))], ids=["size-4", "3x1"])
     def test_bias_must_match_output_channels(self, bias):
@@ -551,25 +551,25 @@ class TestUpsampleConv2d:
         x = r.standard_normal((n, ci, h, wd)).astype(np.float32)
         w = r.standard_normal((co, ci, 3, 3)).astype(np.float32)
         zero = np.zeros(co)
-        got = pt._upsample_conv2d(Tensor(x), Tensor(w)).data
+        got = pt._upsample_conv2d(Tensor(x), Tensor(w), Tensor(zero.astype(np.float32))).data
         assert got.dtype == np.float32
         ref = upsample_conv_oracle(x.astype(WIDE), w.astype(WIDE), zero)
         mag = upsample_conv_oracle(np.abs(x).astype(WIDE), np.abs(w).astype(WIDE), zero)
         assert (np.abs(got - ref) <= gamma32(ci * 9) * mag).all()
 
     def test_shape_errors(self):
-        x = wide(np.zeros((1, 2, 4, 4)))
+        x, b = wide(np.zeros((1, 2, 4, 4))), wide(np.zeros(3))
         with pytest.raises(ShapeError):
-            pt._upsample_conv2d(x, wide(np.zeros((3, 5, 3, 3))))
+            pt._upsample_conv2d(x, wide(np.zeros((3, 5, 3, 3))), b)
         with pytest.raises(ShapeError):
-            pt._upsample_conv2d(wide(np.zeros((2, 4, 4))), wide(np.zeros((3, 2, 3, 3))))
+            pt._upsample_conv2d(wide(np.zeros((2, 4, 4))), wide(np.zeros((3, 2, 3, 3))), b)
         for bias in (np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ShapeError, match="bias"):
                 pt._upsample_conv2d(x, wide(np.zeros((3, 2, 3, 3))), wide(bias))
 
     def test_kernel_must_be_3x3(self):
         with pytest.raises(ConfigError, match="3x3"):
-            pt._upsample_conv2d(wide(np.zeros((1, 2, 4, 4))), wide(np.zeros((3, 2, 5, 5))))
+            pt._upsample_conv2d(wide(np.zeros((1, 2, 4, 4))), wide(np.zeros((3, 2, 5, 5))), wide(np.zeros(3)))
 
 
 # op and the shapes of its three operands; each case widens one of them

@@ -40,15 +40,16 @@ class TestTemporalLaw:
         for a, b in ranges[1:]:
             assert b - a <= 4
 
+    @pytest.mark.parametrize("frames", [2.5, 5.0, "5"])
+    def test_non_integer_frame_count_raises(self, frames):
+        for law in (frame_ranges, latent_count):
+            with pytest.raises(ShapeError, match="whole number"):
+                law(frames)
+
     def test_mid_stream_ranges(self):
         assert frame_ranges(9)[1:] == [(1, 5), (5, 9)]
 
-    def test_total_frames(self):
-        z = Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32))
-        assert LatentVideo(z, frame_ranges(9)).total_frames == 9
-        assert LatentVideo(z, [(5, 9), (9, 13), (13, 17)]).total_frames == 12
-
-    def test_total_frames_without_frame_map_raises(self):
+    def test_empty_frame_map_raises(self):
         # the map is required, so no LatentVideo lacks the frames it covers
         with pytest.raises(ShapeError, match="frame_map"):
             LatentVideo(Tensor(np.zeros((4, 3, 2, 2), dtype=np.float32)), [])
@@ -97,8 +98,7 @@ class TestFrameRuns:
     def test_every_run_is_accepted_and_decodes_its_frames(self, run):
         assert is_frame_run(run)
         lat = LatentVideo(zero_latents(len(run)), run)
-        assert lat.total_frames == run[-1][1] - run[0][0]
-        assert self.vae.decode(lat).length == lat.total_frames
+        assert self.vae.decode(lat).length == run[-1][1] - run[0][0]
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 24), data=st.data())
