@@ -214,16 +214,14 @@ class MotionBasis:
     rows before it as one block, v -= (v Q^T) Q, twice, then is normalized.
     """
 
-    def __init__(self, rng, m: int = N_COEFF, dtype=np.float32):
-        self.raw = Tensor(
-            (rng.standard_normal((m, m)) / np.sqrt(m)).astype(dtype), requires_grad=True
-        )
-        self.m = m
+    def __init__(self, rng):
+        self.params = {"raw": pt.param(rng.standard_normal((N_COEFF, N_COEFF)) / np.sqrt(N_COEFF))}
 
     def orthonormal(self) -> Tensor:
+        raw = self.params["raw"]
         q = None  # the rows done so far, [i, m]
-        for i in range(self.m):
-            v = pt.slice_axis(self.raw, 0, i, i + 1)  # [1, m]
+        for i in range(raw.shape[0]):
+            v = pt.slice_axis(raw, 0, i, i + 1)  # [1, m]
             if q is not None:
                 qt = pt.transpose(q, (1, 0))
                 for _ in range(2):
@@ -238,16 +236,14 @@ class MotionBasis:
 class FaceEncoder:
     """Six stride-2 stages 512 -> 8, pooled, projected to motion coefficients."""
 
-    def __init__(self, rng, dtype=np.float32):
+    def __init__(self, rng):
         p = {}
         for i in range(6):
             ci, co = _ENC_CHANNELS[i], _ENC_CHANNELS[i + 1]
-            w = rng.standard_normal((co, ci, 3, 3)) * np.sqrt(2.0 / (ci * 9))
-            p[f"conv{i}.w"] = Tensor(w.astype(dtype), requires_grad=True)
-            p[f"conv{i}.b"] = Tensor(np.zeros(co, dtype=dtype), requires_grad=True)
-        head = rng.standard_normal((_ENC_CHANNELS[-1], N_COEFF)) / np.sqrt(_ENC_CHANNELS[-1])
-        p["head.w"] = Tensor(head.astype(dtype), requires_grad=True)
-        p["head.b"] = Tensor(np.zeros(N_COEFF, dtype=dtype), requires_grad=True)
+            p[f"conv{i}.w"] = pt.param(rng.standard_normal((co, ci, 3, 3)) * np.sqrt(2.0 / (ci * 9)))
+            p[f"conv{i}.b"] = pt.param(np.zeros(co))
+        p["head.w"] = pt.param(rng.standard_normal((_ENC_CHANNELS[-1], N_COEFF)) / np.sqrt(_ENC_CHANNELS[-1]))
+        p["head.b"] = pt.param(np.zeros(N_COEFF))
         self.params = p
 
     def encode_batch(self, crops: Tensor) -> Tensor:
@@ -289,14 +285,11 @@ class TemporalDownsampler:
     AlignmentError is raised.
     """
 
-    def __init__(self, rng, dtype=np.float32):
+    def __init__(self, rng):
         mid = 32
         w1 = rng.standard_normal((mid, N_COEFF, 3)) * np.sqrt(2.0 / (N_COEFF * 3))
         w2 = rng.standard_normal((DOWN_WIDTH, mid, TEMPORAL_GROUP)) * np.sqrt(2.0 / (mid * TEMPORAL_GROUP))
-        self.params = {
-            "down1.w": Tensor(w1.astype(dtype), requires_grad=True),
-            "down2.w": Tensor(w2.astype(dtype), requires_grad=True),
-        }
+        self.params = {"down1.w": pt.param(w1), "down2.w": pt.param(w2)}
 
     def __call__(self, per_frame: Tensor, frame_map) -> Tensor:
         t = per_frame.shape[0]

@@ -57,7 +57,7 @@ def flow_loss(
     if region_weights is not None:
         if region_weights.shape != mask.shape:
             raise ShapeError(f"weights {region_weights.shape} do not match mask {mask.shape}")
-        if (region_weights < 1.0).any():
+        if not (region_weights >= 1.0).all():
             raise ConfigError("region weights must be >= 1 everywhere")
         w = gen * region_weights
     c = pred_v.shape[0]

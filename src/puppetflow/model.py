@@ -55,8 +55,10 @@ class DiTConfig:
             )
         if self.n_heads < 1 or self.dim % self.n_heads:
             raise ConfigError(f"{self.n_heads} heads do not divide model dim {self.dim}")
-        if self.lora_rank >= self.dim:
-            raise ConfigError(f"lora rank {self.lora_rank} must be below model dim {self.dim}")
+        if not 1 <= self.lora_rank < self.dim:
+            raise ConfigError(f"lora rank {self.lora_rank} must be in [1, model dim {self.dim})")
+        if self.latent_size < PATCH[1] or self.latent_size % PATCH[1]:
+            raise ConfigError(f"latent size {self.latent_size} is not a positive multiple of patch side {PATCH[1]}")
 
     @property
     def face_block_count(self) -> int:
@@ -75,19 +77,15 @@ class DiTConfig:
         return LATENT_CHANNELS * math.prod(PATCH)
 
 
-def timestep_embedding(t: float, dtype=np.float32) -> Tensor:
+def timestep_embedding(t: float) -> np.ndarray:
     half = TIME_FREQ_DIM // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = t * freqs
-    return Tensor(np.concatenate([np.cos(ang), np.sin(ang)]).astype(dtype))
+    return np.concatenate([np.cos(ang), np.sin(ang)])[None]  # [1, TIME_FREQ_DIM], float64
 
 
-def _init(rng, shape, scale, dtype):
-    return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=True)
-
-
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def _init(rng, shape, scale):
+    return pt.param(rng.standard_normal(shape) * scale)
 
 
 class LoRAAdapter:
@@ -97,14 +95,14 @@ class LoRAAdapter:
     with `up` zero-initialized, so a fresh adapter is exactly a no-op.
     """
 
-    def __init__(self, rng, targets: dict, rank: int, dtype=np.float32):
+    def __init__(self, rng, targets: dict, rank: int):
         self.scale = LORA_ALPHA / rank
         self.params = {}
         for name, (d_in, d_out) in targets.items():
             if rank >= min(d_in, d_out):
                 raise ConfigError(f"lora rank {rank} must be below layer dims ({d_in}, {d_out})")
-            self.params[f"{name}.down"] = _init(rng, (d_in, rank), 1.0 / np.sqrt(d_in), dtype)
-            self.params[f"{name}.up"] = _zeros((rank, d_out), dtype)
+            self.params[f"{name}.down"] = _init(rng, (d_in, rank), 1.0 / np.sqrt(d_in))
+            self.params[f"{name}.up"] = pt.param(np.zeros((rank, d_out)))
 
 
 def lora_forward(x: Tensor, w: Tensor, adapter: LoRAAdapter | None, name: str) -> Tensor:
@@ -127,13 +125,13 @@ class FaceBlock:
     exact by construction, and no query or key projection exists.
     """
 
-    def __init__(self, rng, cfg: DiTConfig, null_latent: Tensor, dtype=np.float32):
+    def __init__(self, rng, cfg: DiTConfig, null_latent: Tensor):
         d = cfg.dim
         self.null_latent = null_latent  # shared with the model's other face blocks
         self.params = {
-            "v": _init(rng, (DOWN_WIDTH, d), 1.0 / np.sqrt(DOWN_WIDTH), dtype),
-            "o": _init(rng, (d, d), 0.02, dtype),
-            "gate": _zeros((d,), dtype),
+            "v": _init(rng, (DOWN_WIDTH, d), 1.0 / np.sqrt(DOWN_WIDTH)),
+            "o": _init(rng, (d, d), 0.02),
+            "gate": pt.param(np.zeros(d)),
         }
 
     def __call__(
@@ -168,50 +166,47 @@ class AnimationModel:
     base / face / lora and drives the stage freeze contracts.
     """
 
-    def __init__(self, cfg: DiTConfig, rng=None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, cfg: DiTConfig, rng):
         self.cfg = cfg
-        self.dtype = dtype
-        self.vae = ToyVAE(rng, dtype)
-        self.face_encoder = FaceEncoder(rng, dtype)
-        self.basis = MotionBasis(rng, dtype=dtype)
-        self.downsampler = TemporalDownsampler(rng, dtype)
+        self.vae = ToyVAE(rng)
+        self.face_encoder = FaceEncoder(rng)
+        self.basis = MotionBasis(rng)
+        self.downsampler = TemporalDownsampler(rng)
         d = cfg.dim
         p = {}
-        p["input.w"] = _init(rng, (cfg.token_dim, d), 1.0 / np.sqrt(cfg.token_dim), dtype)
-        p["input.b"] = _zeros((d,), dtype)
-        p["body.w"] = _zeros((cfg.out_dim, d), dtype)  # pose injection starts silent
-        p["pos.temporal"] = _init(rng, (MAX_LATENTS, d), 0.02, dtype)
-        p["pos.spatial"] = _init(rng, (cfg.tokens_per_step, d), 0.02, dtype)
-        p["time.w1"] = _init(rng, (TIME_FREQ_DIM, d), 1.0 / np.sqrt(TIME_FREQ_DIM), dtype)
-        p["time.b1"] = _zeros((d,), dtype)
-        p["time.w2"] = _init(rng, (d, d), 1.0 / np.sqrt(d), dtype)
-        p["time.b2"] = _zeros((d,), dtype)
+        p["input.w"] = _init(rng, (cfg.token_dim, d), 1.0 / np.sqrt(cfg.token_dim))
+        p["input.b"] = pt.param(np.zeros(d))
+        p["body.w"] = pt.param(np.zeros((cfg.out_dim, d)))  # pose injection starts silent
+        p["pos.temporal"] = _init(rng, (MAX_LATENTS, d), 0.02)
+        p["pos.spatial"] = _init(rng, (cfg.tokens_per_step, d), 0.02)
+        p["time.w1"] = _init(rng, (TIME_FREQ_DIM, d), 1.0 / np.sqrt(TIME_FREQ_DIM))
+        p["time.b1"] = pt.param(np.zeros(d))
+        p["time.w2"] = _init(rng, (d, d), 1.0 / np.sqrt(d))
+        p["time.b2"] = pt.param(np.zeros(d))
         hidden = MLP_RATIO * d
         for i in range(cfg.n_layers):
             pre = f"blocks.{i}"
             for proj in ("q", "k", "v", "o"):
-                p[f"{pre}.attn.{proj}"] = _init(rng, (d, d), 0.02, dtype)
-            p[f"{pre}.mlp.w1"] = _init(rng, (d, hidden), np.sqrt(2.0 / d), dtype)
-            p[f"{pre}.mlp.b1"] = _zeros((hidden,), dtype)
-            p[f"{pre}.mlp.w2"] = _init(rng, (hidden, d), np.sqrt(2.0 / hidden), dtype)
-            p[f"{pre}.mlp.b2"] = _zeros((d,), dtype)
-            p[f"{pre}.ada.w"] = _zeros((d, 6 * d), dtype)  # adaLN-zero
-            p[f"{pre}.ada.b"] = _zeros((6 * d,), dtype)
-        p["final.ada.w"] = _zeros((d, 2 * d), dtype)
-        p["final.ada.b"] = _zeros((2 * d,), dtype)
-        p["final.w"] = _zeros((d, cfg.out_dim), dtype)  # zero-init output head
-        p["final.b"] = _zeros((cfg.out_dim,), dtype)
-        p["null_face"] = _init(rng, (DOWN_WIDTH,), 0.02, dtype)
+                p[f"{pre}.attn.{proj}"] = _init(rng, (d, d), 0.02)
+            p[f"{pre}.mlp.w1"] = _init(rng, (d, hidden), np.sqrt(2.0 / d))
+            p[f"{pre}.mlp.b1"] = pt.param(np.zeros(hidden))
+            p[f"{pre}.mlp.w2"] = _init(rng, (hidden, d), np.sqrt(2.0 / hidden))
+            p[f"{pre}.mlp.b2"] = pt.param(np.zeros(d))
+            p[f"{pre}.ada.w"] = pt.param(np.zeros((d, 6 * d)))  # adaLN-zero
+            p[f"{pre}.ada.b"] = pt.param(np.zeros(6 * d))
+        p["final.ada.w"] = pt.param(np.zeros((d, 2 * d)))
+        p["final.ada.b"] = pt.param(np.zeros(2 * d))
+        p["final.w"] = pt.param(np.zeros((d, cfg.out_dim)))  # zero-init output head
+        p["final.b"] = pt.param(np.zeros(cfg.out_dim))
+        p["null_face"] = _init(rng, (DOWN_WIDTH,), 0.02)
         self.params = p
-        self.face_blocks = [FaceBlock(rng, cfg, p["null_face"], dtype) for _ in range(cfg.face_block_count)]
+        self.face_blocks = [FaceBlock(rng, cfg, p["null_face"]) for _ in range(cfg.face_block_count)]
         self.lora: LoRAAdapter | None = None
 
     # -- parameter bookkeeping -------------------------------------------------
 
-    def attach_lora(self, rng=None) -> LoRAAdapter:
+    def attach_lora(self, rng) -> LoRAAdapter:
         """Create (or replace) the relighting adapter over all attention layers."""
-        rng = rng or np.random.default_rng(0)
         d = self.cfg.dim
         targets = {}
         for i in range(self.cfg.n_layers):
@@ -220,29 +215,17 @@ class AnimationModel:
         for j in range(self.cfg.face_block_count):
             targets[f"face_blocks.{j}.v"] = (DOWN_WIDTH, d)
             targets[f"face_blocks.{j}.o"] = (d, d)
-        self.lora = LoRAAdapter(rng, targets, self.cfg.lora_rank, self.dtype)
+        self.lora = LoRAAdapter(rng, targets, self.cfg.lora_rank)
         return self.lora
 
     def named_params(self, roles=None) -> dict:
-        out = {}
-        for name, t in self.vae.params.items():
-            out[f"vae.{name}"] = t
-        for name, t in self.params.items():
-            out[f"dit.{name}"] = t
-        for j, fb in enumerate(self.face_blocks):
-            for name, t in fb.params.items():
-                out[f"face_blocks.{j}.{name}"] = t
-        for name, t in self.face_encoder.params.items():
-            out[f"face_enc.{name}"] = t
-        out["face_basis.raw"] = self.basis.raw
-        for name, t in self.downsampler.params.items():
-            out[f"face_down.{name}"] = t
+        modules = [("vae", self.vae), ("dit", self)]
+        modules += [(f"face_blocks.{j}", fb) for j, fb in enumerate(self.face_blocks)]
+        modules += [("face_enc", self.face_encoder), ("face_basis", self.basis), ("face_down", self.downsampler)]
         if self.lora is not None:
-            for name, t in self.lora.params.items():
-                out[f"lora.{name}"] = t
-        if roles is not None:
-            out = {k: v for k, v in out.items() if self.role_of(k) in roles}
-        return out
+            modules.append(("lora", self.lora))
+        named = ((f"{prefix}.{name}", t) for prefix, module in modules for name, t in module.params.items())
+        return {k: t for k, t in named if roles is None or self.role_of(k) in roles}
 
     @staticmethod
     def role_of(name: str) -> str:
@@ -257,7 +240,7 @@ class AnimationModel:
     # -- forward ----------------------------------------------------------------
 
     def _time_features(self, t: float) -> Tensor:
-        e = pt.reshape(timestep_embedding(t, dtype=self.dtype), (1, TIME_FREQ_DIM))
+        e = Tensor(timestep_embedding(t).astype(self.params["time.w1"].dtype))
         h = pt.silu(pt.linear(e, self.params["time.w1"], self.params["time.b1"]))
         return pt.silu(pt.linear(h, self.params["time.w2"], self.params["time.b2"]))  # [1, D]
 

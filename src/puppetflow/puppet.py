@@ -305,6 +305,8 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
     """Deterministic scene + render + ground-truth annotations."""
     if framing not in FRAMINGS:
         raise ConfigError(f"unknown framing {framing!r}, expected one of {FRAMINGS}")
+    if not all(isinstance(n, (int, np.integer)) for n in (seed, frames, size)):
+        raise ConfigError(f"seed, frame count and size must be integers, got {seed!r}, {frames!r}, {size!r}")
     if frames < 1 or size < 1:
         raise ConfigError(f"need at least one frame of at least one pixel, got {frames} frames of {size} px")
     if seed < 0:

@@ -239,8 +239,8 @@ def rasterize_sequence(seq, height: int, width: int) -> Tensor:
     joint where it does. T and the frame size must be at least 1."""
     if len(seq) == 0:
         raise ShapeError("rasterize_sequence: no skeletons to draw")
-    if height < 1 or width < 1:
-        raise ConfigError(f"rasterize_sequence: frame size {height}x{width} has no pixel")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (height, width)):
+        raise ConfigError(f"rasterize_sequence: frame size {height!r}x{width!r} is not whole or has no pixel")
     joints = np.stack([sk.joints for sk in seq])
     shown = np.stack([sk.confidence for sk in seq]) >= CONF_THRESHOLD
     shape = (height, width)

@@ -2,8 +2,10 @@
 
 Storage is a row-major numpy array in one of two precisions: float64 ("wide",
 used for gradient checks and oracles) and float32 ("narrow", used for
-training). Ops never broadcast except for the trailing-dim vector special
-case in `add`/`mul` (bias / channel gain); every other shape mismatch raises
+training). Parameters are narrow, made by `param`; a model's precision is read
+from its parameters, and tests reach wide precision by widening them in place.
+Ops never broadcast except for the trailing-dim vector special case in
+`add`/`mul` (bias / channel gain); every other shape mismatch raises
 ShapeError naming both shapes. Tensors are value-semantic; the gradient graph
 is confined to the thread that built it. The `no_grad`, `finite_checks` and
 `profile_ops` blocks are context variables, so each acts on its own thread.
@@ -190,10 +192,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data.copy(), requires_grad=False, _op="detach")
 
-    def astype(self, dtype):
-        """Precision cast. Not differentiable; use at graph boundaries only."""
-        return Tensor(self.data.astype(dtype), requires_grad=False, _op="astype")
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -231,6 +229,11 @@ class Tensor:
         for node in nodes:
             node._bwd(node.grad)
             node.grad = None
+
+
+def param(values) -> Tensor:
+    """A trainable parameter: a narrow (float32) leaf that requires grad."""
+    return Tensor(np.array(values, dtype=NARROW), requires_grad=True)
 
 
 def _make(data, parents, bwd, op):

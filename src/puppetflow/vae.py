@@ -35,43 +35,41 @@ from .video import (
 FEAT = 32  # spatial feature width at the bottleneck
 
 
-def _conv_init(rng, co, ci, k, dtype):
-    w = rng.standard_normal((co, ci, k, k)) * np.sqrt(2.0 / (ci * k * k))
-    return Tensor(w.astype(dtype), requires_grad=True)
-
-
-def _bias_init(co, dtype):
-    return Tensor(np.zeros(co, dtype=dtype), requires_grad=True)
+def _conv_init(rng, co, ci, k):
+    return pt.param(rng.standard_normal((co, ci, k, k)) * np.sqrt(2.0 / (ci * k * k)))
 
 
 class ToyVAE:
     """Plain autoencoder over puppet clips; spatial factor 8, temporal factor 4."""
 
-    def __init__(self, rng=None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
-        self.dtype = dtype
+    def __init__(self, rng):
         cz = LATENT_CHANNELS
         p = {}
         widths = [3, 16, 32, FEAT]
         for i in range(3):
-            p[f"enc{i}.w"] = _conv_init(rng, widths[i + 1], widths[i], 3, dtype)
-            p[f"enc{i}.b"] = _bias_init(widths[i + 1], dtype)
-        p["enc_first.w"] = _conv_init(rng, cz, FEAT, 1, dtype)
-        p["enc_first.b"] = _bias_init(cz, dtype)
-        p["enc_group.w"] = _conv_init(rng, cz, TEMPORAL_GROUP * FEAT, 1, dtype)
-        p["enc_group.b"] = _bias_init(cz, dtype)
-        p["dec_first.w"] = _conv_init(rng, FEAT, cz, 1, dtype)
-        p["dec_first.b"] = _bias_init(FEAT, dtype)
-        p["dec_group.w"] = _conv_init(rng, TEMPORAL_GROUP * FEAT, cz, 1, dtype)
-        p["dec_group.b"] = _bias_init(TEMPORAL_GROUP * FEAT, dtype)
+            p[f"enc{i}.w"] = _conv_init(rng, widths[i + 1], widths[i], 3)
+            p[f"enc{i}.b"] = pt.param(np.zeros(widths[i + 1]))
+        p["enc_first.w"] = _conv_init(rng, cz, FEAT, 1)
+        p["enc_first.b"] = pt.param(np.zeros(cz))
+        p["enc_group.w"] = _conv_init(rng, cz, TEMPORAL_GROUP * FEAT, 1)
+        p["enc_group.b"] = pt.param(np.zeros(cz))
+        p["dec_first.w"] = _conv_init(rng, FEAT, cz, 1)
+        p["dec_first.b"] = pt.param(np.zeros(FEAT))
+        p["dec_group.w"] = _conv_init(rng, TEMPORAL_GROUP * FEAT, cz, 1)
+        p["dec_group.b"] = pt.param(np.zeros(TEMPORAL_GROUP * FEAT))
         widths = [FEAT, 32, 16, 3]
         for i in range(3):
-            p[f"dec{i}.w"] = _conv_init(rng, widths[i + 1], widths[i], 3, dtype)
-            p[f"dec{i}.b"] = _bias_init(widths[i + 1], dtype)
+            p[f"dec{i}.w"] = _conv_init(rng, widths[i + 1], widths[i], 3)
+            p[f"dec{i}.b"] = pt.param(np.zeros(widths[i + 1]))
         self.params = p
         # latent normalization, frozen after pretraining
-        self.latent_shift = np.zeros((cz, 1, 1, 1), dtype=dtype)
-        self.latent_scale = np.ones((cz, 1, 1, 1), dtype=dtype)
+        self.latent_shift = np.zeros((cz, 1, 1, 1), dtype=pt.NARROW)
+        self.latent_scale = np.ones((cz, 1, 1, 1), dtype=pt.NARROW)
+
+    @property
+    def dtype(self):
+        """The autoencoder's precision: that of its parameters."""
+        return self.params["enc0.w"].dtype
 
     def set_latent_stats(self, mean, std):
         cz = LATENT_CHANNELS
@@ -112,8 +110,8 @@ class ToyVAE:
             grouped = pt.reshape(rest, (k, TEMPORAL_GROUP * FEAT) + tuple(rest.shape[2:]))
             parts.append(pt.conv2d(grouped, self.params["enc_group.w"], self.params["enc_group.b"]))
         z = pt.transpose(pt.concat(parts, axis=0), (1, 0, 2, 3))  # [C_z, T_z, h, w]
-        shift = Tensor(-np.broadcast_to(self.latent_shift, z.shape))
-        inv = Tensor(np.broadcast_to(1.0 / self.latent_scale, z.shape))
+        shift = Tensor(-np.broadcast_to(self.latent_shift.astype(z.dtype), z.shape))
+        inv = Tensor(np.broadcast_to(1.0 / self.latent_scale.astype(z.dtype), z.shape))
         return pt.mul(pt.add(z, shift), inv)
 
     def decode_tensor(self, z: Tensor, frame_map) -> Tensor:
@@ -126,8 +124,8 @@ class ToyVAE:
             raise ShapeError(f"frame_map has {len(frame_map)} ranges for {z.shape[1]} latents")
         if not is_frame_run(frame_map):
             raise ShapeError(f"frame_map {list(frame_map)} is not a run of frame_ranges")
-        scale = Tensor(np.broadcast_to(self.latent_scale, z.shape))
-        shift = Tensor(np.broadcast_to(self.latent_shift, z.shape))
+        scale = Tensor(np.broadcast_to(self.latent_scale.astype(z.dtype), z.shape))
+        shift = Tensor(np.broadcast_to(self.latent_shift.astype(z.dtype), z.shape))
         z = pt.add(pt.mul(z, scale), shift)
         zt = pt.transpose(z, (1, 0, 2, 3))  # [T_z, C_z, h, w]
         t_z = zt.shape[0]

@@ -160,8 +160,8 @@ def save_clip(directory, clip: VideoClip) -> None:
 
 def _read_frames(directory: Path, name: str, magic: bytes, frames: int) -> np.ndarray:
     """Stack `frames` files named name.format(i) from `directory`."""
-    if frames < 1:
-        raise ShapeError(f"{directory}: clip needs at least 1 frame, got {frames}")
+    if not isinstance(frames, (int, np.integer)) or frames < 1:
+        raise ShapeError(f"{directory}: clip needs at least 1 frame, a whole number, got {frames!r}")
     arrays = []
     for i in range(frames):  # a frame count from a file may be huge: stop at the first gap
         path = directory / name.format(i)
@@ -191,10 +191,12 @@ def load_clip(directory) -> VideoClip:
 
 def save_masks(directory, masks: np.ndarray) -> None:
     """masks: [T, 1, H, W] or [T, H, W] binary arrays."""
+    if masks.ndim == 4 and masks.shape[1] == 1:
+        masks = masks[:, 0]
+    if masks.ndim != 3:
+        raise ShapeError(f"masks must be [T,1,H,W] or [T,H,W], got {masks.shape}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if masks.ndim == 4:
-        masks = masks[:, 0]
     for i in range(masks.shape[0]):
         _write_pnm(directory / f"mask_{i:05d}.pgm", b"P5", (masks[i] > 0.5) * 255)
 

@@ -44,3 +44,14 @@ def grad_check(f, xs, eps: float = 1e-6, abs_floor: float = 1e-8) -> float:
         err = np.abs(g - num) / np.maximum(np.maximum(np.abs(g), np.abs(num)), abs_floor)
         worst = max(worst, float(err.max()))
     return worst
+
+
+def widen(params) -> None:
+    """Cast each parameter's data to float64 in place.
+
+    Parameters are built narrow; a float64 check widens them after
+    construction. The tensors stay the same objects, so one shared by several
+    modules (the model's null face latent) is widened everywhere at once.
+    """
+    for p in params:
+        p.data = p.data.astype(WIDE)

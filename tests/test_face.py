@@ -33,7 +33,7 @@ from puppetflow.skeleton import N_JOINTS, Skeleton, load_pose_sequence, save_pos
 from puppetflow.tensor import AlignmentError, ConfigError, NumericalError, ShapeError, Tensor, WIDE
 from puppetflow.video import frame_ranges
 
-from gradcheck import grad_check
+from gradcheck import grad_check, widen
 
 
 def head_skeleton(cx, cy, spread=10.0, conf=1.0):
@@ -311,21 +311,25 @@ class TestMotionBasis:
 
     def test_orthonormal_after_parameter_update(self):
         basis = MotionBasis(np.random.default_rng(1))
-        basis.raw.data += np.random.default_rng(2).standard_normal(basis.raw.shape).astype(np.float32) * 0.3
+        raw = basis.params["raw"]
+        raw.data += np.random.default_rng(2).standard_normal(raw.shape).astype(np.float32) * 0.3
         d = basis.orthonormal().data
         np.testing.assert_allclose(d @ d.T, np.eye(N_COEFF), atol=1e-5)
 
     def test_gram_schmidt_differentiable(self):
         # The last row of a square orthonormal basis has no direction freedom
-        # (its gradient is structurally ~0), so check through rows 0..m-2.
-        small = MotionBasis(np.random.default_rng(3), m=4, dtype=WIDE)
+        # (its gradient is structurally ~0), so check through rows 0..m-2 of a
+        # 4x4 raw matrix; `orthonormal` runs over the rows the matrix holds.
+        small = MotionBasis(np.random.default_rng(3))
+        small.params["raw"] = pt.param(np.random.default_rng(3).standard_normal((4, 4)) / np.sqrt(4))
+        widen(small.params.values())
+        x = small.params["raw"]
 
         def f(raw):
-            small.raw = raw
+            small.params["raw"] = raw
             d = pt.slice_axis(small.orthonormal(), 0, 0, 3)
             return pt.sum_all(pt.mul(d, pt.silu(d)))
 
-        x = Tensor(small.raw.data.copy().astype(WIDE))
         assert grad_check(f, [x], eps=1e-6) <= 1e-5
 
 

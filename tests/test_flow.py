@@ -8,9 +8,9 @@ from puppetflow.face import DOWN_WIDTH, N_COEFF
 from puppetflow.flow import FlowState, flow_loss, make_flow_state, sample
 from puppetflow.model import AnimationModel
 from puppetflow.packs import build_animation_pack
-from puppetflow.tensor import ConditioningError, ConfigError, Tensor, WIDE
+from puppetflow.tensor import ConditioningError, ConfigError, Tensor
 
-from gradcheck import grad_check
+from gradcheck import grad_check, widen
 from test_model import tiny_cfg
 
 
@@ -79,6 +79,13 @@ class TestFlowLoss:
         pred, target, mask = self.setup_case(5)
         with pytest.raises(ConfigError):
             flow_loss(pred, target, mask, np.full_like(mask, 0.5))
+
+    def test_nan_weight_rejected(self):
+        pred, target, mask = self.setup_case(5)
+        weights = np.full_like(mask, 2.0)
+        weights[0, 1, 0, 0] = np.nan
+        with pytest.raises(ConfigError, match="region weights"):
+            flow_loss(pred, target, mask, weights)
 
 
 @pytest.fixture()
@@ -153,7 +160,8 @@ class TestSampler:
 class TestEndToEndGradients:
     def test_two_layer_model_matches_finite_differences(self):
         cfg = tiny_cfg()
-        model = AnimationModel(cfg, np.random.default_rng(0), dtype=WIDE)
+        model = AnimationModel(cfg, np.random.default_rng(0))
+        widen(model.named_params().values())
         rng = np.random.default_rng(1)
         # break the zero inits so gradients reach every pathway
         for name in ("body.w", "final.w", "final.ada.w"):
@@ -184,7 +192,7 @@ class TestEndToEndGradients:
             model.params["time.b1"],
             model.face_blocks[0].params["gate"],
             model.params["null_face"],
-            model.basis.raw,
+            model.basis.params["raw"],
         ]
         for p in checked:
             # abs_floor 1e-7: central differences at eps=1e-5 on an O(1) loss

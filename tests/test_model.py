@@ -17,6 +17,8 @@ from puppetflow.packs import build_animation_pack
 from puppetflow.tensor import AlignmentError, ConfigError, ShapeError, Tensor, WIDE
 from puppetflow.video import SPATIAL_FACTOR
 
+from gradcheck import widen
+
 
 def tiny_cfg(**kw):
     base = dict(
@@ -72,6 +74,16 @@ class TestConfig:
     def test_lora_rank_at_dim_rejected(self):
         with pytest.raises(ConfigError):
             DiTConfig(dim=16, lora_rank=16)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_lora_rank_below_one_rejected(self, rank):
+        with pytest.raises(ConfigError, match="lora rank"):
+            DiTConfig(lora_rank=rank)
+
+    @pytest.mark.parametrize("size", [3, 5, 0, -2])
+    def test_latent_size_not_a_positive_patch_multiple_rejected(self, size):
+        with pytest.raises(ConfigError, match="latent size"):
+            DiTConfig(latent_size=size)
 
 
 class TestForward:
@@ -268,7 +280,7 @@ def test_default_config_gives_the_benchmark_shapes():
     assert p["pos.temporal"].shape == (MAX_LATENTS, 128) == (24, 128)
     assert p["blocks.0.mlp.w1"].shape == (128, 512)
     assert p["null_face"].shape == (DOWN_WIDTH,) and model.face_blocks[0].params["v"].shape == (DOWN_WIDTH, 128)
-    assert model.attach_lora().scale == 2.0
+    assert model.attach_lora(np.random.default_rng(0)).scale == 2.0
 
 
 class TestLoRA:
@@ -284,7 +296,8 @@ class TestLoRA:
     def test_dense_equivalence_oracle(self):
         rng = np.random.default_rng(11)
         d, r = 8, 4
-        adapter = LoRAAdapter(rng, {"layer": (d, d)}, rank=r, dtype=WIDE)
+        adapter = LoRAAdapter(rng, {"layer": (d, d)}, rank=r)
+        widen(adapter.params.values())
         adapter.params["layer.up"].data[:] = rng.standard_normal((r, d))
         w = Tensor(rng.standard_normal((d, d)).astype(WIDE))
         x = Tensor(rng.standard_normal((5, d)).astype(WIDE))
@@ -323,7 +336,7 @@ class TestLoRA:
 class TestParamRoles:
     def test_roles_partition_everything(self, setup):
         cfg, model, pack, x_t, pose, face = setup
-        model.attach_lora()
+        model.attach_lora(np.random.default_rng(0))
         named = model.named_params()
         roles = {model.role_of(k) for k in named}
         assert roles == {"base", "face", "lora", "vae"}
@@ -334,3 +347,24 @@ class TestParamRoles:
         assert "face_basis.raw" in face_names
         lora_names = model.named_params(roles=("lora",))
         assert all(k.startswith("lora.") for k in lora_names)
+
+
+class TestParamContract:
+    def test_every_param_is_a_distinct_narrow_leaf(self, setup):
+        cfg, model, pack, x_t, pose, face = setup
+        model.attach_lora(np.random.default_rng(3))
+        named = model.named_params()
+        assert len({id(p) for p in named.values()}) == len(named)
+        for name, p in named.items():
+            assert p.dtype == np.float32 and p.requires_grad, name
+            assert p._parents == () and p._bwd is None, name
+
+    def test_widened_params_give_a_wide_vae_and_pack(self, setup):
+        cfg, model, pack, x_t, pose, face = setup
+        widen(model.named_params().values())
+        assert model.vae.dtype == WIDE
+        assert all(p.dtype == WIDE for p in model.named_params().values())
+        assert all(fb.null_latent is model.params["null_face"] for fb in model.face_blocks)
+        rng = np.random.default_rng(4)
+        wide = build_animation_pack(model.vae, rng.random((3, 32, 32)), 3, None, rng)
+        assert wide.condition.dtype == wide.mask.dtype == wide.noise.dtype == WIDE

@@ -179,6 +179,11 @@ class TestRasterize:
         with pytest.raises(ConfigError, match="no pixel"):
             rasterize_sequence([random_skeleton(9)], *hw)
 
+    @pytest.mark.parametrize("hw", [(16.5, 16), (16, 16.0)])
+    def test_non_integer_frame_size_raises(self, hw):
+        with pytest.raises(ConfigError, match="not whole"):
+            rasterize_sequence([random_skeleton(9)], *hw)
+
     def test_zero_length_limb_draws_disc(self):
         sk = random_skeleton(8)
         sk.joints[:] = (64.0, 64.0)

@@ -244,6 +244,18 @@ class TestInputErrors:
         with pytest.raises(ConfigError, match="seed"):
             generate_scene(-1, 1, "portrait", 32)
 
+    @pytest.mark.parametrize(
+        "seed, frames, size", [(1.5, 1, 16), (0, 2.5, 16), (0, 1, 16.5)], ids=["seed", "frames", "size"]
+    )
+    def test_non_integer_argument(self, seed, frames, size):
+        with pytest.raises(ConfigError, match="integers"):
+            generate_scene(seed, frames, "portrait", size)
+
+    def test_numpy_integer_arguments_render_as_python_ones(self):
+        a = generate_scene(np.int64(3), np.int64(2), "portrait", np.int64(16))
+        b = generate_scene(3, 2, "portrait", 16)
+        assert a.clip.frames.data.tobytes() == b.clip.frames.data.tobytes()
+
     def test_unknown_background_kind(self):
         with pytest.raises(ConfigError, match="solidd"):
             puppet.Background("solidd", (0.1, 0.2, 0.3), (0.3, 0.2, 0.1))

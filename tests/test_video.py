@@ -201,39 +201,39 @@ def small_clip(t=5, hw=16, seed=0):
 
 class TestToyVAE:
     def test_one_frame_one_latent(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         lat = vae.encode(small_clip(t=1))
         assert lat.latents.shape == (4, 1, 2, 2)
         assert lat.frame_map == [(0, 1)]
 
     def test_five_frames_two_latents(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         lat = vae.encode(small_clip(t=5))
         assert lat.t_z == 2
 
     def test_77_frames_20_latents(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         lat = vae.encode(small_clip(t=77, hw=16))
         assert lat.t_z == 20
         assert lat.frame_map[-1] == (73, 77)
 
     @pytest.mark.parametrize("t", [1, 2, 4, 5, 9, 11])
     def test_decode_inverts_frame_count(self, t):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         clip = small_clip(t=t)
         out = vae.decode(vae.encode(clip))
         assert out.length == t
         assert out.frames.shape == clip.frames.shape
 
     def test_20_latents_decode_to_77_frames(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         rng = np.random.default_rng(3)
         lat = LatentVideo(Tensor(rng.standard_normal((4, 20, 2, 2)).astype(np.float32)), frame_ranges(77))
         assert vae.decode(lat).length == 77
 
     def test_group_only_stream_decodes(self):
         # a mid-sequence slice: every latent is a 4-frame group
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         rng = np.random.default_rng(4)
         lat = LatentVideo(
             Tensor(rng.standard_normal((4, 3, 2, 2)).astype(np.float32)), [(1, 5), (5, 9), (9, 13)]
@@ -241,19 +241,19 @@ class TestToyVAE:
         assert vae.decode(lat).length == 12
 
     def test_indivisible_frame_size_raises(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         with pytest.raises(ShapeError):
             vae.encode(VideoClip(Tensor(np.zeros((2, 3, 12, 12), dtype=np.float32))))
 
     def test_encode_deterministic(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         clip = small_clip(t=5, seed=9)
         a = vae.encode(clip).latents.data
         b = vae.encode(clip).latents.data
         assert np.array_equal(a, b)
 
     def test_latent_stats_normalize(self):
-        vae = ToyVAE()
+        vae = ToyVAE(np.random.default_rng(0))
         clip = small_clip(t=5, seed=7)
         raw = vae.encode(clip).latents.data
         mean = raw.mean(axis=(1, 2, 3))
@@ -351,3 +351,15 @@ class TestClipFiles:
         save_masks(tmp_path / "m", np.ones((2, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ShapeError, match="mask_00002.pgm: missing"):
             load_masks(tmp_path / "m", 3)
+
+    def test_non_integer_mask_count_raises(self, tmp_path):
+        save_masks(tmp_path / "m", np.ones((3, 1, 4, 4), dtype=np.float32))
+        with pytest.raises(ShapeError, match="whole number"):
+            load_masks(tmp_path / "m", 2.5)
+        assert load_masks(tmp_path / "m", np.int64(2)).shape == (2, 1, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4), (1, 1, 1, 4, 4), (4,)])
+    def test_save_masks_of_wrong_shape_raises(self, tmp_path, shape):
+        with pytest.raises(ShapeError, match="masks must be"):
+            save_masks(tmp_path / "m", np.ones(shape, dtype=np.float32))
+        assert not (tmp_path / "m").exists()
