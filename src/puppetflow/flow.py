@@ -81,8 +81,8 @@ def sample(
     branch; scale 1 skips the extra pass entirely, so it is bit-identical
     to a single conditional run.
     """
-    if steps < 1:
-        raise ConfigError(f"need at least 1 integration step, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ConfigError(f"need a whole number of at least 1 integration step, got {steps!r}")
     with pt.no_grad():
         x = pack.noise.data.copy()
         dt = 1.0 / steps

@@ -96,6 +96,8 @@ class LoRAAdapter:
     """
 
     def __init__(self, rng, targets: dict, rank: int):
+        if rank < 1:
+            raise ConfigError(f"lora rank {rank} must be at least 1")
         self.scale = LORA_ALPHA / rank
         self.params = {}
         for name, (d_in, d_out) in targets.items():
@@ -266,6 +268,8 @@ class AnimationModel:
     ) -> Tensor:
         """Velocity prediction [C_z, T_total, h, w] for the current noisy latent."""
         cfg = self.cfg
+        if not 0.0 <= t <= 1.0:
+            raise ConfigError(f"flow time {t} outside [0, 1]")
         if x_t.shape != pack.condition.shape:
             raise ShapeError(f"x_t {x_t.shape} does not match pack {pack.condition.shape}")
         adapter = self.lora if (use_lora and self.lora is not None) else None

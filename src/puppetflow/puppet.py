@@ -19,10 +19,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rasterize import _blend, _capsule, _ellipse, _frame_groups, blend_capsule
+from .rasterize import _blend, _capsule, _ellipse, blend_capsule
 from .retarget import FRAMINGS, anchor_point
 from .skeleton import N_JOINTS, N_LIMBS, ROOT, TOPOLOGY, Skeleton
-from .tensor import ConfigError, ShapeError, Tensor
+from .tensor import ConfigError, NumericalError, ShapeError, Tensor
 from .video import VideoClip
 
 # proportions of the scene scale s, per topology edge
@@ -240,24 +240,17 @@ def render_scene(scene: PuppetScene):
     """-> (clip of T float32 frames [T,3,S,S], float32 subject masks [T,1,S,S]).
 
     Frame t and mask t are `render_scene_frame(scene, t)`, the frame rounded
-    to float32; both arrays are C-contiguous and filled in place. The
-    background is rendered once and the frames are drawn in the groups of
-    `rasterize._frame_groups`, each shape once per group, on one float64
-    canvas that every group reuses.
+    to float32; both arrays are C-contiguous. The background is rendered once
+    and all frames are drawn together, each shape once, on one float64 canvas.
     """
     h = w = scene.size
-    frames = np.empty((scene.frames, 3, h, w), dtype=np.float32)
-    masks = np.empty((scene.frames, 1, h, w), dtype=np.float32)
-    background = scene.background.render(h, w)
-    groups = _frame_groups(scene.frames, background.shape)
-    n = groups[0].stop if groups else 0
-    canvas, alpha = np.empty((n, 3, h, w)), np.empty((n, h, w))
-    for group in groups:
-        imgs, acc = canvas[: group.stop - group.start], alpha[: group.stop - group.start]
-        imgs[...], acc[...] = background, 0.0
-        _draw_scene(scene, group, imgs, acc)
-        frames[group] = np.clip(imgs, 0.0, 1.0, out=imgs)
-        np.greater_equal(acc, 0.5, out=masks[group, 0])
+    imgs = np.empty((scene.frames, 3, h, w))
+    imgs[...] = scene.background.render(h, w)
+    acc = np.zeros((scene.frames, 1, h, w))
+    _draw_scene(scene, slice(None), imgs, acc[:, 0])
+    masks = (acc >= 0.5).astype(np.float32)
+    del acc  # freed before the float32 frames are made, for a lower peak
+    frames = np.clip(imgs, 0.0, 1.0, out=imgs).astype(np.float32)
     return VideoClip(Tensor(frames)), masks
 
 
@@ -488,10 +481,11 @@ def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> 
 
     The scene geometry and identity are known at evaluation time; only the
     expression is read out of the pixels. Each template is drawn as
-    `render_face_template` draws it, bit for bit, from shared parts: the head
-    and eyes once per openness, and per openness a stack of head copies, one
-    frame per curvature in groups of `rasterize._frame_groups`, with the
-    mouth coverages of all curvatures, computed once, blended on together.
+    `render_face_template` draws it, bit for bit, from shared parts: the
+    mouth coverages of all curvatures once, and per openness the head and
+    eyes once, copied into a stack of one frame per curvature, with the
+    mouths blended on together. The first strict minimum, openness-major,
+    wins. A non-finite pixel inside the disc raises NumericalError.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 3 or frame.shape[0] != 3 or frame.shape[1] != frame.shape[2]:
@@ -503,21 +497,20 @@ def estimate_face_params(frame: np.ndarray, sk: Skeleton, skin_color, pupil) -> 
     if not disc.any():
         return (float("nan"), float("nan"))
     target = frame[:, disc]
+    if not np.isfinite(target).all():
+        raise NumericalError("estimate_face_params: non-finite pixel inside the head disc")
     best = (np.inf, 0.0, 0.0)
-    groups = _frame_groups(len(CURVATURE_GRID), frame.shape)
-    mouths = [_mouth_covers((size, size), [geo] * (g.stop - g.start), CURVATURE_GRID[g]) for g in groups]
+    mouths = _mouth_covers((size, size), [geo] * len(CURVATURE_GRID), CURVATURE_GRID)
     head_geo = _stacked([geo])
-    stack = np.empty((groups[0].stop, 3, size, size))
+    tmpls = np.empty((len(CURVATURE_GRID), 3, size, size))
     for o in OPENNESS_GRID:
-        head = np.zeros((1, 3, size, size))
-        _draw_head(head, None, head_geo, skin_color, o, pupil)
-        for g, covers in zip(groups, mouths):
-            tmpls = stack[: g.stop - g.start]
-            tmpls[...] = head
-            _draw_mouth(tmpls, None, covers)
-            # each template's [3, disc] block is summed as one contiguous array
-            for c, sq in zip(CURVATURE_GRID[g], (tmpls[:, :, disc] - target) ** 2):
-                err = float(sq.sum())
-                if err < best[0]:
-                    best = (err, float(o), float(c))
+        tmpls[0] = 0.0
+        _draw_head(tmpls[:1], None, head_geo, skin_color, o, pupil)
+        tmpls[1:] = tmpls[0]
+        _draw_mouth(tmpls, None, mouths)
+        # each template's [3, disc] block is summed as one contiguous array
+        for c, sq in zip(CURVATURE_GRID, (tmpls[:, :, disc] - target) ** 2):
+            err = float(sq.sum())
+            if err < best[0]:
+                best = (err, float(o), float(c))
     return best[1], best[2]

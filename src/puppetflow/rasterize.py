@@ -3,9 +3,8 @@
 Capsules and ellipses are drawn here alone, on a stack of frames: every
 shape takes its parameters per frame (points and centres [T, 2], sizes a
 scalar or [T]) and a [T] flag of the frames that draw it, and its coverage
-over all T frames is computed once. A clip's frames are drawn a group at a
-time, each shape once per group, so the interpreter cost of a shape no longer
-grows with the number of frames.
+over all T frames is computed once, so the interpreter cost of a shape does
+not grow with the number of frames.
 
 A coverage (a "cover") is one window per frame: each frame's window origin
 (x, y) and an alpha [T, bh, bw], where bh x bw is the largest of the frames'
@@ -27,14 +26,7 @@ optional [T, H, W] mask is raised the same way. Blending alpha 0 is an exact
 no-op, so undrawn frames and the margins of small boxes leave pixels as they
 were.
 
-A frame group's float64 canvas stays within `_GROUP_BYTES`, 10 frames of
-[3, 128, 128], and callers reuse one canvas for all of a clip's groups. In a
-probe of the benchmark's `corpus` op (a warm-up op, 80 ops of 17 frames at
-128 px, then the expression readout, on a shared 2-vCPU Xeon) the peak RSS
-was 63.7 MB drawing one frame at a time, 65.3 MB with 10-frame groups, 68.3
-MB with all 17 frames in one canvas and 60.9 MB with 3-frame groups; one op
-took 50.7, 37.5, 32.7 and 53.4 ms. The constant trades the last 13% of
-speed for 3 MB of peak memory.
+A clip is drawn on one float64 canvas of all its frames, each shape once.
 
 A pose frame draws each limb as a capsule in a unique color and each joint as
 a disc in its parent limb's color, 4 px wide on a 256 px canvas and scaled
@@ -55,7 +47,6 @@ from .tensor import ConfigError, NumericalError, ShapeError, Tensor
 
 BASE_WIDTH = 4.0
 BASE_CANVAS = 256.0
-_GROUP_BYTES = 4 << 20
 
 # N_LIMBS visually distinct RGB colors, fixed across runs
 LIMB_PALETTE = np.array([colorsys.hsv_to_rgb(i / N_LIMBS, 1.0, 1.0) for i in range(N_LIMBS)], dtype=np.float64)
@@ -66,13 +57,6 @@ _JOINT_LIMB = np.zeros(N_JOINTS, dtype=np.intp)
 _JOINT_LIMB[[c for _, c in TOPOLOGY]] = np.arange(N_LIMBS)
 _JOINT_COLOR = LIMB_PALETTE[_JOINT_LIMB]
 _JOINT_COLOR.setflags(write=False)
-
-
-def _frame_groups(frames: int, shape) -> list:
-    """Consecutive slices of range(frames), each as many frames as a float64
-    canvas of [C, H, W] `shape` fits in `_GROUP_BYTES`, and at least one."""
-    n = max(1, _GROUP_BYTES // (8 * math.prod(shape)))
-    return [slice(i, min(i + n, frames)) for i in range(0, frames, n)]
 
 
 def _frames(drawn, *params):
@@ -241,20 +225,13 @@ def rasterize_sequence(seq, height: int, width: int) -> Tensor:
         raise ShapeError("rasterize_sequence: no skeletons to draw")
     if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (height, width)):
         raise ConfigError(f"rasterize_sequence: frame size {height!r}x{width!r} is not whole or has no pixel")
-    joints = np.stack([sk.joints for sk in seq])
-    shown = np.stack([sk.confidence for sk in seq]) >= CONF_THRESHOLD
+    pts = np.stack([sk.joints for sk in seq])
+    on = np.stack([sk.confidence for sk in seq]) >= CONF_THRESHOLD
     shape = (height, width)
     line_r = 0.5 * BASE_WIDTH * min(height, width) / BASE_CANVAS
-    out = np.empty((len(seq), 3, height, width), dtype=np.float32)
-    groups = _frame_groups(len(seq), out.shape[1:])
-    canvas = np.empty((groups[0].stop, *out.shape[1:]))  # reused by every group
-    for group in groups:
-        img = canvas[: group.stop - group.start]
-        img[...] = 0.0
-        pts, on = joints[group], shown[group]
-        for i, (p, c) in enumerate(TOPOLOGY):
-            _blend(img, _capsule(shape, pts[:, p], pts[:, c], line_r, on[:, p] & on[:, c]), LIMB_PALETTE[i])
-        for j in range(N_JOINTS):
-            _blend(img, _capsule(shape, pts[:, j], pts[:, j], line_r * 1.5, on[:, j]), _JOINT_COLOR[j])
-        out[group] = img
-    return Tensor(out)
+    canvas = np.zeros((len(seq), 3, height, width))
+    for i, (p, c) in enumerate(TOPOLOGY):
+        _blend(canvas, _capsule(shape, pts[:, p], pts[:, c], line_r, on[:, p] & on[:, c]), LIMB_PALETTE[i])
+    for j in range(N_JOINTS):
+        _blend(canvas, _capsule(shape, pts[:, j], pts[:, j], line_r * 1.5, on[:, j]), _JOINT_COLOR[j])
+    return Tensor(canvas.astype(np.float32))

@@ -286,7 +286,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("sub", a, b)
-    if a.shape != b.shape and not _trailing_ok(a, b):
+    if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
     out = a.data - b.data
 
@@ -294,7 +294,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(-(g if b.shape == a.shape else _sum_to_trailing(g, b.shape[0])))
+            b.accumulate_grad(-g)
 
     return _make(out, (a, b), bwd, "sub")
 

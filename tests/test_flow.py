@@ -141,6 +141,11 @@ class TestSampler:
         with pytest.raises(ConfigError):
             sample(model, pack, pose, face, steps=0)
 
+    def test_non_integer_steps(self, toy):
+        model, pack, pose, face = toy
+        with pytest.raises(ConfigError, match="step"):
+            sample(model, pack, pose, face, steps=2.5)
+
     def test_guided_pack_output_excludes_guidance(self, toy):
         model, pack, pose, face = toy
         from puppetflow.video import VideoClip

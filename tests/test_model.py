@@ -101,6 +101,12 @@ class TestForward:
             v = model.forward_tokens(x_t, pack, pose, face, 0.1)
         assert v.shape == pack.noise.shape
 
+    @pytest.mark.parametrize("t", [float("nan"), -0.1, 1.5])
+    def test_flow_time_outside_unit_interval_rejected(self, setup, t):
+        _, model, pack, x_t, pose, face = setup
+        with pytest.raises(ConfigError, match="flow time"):
+            model.forward_tokens(x_t, pack, pose, face, t)
+
     def test_pack_longer_than_position_table_raises(self, setup):
         # MAX_LATENTS target latents and the reference: one row past the table
         _, model, _, _, _, _ = setup
@@ -310,6 +316,11 @@ class TestLoRA:
     def test_rank_at_dim_rejected(self):
         with pytest.raises(ConfigError):
             LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=8)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ConfigError, match="lora rank"):
+            LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=rank)
 
     def test_gradients_flow_to_adapter_not_frozen_base(self):
         rng = np.random.default_rng(12)

@@ -18,7 +18,7 @@ from puppetflow.puppet import (
 from puppetflow.rasterize import _blend, _capsule, _ellipse, blend_capsule
 from puppetflow.retarget import FRAMINGS
 from puppetflow.skeleton import Skeleton
-from puppetflow.tensor import ConfigError, ShapeError
+from puppetflow.tensor import ConfigError, NumericalError, ShapeError
 
 WHITE = (1.0, 1.0, 1.0)
 
@@ -212,6 +212,18 @@ class TestExpressionReadout:
         sk = shifted(scene.skeleton(0), (-400, 0))
         got = estimate_face_params(frame, sk, scene.colors["skin"], (0.0, 0.0))
         assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixel_in_the_disc_raises(self, value):
+        # one such pixel made every template error NaN or inf, and the
+        # readout returned (0.0, 0.0) for a face at (0.307, -0.596)
+        sample = generate_scene(3, 1, "portrait", 64)
+        sk = sample.poses[0]
+        frame = sample.clip.frames.data[0].copy()
+        x, y = np.round(face_geometry(sk).center).astype(int)
+        frame[:, y, x] = value
+        with pytest.raises(NumericalError, match="disc"):
+            estimate_face_params(frame, sk, sample.scene.colors["skin"], tuple(sample.face_params[0, 2:]))
 
 
 

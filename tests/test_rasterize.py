@@ -24,7 +24,6 @@ from puppetflow.rasterize import (
     LIMB_PALETTE,
     _capsule,
     _ellipse,
-    _frame_groups,
     blend_capsule,
     rasterize_sequence,
 )
@@ -296,7 +295,7 @@ def ref_rasterize_sequence(seq, h, w):
 class TestSequences:
     @pytest.mark.parametrize("framing", FRAMINGS)
     def test_pose_sequence_with_hidden_joints_matches_per_frame_drawing(self, framing):
-        # 12 frames at 128 px are two frame groups; hidden joints may hold NaN
+        # 12 frames at 128 px on one canvas; hidden joints may hold NaN
         seq = generate_scene(41, 12, framing, 128).poses
         for t, sk in enumerate(seq):
             if t % 3 == 1:
@@ -313,9 +312,8 @@ class TestSequences:
         assert not got[5].any()
 
     @pytest.mark.parametrize("framing", FRAMINGS)
-    def test_scene_groups_match_one_frame_renders(self, framing):
-        # 23 frames at 128 px: two full groups and a short last one
-        assert [(g.start, g.stop) for g in _frame_groups(23, (3, 128, 128))] == [(0, 10), (10, 20), (20, 23)]
+    def test_scene_stack_matches_one_frame_renders(self, framing):
+        # 23 frames at 128 px, more than the benchmark's 17, on one canvas
         sample = generate_scene(17, 23, framing, 128)
         for t in range(23):
             frame, mask = render_scene_frame(sample.scene, t)

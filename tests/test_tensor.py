@@ -259,6 +259,11 @@ class TestElementwise:
         out = pt.add(wide(a), wide(b))
         np.testing.assert_allclose(out.data, a + b, atol=1e-15)
 
+    def test_sub_has_no_trailing_vector_case(self):
+        a = wide(rng(24).standard_normal((5, 3)))
+        with pytest.raises(ShapeError, match=r"sub: .*\(5, 3\).*\(3,\)"):
+            pt.sub(a, wide(np.zeros(3)))
+
     def test_no_general_broadcast(self):
         with pytest.raises(ShapeError):
             pt.mul(wide(np.zeros((4, 3))), wide(np.zeros((4, 1))))

@@ -23,8 +23,8 @@ rasterization, and the one-frame `compute_sequence_params` and
 
 The third line is the clip digest. For each of `CLIP_SEEDS` seeds and each
 framing it hashes a clip of the benchmark's size, `CLIP_FRAMES` frames of
-`CLIP_SIZE` px, which the renderer and the rasterizer draw in more than one
-frame group: the scene frames and masks, and the rasterized poses with the
+`CLIP_SIZE` px, which the renderer and the rasterizer draw on one canvas of
+all its frames: the scene frames and masks, and the rasterized poses with the
 same wrist and ear hidden.
 """
 
