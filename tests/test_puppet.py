@@ -215,8 +215,8 @@ class TestExpressionReadout:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_pixel_in_the_disc_raises(self, value):
-        # one such pixel made every template error NaN or inf, and the
-        # readout returned (0.0, 0.0) for a face at (0.307, -0.596)
+        # one such pixel makes every template error NaN or inf, so no
+        # template can win and the grid's first point would be returned
         sample = generate_scene(3, 1, "portrait", 64)
         sk = sample.poses[0]
         frame = sample.clip.frames.data[0].copy()
