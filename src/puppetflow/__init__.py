@@ -17,8 +17,9 @@ The modules, bottom up:
   low-rank relighting adapter; `flow`: the flow-matching loss and Euler
   sampling.
 - `puppet`: procedural puppet scenes, the synthetic corpus.
-
-There is no training loop or long-video orchestrator yet.
+- `train`: one training step on a cached clip, and the Adam update;
+  `pipeline`: a driving video and a reference character to an output video,
+  one segment with no chaining.
 """
 
 __version__ = "0.1.0"

@@ -96,8 +96,8 @@ class LoRAAdapter:
     """
 
     def __init__(self, rng, targets: dict, rank: int):
-        if rank < 1:
-            raise ConfigError(f"lora rank {rank} must be at least 1")
+        if not isinstance(rank, (int, np.integer)) or rank < 1:
+            raise ConfigError(f"lora rank must be a whole number of at least 1, got {rank!r}")
         self.scale = LORA_ALPHA / rank
         self.params = {}
         for name, (d_in, d_out) in targets.items():

@@ -1,0 +1,43 @@
+"""The pair-set summary of tools/bench_pairs.py, built from recorded runs."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import bench_pairs  # noqa: E402
+
+ENV = {"nproc": 2, "machine": "x86_64", "python": "3.11.7", "numpy": "2.4.6",
+       "blas": "scipy-openblas 0.3.31", "blas_threads": 1}
+CALIBRATION = {
+    side: {"cpu_model": "Test CPU", "cpu_mhz": [2100.0, 2100.0], "gemm_s": gemm, "pace_kernel_s": 6.2e-4}
+    for side, gemm in (("before", 2.4e-4), ("after", 2.5e-4))
+}
+
+
+def run(commit, p50, rss):
+    record = {"env": dict(ENV, commit=commit)}
+    result = {"metrics": {"op_p50_s": {"value": p50, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return record, result
+
+
+def test_summary_carries_pairs_wins_and_calibration():
+    seeds = [5, 6, 7, 8]
+    runs = {"parent": [run("aaa", p, 80.0) for p in (0.40, 0.42, 0.41, 0.39)],
+            "change": [run("bbb", c, 81.0) for c in (0.38, 0.43, 0.40, 0.37)]}
+    s = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION)
+    assert (s["version"], s["parent"], s["change"], s["seeds"]) == ("subject line", "aaa", "bbb", "5-8")
+    assert [(p["seed"], p["first"], p["parent"], p["change"]) for p in s["pairs"]] == [
+        (5, "parent", 0.40, 0.38), (6, "change", 0.42, 0.43), (7, "parent", 0.41, 0.40), (8, "change", 0.39, 0.37)]
+    assert s["change_wins"] == "3/4"
+    assert s["median_change_pct"] == round(100 * (0.39 / 0.405 - 1), 1)
+    assert s["parent_op_p50_s"]["median"] == 0.405
+    assert s["parent_peak_rss_mb_median"] == 80.0 and s["change_peak_rss_mb_median"] == 81.0
+    assert s["calibration"] == CALIBRATION
+    assert s["host"].startswith("2-CPU x86_64 ") and s["host"].endswith("1 BLAS thread(s)")
+
+
+def test_calibration_times_both_kernels():
+    c = bench_pairs.calibrate(ROOT)
+    assert set(c) == {"cpu_model", "cpu_mhz", "gemm_s", "pace_kernel_s"}
+    assert c["gemm_s"] > 0 and c["pace_kernel_s"] > 0

@@ -322,6 +322,32 @@ class TestLoRA:
         with pytest.raises(ConfigError, match="lora rank"):
             LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=rank)
 
+    def test_fractional_rank_rejected(self):
+        with pytest.raises(ConfigError, match="lora rank"):
+            LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=2.5)
+
+    def test_fractional_config_rank_rejected_at_attach(self):
+        model = AnimationModel(tiny_cfg(lora_rank=2.5), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="lora rank"):
+            model.attach_lora(np.random.default_rng(1))
+
+    def test_use_lora_false_is_the_model_without_adapter(self, setup):
+        cfg, model, pack, x_t, pose, face = setup
+        rng = np.random.default_rng(11)
+        for p in model.named_params().values():  # zero-initialised gates and heads go live
+            p.data[...] = rng.standard_normal(p.shape) * 0.1
+        with pt.no_grad():
+            plain = model.forward_tokens(x_t, pack, pose, face, 0.3).data
+        adapter = model.attach_lora(np.random.default_rng(10))
+        for name, p in adapter.params.items():
+            if name.endswith(".up"):
+                p.data[...] = rng.standard_normal(p.shape)
+        with pt.no_grad():
+            off = model.forward_tokens(x_t, pack, pose, face, 0.3, use_lora=False).data
+            on = model.forward_tokens(x_t, pack, pose, face, 0.3, use_lora=True).data
+        assert np.array_equal(off, plain)
+        assert not np.allclose(on, plain)
+
     def test_gradients_flow_to_adapter_not_frozen_base(self):
         rng = np.random.default_rng(12)
         d = 8

@@ -17,6 +17,13 @@ percent; each pair also carries every end-to-end metric of both runs, and
 `quartiles` gives each side's quartiles of every metric. The set's two
 commits come from the run records and its host from the change's first
 record.
+
+Each set also records a host calibration, taken before and after the pairs
+in a fresh interpreter of the change checkout with the benchmark's BLAS
+threads: the CPU model and the MHz of each CPU from /proc/cpuinfo, and the
+median times of one float32 GEMM of the `train` step's MLP shape and of the
+benchmark's `pace_kernel`. Two sets under the same host string whose
+calibrations differ ran on hosts of different speed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,26 @@ import sys
 from pathlib import Path
 
 METRIC = "op_p50_s"
+# Run in the change checkout. The GEMM is [384, 128] @ [128, 512]: the first
+# MLP layer of a default-config train step (384 tokens, dim 128, hidden 512).
+CALIBRATE = """
+import json, os, statistics, sys, time
+sys.path[:0] = ["perfbench", "src"]
+from run import BLAS_THREADS, THREAD_VARS
+os.environ.update({var: str(BLAS_THREADS) for var in THREAD_VARS})
+import numpy as np
+from bench import pace_kernel
+a, b = (np.random.default_rng(0).standard_normal(s).astype(np.float32) for s in ((384, 128), (128, 512)))
+def median_s(fn):
+    fn()
+    times = []
+    for _ in range(200):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+print(json.dumps({"gemm_s": median_s(lambda: a @ b), "pace_kernel_s": median_s(pace_kernel)}))
+"""
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
@@ -64,16 +91,33 @@ def side_commit(records, side):
     return commits.pop()
 
 
+def cpuinfo():
+    """-> (CPU model, [MHz of each CPU]) from /proc/cpuinfo; ("unknown CPU", []) without it."""
+    model, mhz = "unknown CPU", []
+    path = Path("/proc/cpuinfo")
+    for line in path.read_text().splitlines() if path.is_file() else ():
+        key, _, value = line.partition(":")
+        if key.strip() == "model name" and model == "unknown CPU":
+            model = value.strip()
+        elif key.strip() == "cpu MHz":
+            mhz.append(float(value))
+    return model, mhz
+
+
 def host(env):
-    model = "unknown CPU"
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.is_file():
-        for line in cpuinfo.read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    return (f"{env['nproc']}-CPU {env['machine']} {model}, Python {env['python']}, numpy {env['numpy']}, "
+    return (f"{env['nproc']}-CPU {env['machine']} {cpuinfo()[0]}, Python {env['python']}, numpy {env['numpy']}, "
             f"{env['blas']}, {env['blas_threads']} BLAS thread(s)")
+
+
+def calibrate(checkout: Path):
+    """The host calibration: CPU model and MHz, and the GEMM and pace-kernel medians."""
+    proc = subprocess.run([sys.executable, "-c", CALIBRATE], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-4000:])
+        raise SystemExit(f"{checkout}: calibration exited with {proc.returncode}")
+    model, mhz = cpuinfo()
+    return {"cpu_model": model, "cpu_mhz": mhz,
+            **{name: sig(s) for name, s in json.loads(proc.stdout).items()}}
 
 
 def header(workload, seconds, unit):
@@ -89,8 +133,9 @@ def header(workload, seconds, unit):
     }
 
 
-def summarise(seeds, runs, subject):
-    """One set; `runs` maps each side to its (record, result) per seed, in seed order."""
+def summarise(seeds, runs, subject, calibration):
+    """One set; `runs` maps each side to its (record, result) per seed, in seed order,
+    and `calibration` holds the host calibrations taken `before` and `after` the pairs."""
     values = {side: [{k: m["value"] for k, m in result["metrics"].items()} for _, result in runs[side]]
               for side in ("parent", "change")}
     pairs = []
@@ -108,6 +153,7 @@ def summarise(seeds, runs, subject):
         "parent": side_commit([r for r, _ in runs["parent"]], "parent"),
         "change": side_commit([r for r, _ in runs["change"]], "change"),
         "host": host(runs["change"][0][0]["env"]),
+        "calibration": calibration,
         "seeds": f"{seeds[0]}-{seeds[-1]}",
         "pairs": pairs,
         f"parent_{METRIC}": quartiles(p50["parent"]),
@@ -142,6 +188,7 @@ def main(argv=None):
 
     seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
     runs = {"parent": [], "change": []}
+    before = calibrate(args.change)
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
@@ -150,7 +197,8 @@ def main(argv=None):
             print(f"seed {seed} {side}: {METRIC} {result['metrics'][METRIC]['value']:.4f}", file=sys.stderr)
     subject = subprocess.run(["git", "log", "-1", "--format=%s"], cwd=args.change,
                              capture_output=True, text=True).stdout.strip()
-    s = summarise(args.seeds, runs, subject or "change checkout")
+    calibration = {"before": before, "after": calibrate(args.change)}
+    s = summarise(args.seeds, runs, subject or "change checkout", calibration)
     out = args.change / f"BENCH_{args.workload}.json"
     unit = runs["change"][0][1]["metrics"][METRIC]["unit"]
     bench = json.loads(out.read_text()) if out.is_file() else header(args.workload, seconds, unit)
