@@ -14,6 +14,7 @@ import numpy as np
 
 from . import face, flow, packs, rasterize, retarget
 from . import tensor as pt
+from .tensor import AlignmentError
 from .video import VideoClip, frame_ranges, latent_count
 
 SAMPLE_STEPS = 10
@@ -21,6 +22,8 @@ SAMPLE_STEPS = 10
 
 def animate(model, ref_image, ref_skeleton, clip: VideoClip, poses, framing: str, rng) -> VideoClip:
     """The output clip, one frame per driving frame; `rng` draws the pack noise."""
+    if len(poses) != clip.length:
+        raise AlignmentError(f"{len(poses)} driving poses for {clip.length} driving frames")
     with pt.no_grad():
         params = retarget.compute_sequence_params(ref_skeleton, poses, framing)
         pose_frames = rasterize.rasterize_sequence(retarget.retarget_sequence(poses, params),
