@@ -79,10 +79,12 @@ def sample(
 
     Face guidance contrasts the conditional velocity against a null-face
     branch; scale 1 skips the extra pass entirely, so it is bit-identical
-    to a single conditional run.
+    to a single conditional run. A non-finite scale raises ConfigError.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ConfigError(f"need a whole number of at least 1 integration step, got {steps!r}")
+    if not np.isfinite(face_cfg_scale):
+        raise ConfigError(f"face guidance scale must be finite, got {face_cfg_scale!r}")
     with pt.no_grad():
         x = pack.noise.data.copy()
         dt = 1.0 / steps

@@ -11,15 +11,18 @@ inserted after every k-th transformer block. Each is the paper's temporally
 masked face cross-attention: the tokens of latent step t may attend to the
 face latent of step t only (the reference step to a learned null latent), so
 the softmax is one-hot and the block reduces exactly to a row gather of the
-projected face values. Face-block gates and the low-rank adapter's
-up-projections start at zero, so each new pathway begins as the identity over
-whatever the previous training stage produced.
+projected face values. `forward_tokens` resolves the face condition once per
+forward: the value rows (the window's face latents, or the null latent for
+every window step when no face is given, then the null row) and the row each
+token reads. Face-block gates and the low-rank adapter's up-projections start
+at zero, so each new pathway begins as the identity over whatever the
+previous training stage produced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +50,10 @@ class DiTConfig:
     latent_size: int = 16  # spatial side of the latent grid
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
         if self.face_stride < 1:
             raise ConfigError(f"face stride must be positive, got {self.face_stride}")
         if self.n_layers % self.face_stride:
@@ -119,17 +126,17 @@ def lora_forward(x: Tensor, w: Tensor, adapter: LoRAAdapter | None, name: str) -
 class FaceBlock:
     """Temporally confined face conditioning, as a row gather.
 
-    The values are one face latent per latent step plus a trailing null
-    latent, projected by `v`. Masked cross-attention would let every token
-    see its own step's value only; that single key takes softmax weight 1.0
-    whatever the query, so the block gathers the token's value row, projects
-    it by `o` and adds it through a zero-initialized gate. Confinement is
-    exact by construction, and no query or key projection exists.
+    `values` holds one face latent per window step plus a trailing null
+    latent, and `key_of_token` names the row each token reads. Masked
+    cross-attention would let every token see that one value only; its single
+    key takes softmax weight 1.0 whatever the query, so the block projects
+    the values by `v`, gathers each token's row, projects it by `o` and adds
+    it through a zero-initialized gate. Confinement is exact by construction,
+    and no query or key projection exists.
     """
 
-    def __init__(self, rng, cfg: DiTConfig, null_latent: Tensor):
+    def __init__(self, rng, cfg: DiTConfig):
         d = cfg.dim
-        self.null_latent = null_latent  # shared with the model's other face blocks
         self.params = {
             "v": _init(rng, (DOWN_WIDTH, d), 1.0 / np.sqrt(DOWN_WIDTH)),
             "o": _init(rng, (d, d), 0.02),
@@ -137,26 +144,9 @@ class FaceBlock:
         }
 
     def __call__(
-        self,
-        tokens: Tensor,
-        face: Tensor | None,
-        step_of_token: np.ndarray,
-        n_window: int,
-        adapter: LoRAAdapter | None = None,
-        name: str = "face",
+        self, tokens: Tensor, values: Tensor, key_of_token: np.ndarray, adapter: LoRAAdapter | None, name: str
     ) -> Tensor:
-        if face is not None and face.shape[0] != n_window:
-            raise AlignmentError(
-                f"face latents cover {face.shape[0]} steps, window has {n_window}"
-            )
-        # values: per-step face latents then the null latent (row n_window)
-        null = pt.reshape(self.null_latent, (1, self.null_latent.shape[0]))
-        if face is None:
-            src = pt.take_rows(null, np.zeros(n_window + 1, dtype=np.intp))
-        else:
-            src = pt.concat([face, null], axis=0)
-        v = lora_forward(src, self.params["v"], adapter, f"{name}.v")
-        key_of_token = np.where(step_of_token == 0, n_window, step_of_token - 1)
+        v = lora_forward(values, self.params["v"], adapter, f"{name}.v")
         out = lora_forward(pt.take_rows(v, key_of_token), self.params["o"], adapter, f"{name}.o")
         return pt.add(tokens, pt.mul(out, self.params["gate"]))
 
@@ -202,7 +192,7 @@ class AnimationModel:
         p["final.b"] = pt.param(np.zeros(cfg.out_dim))
         p["null_face"] = _init(rng, (DOWN_WIDTH,), 0.02)
         self.params = p
-        self.face_blocks = [FaceBlock(rng, cfg, p["null_face"]) for _ in range(cfg.face_block_count)]
+        self.face_blocks = [FaceBlock(rng, cfg) for _ in range(cfg.face_block_count)]
         self.lora: LoRAAdapter | None = None
 
     # -- parameter bookkeeping -------------------------------------------------
@@ -286,6 +276,16 @@ class AnimationModel:
         if pose_latents is not None:
             tokens = _inject_pose(tokens, pose_latents, self.params["body.w"], n_total)
 
+        # face values: one row per window step, then the null row the reference step reads
+        null = pt.reshape(self.params["null_face"], (1, DOWN_WIDTH))
+        if face_down is None:
+            face_values = pt.take_rows(null, np.zeros(n_total, dtype=np.intp))
+        elif face_down.shape[0] != n_window:
+            raise AlignmentError(f"face latents cover {face_down.shape[0]} steps, window has {n_window}")
+        else:
+            face_values = pt.concat([face_down, null], axis=0)
+        key_of_token = np.where(step_of_token == 0, n_window, step_of_token - 1)
+
         tfeat = self._time_features(t)
         x = tokens
         face_idx = 0
@@ -298,9 +298,7 @@ class AnimationModel:
                           self.params[f"blocks.{i}.mlp.w2"], self.params[f"blocks.{i}.mlp.b2"])
             x = pt.add(x, pt.mul(h, g2))
             if (i + 1) % cfg.face_stride == 0:
-                x = self.face_blocks[face_idx](
-                    x, face_down, step_of_token, n_window, adapter, f"face_blocks.{face_idx}"
-                )
+                x = self.face_blocks[face_idx](x, face_values, key_of_token, adapter, f"face_blocks.{face_idx}")
                 face_idx += 1
 
         sh, sc = self._modulation(tfeat, "final.ada", 2)

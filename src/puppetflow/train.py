@@ -15,7 +15,8 @@ import numpy as np
 
 from . import face, flow, packs
 from . import tensor as pt
-from .video import frame_ranges
+from .tensor import AlignmentError
+from .video import frame_ranges, latent_count
 
 ADAM_BETAS = (0.9, 0.999)  # decay of the first and second moment estimates
 ADAM_EPS = 1e-8
@@ -26,9 +27,12 @@ def train_step(model, crops, ref_image, latents: np.ndarray, pose_latents: pt.Te
 
     `crops` is one `FaceCrop` per clip frame, or None; `ref_image` is [3, H, W];
     `latents` and `pose_latents` are the clip's and its pose frames' VAE latents,
-    [C_z, T_z, h, w] each. Every parameter that requires grad starts from no
-    gradient, so after the call its `grad` is this clip's alone.
+    [C_z, T_z, h, w] each. Crops for another number of latents than T_z raise
+    AlignmentError before any draw. Every parameter that requires grad starts
+    from no gradient, so after the call its `grad` is this clip's alone.
     """
+    if crops is not None and (not crops or latent_count(len(crops)) != latents.shape[1]):
+        raise AlignmentError(f"{len(crops)} face crops do not cover {latents.shape[1]} latents")
     for p in model.named_params().values():
         if p.requires_grad:
             p.zero_grad()

@@ -146,6 +146,12 @@ class TestSampler:
         with pytest.raises(ConfigError, match="step"):
             sample(model, pack, pose, face, steps=2.5)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_face_guidance_scale_rejected(self, toy, scale):
+        model, pack, pose, face = toy
+        with pytest.raises(ConfigError, match="face guidance scale"):
+            sample(model, pack, pose, face, steps=1, face_cfg_scale=scale)
+
     def test_guided_pack_output_excludes_guidance(self, toy):
         model, pack, pose, face = toy
         from puppetflow.video import VideoClip

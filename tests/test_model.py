@@ -85,6 +85,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="latent size"):
             DiTConfig(latent_size=size)
 
+    @pytest.mark.parametrize("field", ["n_layers", "dim", "n_heads", "face_stride", "lora_rank", "latent_size"])
+    def test_non_integer_field_rejected(self, field):
+        # a whole-valued float, which every range check above lets through
+        value = float(getattr(DiTConfig(), field))
+        with pytest.raises(ConfigError, match=f"{field} must be a whole number"):
+            DiTConfig(**{field: value})
+
 
 class TestForward:
     def test_zero_adapters_match_plain_backbone(self, setup):
@@ -129,6 +136,17 @@ class TestForward:
         with pytest.raises(AlignmentError):
             model.forward_tokens(x_t, pack, pose, bad, 0.5)
 
+    def test_no_face_is_the_null_latent_at_every_window_step(self, setup):
+        cfg, model, pack, x_t, pose, _ = setup
+        rng = np.random.default_rng(15)
+        for fb in model.face_blocks:
+            fb.params["gate"].data[:] = rng.standard_normal(cfg.dim).astype(np.float32)
+        null_rows = Tensor(np.tile(model.params["null_face"].data, (pack.condition.shape[1] - 1, 1)))
+        with pt.no_grad():
+            none = model.forward_tokens(x_t, pack, pose, None, 0.5).data
+            repeated = model.forward_tokens(x_t, pack, pose, null_rows, 0.5).data
+        assert np.array_equal(none, repeated)
+
     def test_reference_tokens_ignore_pose_at_injection(self, setup):
         cfg, model, pack, x_t, pose, _ = setup
         model.params["body.w"].data[:] = np.random.default_rng(3).standard_normal(
@@ -158,6 +176,15 @@ class TestForward:
         assert np.array_equal(out.data, tokens.data)
 
 
+STEPS = np.repeat(np.arange(4), 4)  # 16 tokens: the reference step and a 3-step window
+KEYS = np.where(STEPS == 0, 3, STEPS - 1)  # the reference step reads the null row
+
+
+def face_values(model, face):
+    """A face block's value rows: the window's face latents, then the null latent."""
+    return Tensor(np.concatenate([face.data, model.params["null_face"].data[None]]))
+
+
 class TestFaceBlock:
     def test_matches_masked_dense_attention_bit_exactly(self, setup):
         # The paper's face block is cross-attention whose mask leaves each
@@ -171,9 +198,8 @@ class TestFaceBlock:
             if name.endswith(".up"):
                 p.data[:] = rng.standard_normal(p.shape).astype(np.float32)
         tokens = Tensor(rng.standard_normal((16, cfg.dim)).astype(np.float32))
-        steps = np.repeat(np.arange(4), 4)
         mask = np.zeros((16, 4), dtype=bool)
-        mask[np.arange(16), np.where(steps == 0, 3, steps - 1)] = True
+        mask[np.arange(16), KEYS] = True
         q = rng.standard_normal((16, cfg.dim)).astype(np.float32)
         k = rng.standard_normal((4, cfg.dim)).astype(np.float32)
         logits = q @ k.T / np.float32(np.sqrt(cfg.dim)) + np.where(mask, 0.0, -1e9).astype(np.float32)
@@ -185,27 +211,24 @@ class TestFaceBlock:
             delta = (x @ adapter.params[f"{name}.down"].data) @ adapter.params[f"{name}.up"].data
             return x @ w.data + delta * np.float32(adapter.scale)
 
-        null = model.params["null_face"].data[None]
+        values = face_values(model, face)
         for j, fb in enumerate(model.face_blocks):
             fb.params["gate"].data[:] = rng.standard_normal(cfg.dim).astype(np.float32)
             name = f"face_blocks.{j}"
-            for face_in in (face, None):
-                src = np.tile(null, (4, 1)) if face_in is None else np.concatenate([face.data, null])
-                v = lora(src, fb.params["v"], f"{name}.v")
-                out = lora(weights @ v, fb.params["o"], f"{name}.o")
-                expect = tokens.data + out * fb.params["gate"].data
-                with pt.no_grad():
-                    got = fb(tokens, face_in, steps, 3, adapter, name).data
-                assert np.array_equal(got, expect)
+            v = lora(values.data, fb.params["v"], f"{name}.v")
+            out = lora(weights @ v, fb.params["o"], f"{name}.o")
+            expect = tokens.data + out * fb.params["gate"].data
+            with pt.no_grad():
+                got = fb(tokens, values, KEYS, adapter, name).data
+            assert np.array_equal(got, expect)
 
     def test_zero_gate_is_identity(self, setup):
         cfg, model, pack, x_t, _, face = setup
         fb = model.face_blocks[0]
         rng = np.random.default_rng(6)
         tokens = Tensor(rng.standard_normal((16, cfg.dim)).astype(np.float32))
-        steps = np.repeat(np.arange(4), 4)
         with pt.no_grad():
-            out = fb(tokens, face, steps, 3)
+            out = fb(tokens, face_values(model, face), KEYS, None, "face_blocks.0")
         assert np.array_equal(out.data, tokens.data)
 
     def test_temporal_confinement_perturbation_matrix(self, setup):
@@ -214,15 +237,15 @@ class TestFaceBlock:
         cfg, model, pack, x_t, _, face = setup
         rng = np.random.default_rng(7)
         tokens = Tensor(rng.standard_normal((16, cfg.dim)).astype(np.float32))
-        steps = np.repeat(np.arange(4), 4)
-        for fb in model.face_blocks:
+        for j, fb in enumerate(model.face_blocks):
             fb.params["gate"].data[:] = rng.standard_normal(cfg.dim).astype(np.float32)
+            name = f"face_blocks.{j}"
             with pt.no_grad():
-                base = fb(tokens, face, steps, 3).data
+                base = fb(tokens, face_values(model, face), KEYS, None, name).data
                 for tp in range(3):
                     pert_face = Tensor(face.data.copy())
                     pert_face.data[tp] += 1.0
-                    pert = fb(tokens, pert_face, steps, 3).data
+                    pert = fb(tokens, face_values(model, pert_face), KEYS, None, name).data
                     for s in range(4):
                         rows = slice(s * 4, (s + 1) * 4)
                         if s == tp + 1:
@@ -236,10 +259,10 @@ class TestFaceBlock:
         fb.params["gate"].data[:] = 1.0
         rng = np.random.default_rng(8)
         tokens = Tensor(rng.standard_normal((16, cfg.dim)).astype(np.float32))
-        steps = np.repeat(np.arange(4), 4)
+        null_rows = Tensor(np.tile(model.params["null_face"].data, (4, 1)))
         with pt.no_grad():
-            base = fb(tokens, face, steps, 3).data
-            forced = fb(tokens, None, steps, 3).data
+            base = fb(tokens, face_values(model, face), KEYS, None, "face_blocks.0").data
+            forced = fb(tokens, null_rows, KEYS, None, "face_blocks.0").data
         assert np.array_equal(base[:4], forced[:4])  # reference rows already null
         assert np.abs(base[4:] - forced[4:]).max() > 0
 
@@ -251,9 +274,8 @@ class TestFaceBlock:
         row = rng.standard_normal((1, cfg.dim)).astype(np.float32)
         tokens = Tensor(np.tile(row, (16, 1)))  # identical token content everywhere
         face = Tensor(np.tile(rng.standard_normal((1, DOWN_WIDTH)).astype(np.float32), (3, 1)))
-        steps = np.repeat(np.arange(4), 4)
         with pt.no_grad():
-            out = fb(tokens, face, steps, 3).data
+            out = fb(tokens, face_values(model, face), KEYS, None, "face_blocks.0").data
         window = out[4:].reshape(3, 4, cfg.dim)
         for s in range(1, 3):
             np.testing.assert_array_equal(window[s], window[0])
@@ -327,7 +349,9 @@ class TestLoRA:
             LoRAAdapter(np.random.default_rng(0), {"layer": (8, 8)}, rank=2.5)
 
     def test_fractional_config_rank_rejected_at_attach(self):
-        model = AnimationModel(tiny_cfg(lora_rank=2.5), np.random.default_rng(0))
+        # DiTConfig rejects the rank when built; a field set later still meets the adapter's check
+        model = AnimationModel(tiny_cfg(), np.random.default_rng(0))
+        model.cfg.lora_rank = 2.5
         with pytest.raises(ConfigError, match="lora rank"):
             model.attach_lora(np.random.default_rng(1))
 
@@ -401,7 +425,7 @@ class TestParamContract:
         widen(model.named_params().values())
         assert model.vae.dtype == WIDE
         assert all(p.dtype == WIDE for p in model.named_params().values())
-        assert all(fb.null_latent is model.params["null_face"] for fb in model.face_blocks)
+        assert [name for name in model.named_params() if "null" in name] == ["dit.null_face"]
         rng = np.random.default_rng(4)
         wide = build_animation_pack(model.vae, rng.random((3, 32, 32)), 3, None, rng)
         assert wide.condition.dtype == wide.mask.dtype == wide.noise.dtype == WIDE

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import puppetflow.tensor as pt
-from puppetflow import puppet, rasterize
+from puppetflow import face, puppet, rasterize
 from puppetflow.model import AnimationModel, DiTConfig
 from puppetflow.train import ADAM_BETAS, ADAM_EPS, adam_update, train_step
+from puppetflow.tensor import AlignmentError
+from puppetflow.video import LATENT_CHANNELS
 
 from gradcheck import widen
 
@@ -56,6 +58,18 @@ class TestBenchmarkOracle:
         assert all(p.grad is None for p in frozen)
         assert all(p.grad is None for p in wl.model.named_params(("vae",)).values())
         assert all(p.grad is not None for p in wl.model.named_params(("base",)).values())
+
+
+@pytest.mark.parametrize("n_crops", [0, 13])
+def test_crop_count_must_match_the_latents(n_crops):
+    # 5 latents cover 17 frames; 13 frames give 4 latents, and no crop gives none
+    model = AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
+    crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)), (0, 0, 8))
+    latents = np.zeros((LATENT_CHANNELS, 5, 8, 8), dtype=np.float32)
+    rng = np.random.default_rng(3)
+    with pytest.raises(AlignmentError, match="face crops"):
+        train_step(model, [crop] * n_crops, np.zeros((3, 64, 64), dtype=np.float32), latents, None, rng)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state  # nothing drawn
 
 
 class TestAdam:
