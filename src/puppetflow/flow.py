@@ -78,8 +78,10 @@ def sample(
     """Euler integration from pure noise; returns the target range only.
 
     Face guidance contrasts the conditional velocity against a null-face
-    branch; scale 1 skips the extra pass entirely, so it is bit-identical
-    to a single conditional run. A non-finite scale raises ConfigError.
+    branch. Scale 1 skips the extra pass entirely, and so does
+    `face_down=None`, whose conditional pass already is the null-face pass;
+    both are bit-identical to a single conditional run. A non-finite scale
+    raises ConfigError.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ConfigError(f"need a whole number of at least 1 integration step, got {steps!r}")
@@ -91,7 +93,7 @@ def sample(
         for i in range(steps):
             t = 1.0 - i * dt
             v = model.forward_tokens(Tensor(x), pack, pose_latents, face_down, t).data
-            if face_cfg_scale != 1.0:
+            if face_cfg_scale != 1.0 and face_down is not None:
                 v_null = model.forward_tokens(Tensor(x), pack, pose_latents, None, t).data
                 v = v_null + face_cfg_scale * (v - v_null)
             x = x - dt * v

@@ -149,7 +149,10 @@ class Tensor:
     `backward` drops each intermediate gradient once it has been used. Graph
     nodes record their parents and a backward closure; `backward` replays
     nodes in reverse construction order, which is a valid topological order
-    because every op is constructed after its inputs.
+    because every op is constructed after its inputs. A closure keeps only
+    its node's output and its parents' data (or views of them): an op
+    recomputes in backward whatever else it derived in forward, so the tape
+    holds exactly the node outputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd", "_op", "_id")
@@ -193,9 +196,10 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=False, _op="detach")
 
     def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # one pass: -0.0 becomes +0.0 and a wide g rounds once, as with zeros += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -455,17 +459,27 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def _sigmoid_np(x):
-    # exp overflow for very negative x saturates to 0.0, which is exact
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), built in place in one new buffer."""
+    s = np.negative(x)
+    with np.errstate(over="ignore"):  # exp overflow for very negative x saturates to 0.0, which is exact
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
-    out = a.data * s
+    """x * sigmoid(x). Backward recomputes the sigmoid rather than keep it."""
+    out = _sigmoid_np(a.data)
+    out *= a.data
 
     def bwd(g):
-        a.accumulate_grad(g * s * (1.0 + a.data * (1.0 - s)))
+        s = _sigmoid_np(a.data)
+        t = np.subtract(1.0, s)
+        t *= a.data
+        t += 1.0
+        s *= g
+        s *= t  # g * s * (1 + x (1 - s))
+        a.accumulate_grad(s)
 
     return _make(out, (a,), bwd, "silu")
 
@@ -474,25 +488,33 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU.
+def _gelu_tanh(x):
+    """tanh(x * (C + C*A*x^2)), built in place in one new buffer.
 
-    The tanh argument x * (C + C*A*x^2) is built in one buffer and tanh runs
-    in place on it; backward keeps only that tanh. Powers are written as
-    products: float32 `x**3` runs numpy's generic `power` loop, about 200x
-    slower than `x * x * x`.
+    Powers are written as products: float32 `x**3` runs numpy's generic
+    `power` loop, about 200x slower than `x * x * x`.
     """
-    x = a.data
     th = x * x
     th *= _GELU_C * _GELU_A
     th += _GELU_C
     th *= x
-    np.tanh(th, out=th)
-    out = th + 1.0
+    return np.tanh(th, out=th)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximation GELU, 0.5 x (1 + tanh(x (C + C*A*x^2))).
+
+    The output is built in place on the tanh buffer; backward recomputes
+    the tanh rather than keep it.
+    """
+    x = a.data
+    out = _gelu_tanh(x)
+    out += 1.0
     out *= x
     out *= 0.5
 
     def bwd(g):
+        th = _gelu_tanh(x)
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
         a.accumulate_grad(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du))
 
@@ -513,29 +535,39 @@ def powc(a: Tensor, p: float) -> Tensor:
 LN_EPS = 1e-5  # added to the variance in `layer_norm`
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalization over the last axis with gain `gamma` and bias `beta`.
-
-    Gain and bias may be graph nodes, so adaLN is one call:
-    `layer_norm(x, add_scalar(scale, 1.0), shift)`. The input is centred and
-    scaled in place in one buffer, which backward keeps. The variance gets
-    `LN_EPS` added before the square root.
-    """
+def _normalize(x):
+    """-> (xhat, inv): x centred and scaled over the last axis, in place in
+    one new buffer, and the inverse standard deviation [..., 1]."""
     d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm: params {gamma.shape}/{beta.shape} do not match feature dim {d}")
-    _same_dtype("layer_norm", x, gamma, beta)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
     inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]
     inv /= d
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
-    out = xhat * gamma.data
+    return xhat, inv
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalization over the last axis with gain `gamma` and bias `beta`.
+
+    Gain and bias may be graph nodes, so adaLN is one call:
+    `layer_norm(x, add_scalar(scale, 1.0), shift)`. The variance gets
+    `LN_EPS` added before the square root. Backward recomputes the
+    normalized input and the inverse deviation rather than keep them.
+    """
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layer_norm: params {gamma.shape}/{beta.shape} do not match feature dim {d}")
+    _same_dtype("layer_norm", x, gamma, beta)
+    out, _ = _normalize(x.data)
+    out *= gamma.data
     out += beta.data
 
     def bwd(g):
+        if gamma.requires_grad or x.requires_grad:
+            xhat, inv = _normalize(x.data)
         if gamma.requires_grad:
             gamma.accumulate_grad(_sum_to_trailing(g * xhat, d))
         if beta.requires_grad:
@@ -557,9 +589,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     heads are strided views, so no transpose is copied. The logits are built
     keys-major, [heads, Lk, Lq], from q pre-scaled by 1/sqrt(d_h), so the max
     and the sum over keys reduce over the outer axis, one contiguous row at a
-    time. The node saves only the exponentiated, max-shifted logits and
-    their sums; the normalized weights are never stored, and the division by
-    the sums comes after the product with v.
+    time. The normalized weights are never stored: the division by the sums
+    comes after the product with v, and backward recomputes the scaled q,
+    the exponentiated, max-shifted logits and their sums rather than keep
+    them (as FlashAttention does, Dao et al. 2022).
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError(f"attention: expected 2D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
@@ -575,18 +608,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
         return a.reshape(n, heads, d).transpose(1, 0, 2)
 
     c = q.data.dtype.type(1.0 / np.sqrt(dh))
-    qs = q.data * c
-    qh, kh, vh = split(qs, lq, dh), split(k.data, lk, dh), split(v.data, lk, dv)
-    e = np.matmul(kh, qh.transpose(0, 2, 1))  # [heads, Lk, Lq]
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    r = e.sum(axis=1)[..., None]  # [heads, Lq, 1]
+    kh, vh = split(k.data, lk, dh), split(v.data, lk, dv)
+
+    def scores():  # -> scaled q heads, exp(logits - max) [heads, Lk, Lq], sums [heads, Lq, 1]
+        qh = split(q.data * c, lq, dh)
+        e = np.matmul(kh, qh.transpose(0, 2, 1))
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        return qh, e, e.sum(axis=1)[..., None]
+
+    _, e, r = scores()
     out = np.empty((lq, heads * dv), dtype=q.data.dtype)
     oh = split(out, lq, dv)
     np.matmul(e.transpose(0, 2, 1), vh, out=oh)
     oh /= r
 
     def bwd(g):
+        qh, e, r = scores()
         gr = split(g, lq, dv) / r  # g scaled by the normalizer, [heads, Lq, dv]
         if v.requires_grad:
             gv = np.empty_like(v.data)

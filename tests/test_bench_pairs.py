@@ -15,9 +15,13 @@ CALIBRATION = {
 }
 
 
-def run(commit, p50, rss):
+BETTER = {"op_p50_s": "lower", "peak_rss_mb": "lower", "frames_per_s": "higher", "expr_err": "lower"}
+
+
+def run(commit, p50, rss, fps=50.0, err=0.0):
     record = {"env": dict(ENV, commit=commit)}
-    result = {"metrics": {"op_p50_s": {"value": p50, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    result = {"metrics": {"op_p50_s": {"value": p50, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
+                          "frames_per_s": {"value": fps, "unit": "1/s"}, "expr_err": {"value": err, "unit": "1"}}}
     return record, result
 
 
@@ -25,7 +29,7 @@ def test_summary_carries_pairs_wins_and_calibration():
     seeds = [5, 6, 7, 8]
     runs = {"parent": [run("aaa", p, 80.0) for p in (0.40, 0.42, 0.41, 0.39)],
             "change": [run("bbb", c, 81.0) for c in (0.38, 0.43, 0.40, 0.37)]}
-    s = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION)
+    s = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION, BETTER)
     assert (s["version"], s["parent"], s["change"], s["seeds"]) == ("subject line", "aaa", "bbb", "5-8")
     assert [(p["seed"], p["first"], p["parent"], p["change"]) for p in s["pairs"]] == [
         (5, "parent", 0.40, 0.38), (6, "change", 0.42, 0.43), (7, "parent", 0.41, 0.40), (8, "change", 0.39, 0.37)]
@@ -35,6 +39,32 @@ def test_summary_carries_pairs_wins_and_calibration():
     assert s["parent_peak_rss_mb_median"] == 80.0 and s["change_peak_rss_mb_median"] == 81.0
     assert s["calibration"] == CALIBRATION
     assert s["host"].startswith("2-CPU x86_64 ") and s["host"].endswith("1 BLAS thread(s)")
+    assert s["by_metric"]["op_p50_s"] == {"better": "lower", "change_wins": "3/4",
+                                          "median_change_pct": s["median_change_pct"]}
+
+
+def test_every_end_to_end_metric_gets_wins_in_its_own_direction():
+    seeds = [1, 2, 3, 4]
+    runs = {"parent": [run("aaa", 0.40, rss, fps) for rss, fps in ((500.0, 40.0), (502.0, 41.0),
+                                                                     (501.0, 42.0), (503.0, 40.5))],
+            "change": [run("bbb", 0.40, rss, fps) for rss, fps in ((450.0, 41.0), (452.0, 40.0),
+                                                                     (504.0, 43.0), (449.0, 40.0))]}
+    s = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION, dict(BETTER, setup_s="lower"))
+    m = s["by_metric"]
+    assert list(m) == ["op_p50_s", "peak_rss_mb", "frames_per_s", "expr_err"]  # only metrics the runs report
+    assert m["peak_rss_mb"] == {"better": "lower", "change_wins": "3/4",
+                                "median_change_pct": round(100 * (451.0 / 501.5 - 1), 1)}
+    assert m["frames_per_s"] == {"better": "higher", "change_wins": "2/4",
+                                 "median_change_pct": round(100 * (40.5 / 40.75 - 1), 1)}
+    assert m["op_p50_s"]["change_wins"] == "0/4"  # a tie is no win
+    assert m["expr_err"] == {"better": "lower", "change_wins": "0/4", "median_change_pct": None}
+
+
+def test_metrics_outside_the_end_to_end_list_get_no_wins():
+    runs = {side: [run(c, 0.4, 80.0) for _ in range(2)] for side, c in (("parent", "aaa"), ("change", "bbb"))}
+    s = bench_pairs.summarise([1, 2], runs, "subject line", CALIBRATION, {"op_p50_s": "lower", "peak_rss_mb": "lower"})
+    assert list(s["by_metric"]) == ["op_p50_s", "peak_rss_mb"]
+    assert set(s["quartiles"]["change"]) == {"op_p50_s", "peak_rss_mb", "frames_per_s", "expr_err"}
 
 
 def test_calibration_times_both_kernels():

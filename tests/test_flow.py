@@ -136,6 +136,21 @@ class TestSampler:
         expect = pack.noise.data - (v_n + s * (v_c - v_n))
         np.testing.assert_allclose(out.latents.data, expect[:, 1 + pack.n_temporal :], atol=1e-6)
 
+    def test_null_face_skips_the_guidance_pass(self, toy, monkeypatch):
+        # without a face the conditional pass is the null-face pass, so guidance is a no-op
+        model, pack, pose, _ = toy
+        plain = sample(model, pack, pose, None, steps=3)
+        calls, forward = [], model.forward_tokens
+
+        def counted(*args):
+            calls.append(args[3])
+            return forward(*args)
+
+        monkeypatch.setattr(model, "forward_tokens", counted)
+        guided = sample(model, pack, pose, None, steps=3, face_cfg_scale=2.0)
+        assert calls == [None] * 3
+        assert np.array_equal(guided.latents.data, plain.latents.data)
+
     def test_invalid_steps(self, toy):
         model, pack, pose, face = toy
         with pytest.raises(ConfigError):

@@ -14,7 +14,11 @@ the change checkout; the file is made, with the workload, metric, command and
 method, if it is missing. A set holds every pair's `op_p50_s`, each side's
 quartiles (linear interpolation), the change's wins and the median change in
 percent; each pair also carries every end-to-end metric of both runs, and
-`quartiles` gives each side's quartiles of every metric. The set's two
+`quartiles` gives each side's quartiles of every metric. `by_metric` gives
+the same wins and median change for every end-to-end metric, a win being a
+pair whose change is better in the direction `better` of the change
+checkout's `BENCHMARK.json` (lower or higher); the median change stays the
+signed change of the value, so -5.0 is a fall either way. The set's two
 commits come from the run records and its host from the change's first
 record.
 
@@ -133,9 +137,18 @@ def header(workload, seconds, unit):
     }
 
 
-def summarise(seeds, runs, subject, calibration):
+def compare(parent, change, better):
+    """-> (wins as "k/n", median change in percent, or None from a zero parent median)
+    of the change's values against the parent's, pair by pair; `better` is "lower" or "higher"."""
+    wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    mp, mc = statistics.median(parent), statistics.median(change)
+    return f"{wins}/{len(parent)}", round(100.0 * (mc / mp - 1.0), 1) if mp else None
+
+
+def summarise(seeds, runs, subject, calibration, better):
     """One set; `runs` maps each side to its (record, result) per seed, in seed order,
-    and `calibration` holds the host calibrations taken `before` and `after` the pairs."""
+    `calibration` holds the host calibrations taken `before` and `after` the pairs,
+    and `better` maps each end-to-end metric to "lower" or "higher"."""
     values = {side: [{k: m["value"] for k, m in result["metrics"].items()} for _, result in runs[side]]
               for side in ("parent", "change")}
     pairs = []
@@ -144,10 +157,13 @@ def summarise(seeds, runs, subject, calibration):
                       "parent": sig(values["parent"][k][METRIC]),
                       "change": sig(values["change"][k][METRIC]),
                       "metrics": {side: values[side][k] for side in ("parent", "change")}})
-    p50 = {side: [v[METRIC] for v in values[side]] for side in values}
-    wins = sum(c < p for p, c in zip(p50["parent"], p50["change"]))
-    medians = {side: statistics.median(p50[side]) for side in p50}
     names = list(values["change"][0])
+    series = {n: {side: [v[n] for v in values[side]] for side in values} for n in names}
+    by_metric = {}
+    for n in (n for n in names if n in better):
+        wins, pct = compare(series[n]["parent"], series[n]["change"], better[n])
+        by_metric[n] = {"better": better[n], "change_wins": wins, "median_change_pct": pct}
+    p50, rss = series[METRIC], series["peak_rss_mb"]
     return {
         "version": subject,
         "parent": side_commit([r for r, _ in runs["parent"]], "parent"),
@@ -158,12 +174,12 @@ def summarise(seeds, runs, subject, calibration):
         "pairs": pairs,
         f"parent_{METRIC}": quartiles(p50["parent"]),
         f"change_{METRIC}": quartiles(p50["change"]),
-        "change_wins": f"{wins}/{len(seeds)}",
-        "median_change_pct": round(100.0 * (medians["change"] / medians["parent"] - 1.0), 1),
-        "parent_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["parent"])),
-        "change_peak_rss_mb_median": sig(statistics.median(v["peak_rss_mb"] for v in values["change"])),
-        "quartiles": {side: {n: quartiles([v[n] for v in values[side]]) for n in names}
-                      for side in ("parent", "change")},
+        "change_wins": by_metric[METRIC]["change_wins"],
+        "median_change_pct": by_metric[METRIC]["median_change_pct"],
+        "parent_peak_rss_mb_median": sig(statistics.median(rss["parent"])),
+        "change_peak_rss_mb_median": sig(statistics.median(rss["change"])),
+        "quartiles": {side: {n: quartiles(series[n][side]) for n in names} for side in ("parent", "change")},
+        "by_metric": by_metric,
     }
 
 
@@ -186,7 +202,9 @@ def main(argv=None):
     parser.add_argument("seeds", type=seed_range)
     args = parser.parse_args(argv)
 
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {"parent": [], "change": []}
     before = calibrate(args.change)
     for seed in args.seeds:
@@ -198,7 +216,7 @@ def main(argv=None):
     subject = subprocess.run(["git", "log", "-1", "--format=%s"], cwd=args.change,
                              capture_output=True, text=True).stdout.strip()
     calibration = {"before": before, "after": calibrate(args.change)}
-    s = summarise(args.seeds, runs, subject or "change checkout", calibration)
+    s = summarise(args.seeds, runs, subject or "change checkout", calibration, better)
     out = args.change / f"BENCH_{args.workload}.json"
     unit = runs["change"][0][1]["metrics"][METRIC]["unit"]
     bench = json.loads(out.read_text()) if out.is_file() else header(args.workload, seconds, unit)
@@ -206,6 +224,9 @@ def main(argv=None):
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"{out}: {s['change_wins']} pairs won, median {s['median_change_pct']:+.1f}%, "
           f"parent {s[f'parent_{METRIC}']}, change {s[f'change_{METRIC}']}")
+    for name, c in s["by_metric"].items():
+        pct = "n/a" if c["median_change_pct"] is None else f"{c['median_change_pct']:+.1f}%"
+        print(f"  {name} ({c['better']} is better): {c['change_wins']} pairs won, median {pct}")
     return 0
 
 
