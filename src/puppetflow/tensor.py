@@ -196,7 +196,7 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=False, _op="detach")
 
     def accumulate_grad(self, g):
-        if self.grad is None:  # one pass: -0.0 becomes +0.0 and a wide g rounds once, as with zeros += g
+        if self.grad is None:  # g + 0.0 in one pass: -0.0 becomes +0.0, and a wide g rounds once
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
@@ -514,9 +514,21 @@ def gelu(a: Tensor) -> Tensor:
     out *= 0.5
 
     def bwd(g):
+        # g * (0.5 (1 + th) + 0.5 x (1 - th^2) du), du = C (1 + 3A x^2), in four buffers
         th = _gelu_tanh(x)
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-        a.accumulate_grad(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du))
+        du = x * x
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        dt = th * th
+        np.subtract(1.0, dt, out=dt)
+        dt *= 0.5 * x
+        dt *= du
+        th += 1.0
+        th *= 0.5
+        th += dt
+        th *= g
+        a.accumulate_grad(th)
 
     return _make(out, (a,), bwd, "gelu")
 
@@ -576,7 +588,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             gh = g * gamma.data
             t1 = gh.sum(axis=-1, keepdims=True)
             t2 = (gh * xhat).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(inv / d * (d * gh - t1 - xhat * t2))
+            gh *= d  # inv / d * (d gh - t1 - xhat t2), in place
+            gh -= t1
+            xhat *= t2
+            gh -= xhat
+            gh *= inv / d
+            x.accumulate_grad(gh)
 
     return _make(out, (x, gamma, beta), bwd, "layer_norm")
 

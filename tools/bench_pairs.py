@@ -138,11 +138,13 @@ def header(workload, seconds, unit):
 
 
 def compare(parent, change, better):
-    """-> (wins as "k/n", median change in percent, or None from a zero parent median)
-    of the change's values against the parent's, pair by pair; `better` is "lower" or "higher"."""
+    """The change's values against the parent's, pair by pair: the direction `better`
+    ("lower" or "higher"), the wins as "k/n" and the median change in percent (None
+    from a zero parent median)."""
     wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
     mp, mc = statistics.median(parent), statistics.median(change)
-    return f"{wins}/{len(parent)}", round(100.0 * (mc / mp - 1.0), 1) if mp else None
+    return {"better": better, "change_wins": f"{wins}/{len(parent)}",
+            "median_change_pct": round(100.0 * (mc / mp - 1.0), 1) if mp else None}
 
 
 def summarise(seeds, runs, subject, calibration, better):
@@ -159,10 +161,7 @@ def summarise(seeds, runs, subject, calibration, better):
                       "metrics": {side: values[side][k] for side in ("parent", "change")}})
     names = list(values["change"][0])
     series = {n: {side: [v[n] for v in values[side]] for side in values} for n in names}
-    by_metric = {}
-    for n in (n for n in names if n in better):
-        wins, pct = compare(series[n]["parent"], series[n]["change"], better[n])
-        by_metric[n] = {"better": better[n], "change_wins": wins, "median_change_pct": pct}
+    by_metric = {n: compare(series[n]["parent"], series[n]["change"], better[n]) for n in names if n in better}
     p50, rss = series[METRIC], series["peak_rss_mb"]
     return {
         "version": subject,
