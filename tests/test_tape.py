@@ -246,11 +246,6 @@ class TestFirstAccumulation:
         t.accumulate_grad(np.arange(3, dtype=np.float32))
         assert np.array_equal(t.grad, [[2.5, 3.5, 4.5]] * 2)
 
-    def test_shape_mismatch_still_raises(self):
-        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        with pytest.raises(ValueError):
-            t.accumulate_grad(np.ones(4, dtype=np.float32))
-
     def test_grad_owns_its_buffer(self):
         t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         g = np.ones(3, dtype=np.float32)
