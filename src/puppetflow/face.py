@@ -48,7 +48,6 @@ NOISE_HI = 0.05
 @dataclass
 class FaceCrop:
     image: Tensor  # [3, 512, 512], values in [0,1]
-    box: tuple  # (x0, y0, side) in source pixels
 
 
 def _taps(out_size: int, src_size: int, lo: float, hi: float):
@@ -123,7 +122,7 @@ def crop_face(frame: Tensor, sk: Skeleton) -> FaceCrop | None:
     if box is None:
         return None
     out = bilinear_resize(img, box, FACE_SIZE)
-    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), box)
+    return FaceCrop(Tensor(out.astype(np.float32, copy=False)))
 
 
 def augment_face(face: FaceCrop, rng) -> FaceCrop:
@@ -168,7 +167,7 @@ def augment_face(face: FaceCrop, rng) -> FaceCrop:
             part = flat[a : a + _NOISE_CHUNK]
             part += chunk.astype(out.dtype)
             np.clip(part, 0.0, 1.0, out=part)
-    return FaceCrop(Tensor(out.astype(np.float32, copy=False)), face.box)
+    return FaceCrop(Tensor(out.astype(np.float32, copy=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +282,8 @@ class TemporalDownsampler:
 
 @dataclass
 class FaceLatentSequence:
-    """Per-frame coefficients plus their latent-timeline alignment."""
+    """Face latents aligned with the latent timeline."""
 
-    per_frame: Tensor  # [T, N_COEFF]
     downsampled: Tensor  # [T_z, DOWN_WIDTH]
 
 
@@ -299,4 +297,4 @@ def encode_face_sequence(
     """[T,3,512,512] crop stack -> aligned face latents."""
     coeffs = encoder.encode_batch(crops)
     latents = pt.matmul(coeffs, basis.orthonormal())
-    return FaceLatentSequence(latents, downsampler(latents, frame_map))
+    return FaceLatentSequence(downsampler(latents, frame_map))

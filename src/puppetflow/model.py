@@ -273,8 +273,12 @@ class AnimationModel:
         tokens = pt.add(tokens, pt.take_rows(self.params["pos.temporal"], step_of_token))
         tokens = pt.add(tokens, pt.take_rows(self.params["pos.spatial"], np.tile(np.arange(tps), n_total)))
 
-        if pose_latents is not None:
-            tokens = _inject_pose(tokens, pose_latents, self.params["body.w"], n_total)
+        if pose_latents is not None:  # window rows only: the reference step adds zero rows
+            if pose_latents.shape[1] != n_window:
+                raise AlignmentError(f"pose latents cover {pose_latents.shape[1]} steps, window has {n_window}")
+            pose_tokens = pt.matmul(pt.patchify(pose_latents, PATCH), self.params["body.w"])
+            zero_rows = Tensor(np.zeros((tps, cfg.dim), dtype=pose_tokens.dtype))
+            tokens = pt.add(tokens, pt.concat([zero_rows, pose_tokens], axis=0))
 
         # face values: one row per window step, then the null row the reference step reads
         null = pt.reshape(self.params["null_face"], (1, DOWN_WIDTH))
@@ -306,19 +310,3 @@ class AnimationModel:
         x = pt.linear(x, self.params["final.w"], self.params["final.b"])
         dims = (LATENT_CHANNELS,) + tuple(pack.condition.shape[1:])
         return pt.unpatchify(x, dims, PATCH)
-
-
-def _inject_pose(tokens: Tensor, pose_latents: Tensor, proj_w: Tensor, n_total: int) -> Tensor:
-    """Add projected, patchified pose latents to the window tokens.
-
-    Pose latents cover exactly the window (temporal guidance included); the
-    reference latent's tokens pass through untouched.
-    """
-    n_window = n_total - 1
-    if pose_latents.shape[1] != n_window:
-        raise AlignmentError(f"pose latents cover {pose_latents.shape[1]} steps, window has {n_window}")
-    pose_tokens = pt.matmul(pt.patchify(pose_latents, PATCH), proj_w)
-    tps = tokens.shape[0] // n_total
-    ref = pt.slice_axis(tokens, 0, 0, tps)
-    win = pt.add(pt.slice_axis(tokens, 0, tps, tokens.shape[0]), pose_tokens)
-    return pt.concat([ref, win], axis=0)

@@ -2,11 +2,11 @@
 
 Ratios map the driving character's proportions onto the reference character's:
 reference length over driving length per `skeleton.TOPOLOGY` edge, the median
-over the driving frames where the limb is measurable (a skeleton pair or a
-T-pose pair is the one-frame case). A limb is unmeasurable in a frame when
-either endpoint misses the confidence bar or the driving length degenerates;
-one unmeasurable in every frame keeps ratio 1 and is recorded as a warning
-rather than blowing up the division.
+over the driving frames where the limb is measurable (a skeleton pair is the
+one-frame case). A limb is unmeasurable in a frame when either endpoint
+misses the confidence bar or the driving length degenerates; one unmeasurable
+in every frame keeps ratio 1 and is recorded as a warning rather than blowing
+up the division.
 
 Reconstruction walks `TOPOLOGY` parents first, keeping each frame's limb
 directions, then shifts every joint so the frame's anchor point lands at its
@@ -72,24 +72,6 @@ def _limb_ratios(ref_sk: Skeleton, drive_seq):
         for i in np.flatnonzero(~usable_any)
     ]
     return ratios, warnings
-
-
-def compute_tpose_params(
-    ref_tpose: Skeleton,
-    drive_tpose: Skeleton,
-    framing: str = "full_body",
-    ref_anchor_sk: Skeleton | None = None,
-    drive_anchor_sk: Skeleton | None = None,
-) -> RetargetParams:
-    """Ratios from a standardized-pose pair, immune to in-motion foreshortening.
-
-    The anchor translation still has to map the characters as they stand in
-    the actual inputs, so it is taken from `*_anchor_sk` when given.
-    """
-    ratios, warnings = _limb_ratios(ref_tpose, [drive_tpose])
-    ref_a = anchor_point(ref_anchor_sk or ref_tpose, framing)
-    drive_a = anchor_point(drive_anchor_sk or drive_tpose, framing)
-    return RetargetParams(ratios, framing, ref_a - drive_a, warnings)
 
 
 def compute_sequence_params(

@@ -192,9 +192,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False, _op="detach")
-
     def accumulate_grad(self, g):
         if self.grad is None:  # g + 0.0 in one pass: -0.0 becomes +0.0, and a wide g rounds once
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))

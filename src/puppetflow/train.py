@@ -15,7 +15,7 @@ import numpy as np
 
 from . import face, flow, packs
 from . import tensor as pt
-from .tensor import AlignmentError
+from .tensor import AlignmentError, ConfigError
 from .video import frame_ranges, latent_count
 
 ADAM_BETAS = (0.9, 0.999)  # decay of the first and second moment estimates
@@ -54,8 +54,11 @@ def adam_update(params: dict, state: dict, lr: float) -> None:
     """One Adam step (Kingma & Ba, 2015) on each named parameter that has a gradient.
 
     `state` starts empty and keeps, per name, the parameter's step count and
-    its first and second moment estimates; the update is bias-corrected.
+    its first and second moment estimates; the update is bias-corrected. A
+    non-finite or non-positive `lr` raises ConfigError before anything changes.
     """
+    if not isinstance(lr, (int, float, np.integer, np.floating)) or not 0.0 < lr < np.inf:
+        raise ConfigError(f"learning rate must be a finite number above 0, got {lr!r}")
     b1, b2 = ADAM_BETAS
     for name, p in params.items():
         if p.grad is None:

@@ -150,7 +150,7 @@ class ToyVAE:
     def encode(self, clip: VideoClip) -> LatentVideo:
         with pt.no_grad():
             z = self.encode_tensor(clip.frames)
-        return LatentVideo(z.detach(), frame_ranges(clip.length))
+        return LatentVideo(z, frame_ranges(clip.length))
 
     def decode(self, lat: LatentVideo) -> VideoClip:
         with pt.no_grad():

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import NumericalError, ShapeError, Tensor
 
 SPATIAL_FACTOR = 8
 TEMPORAL_GROUP = 4
@@ -149,6 +149,10 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
 
 
 def save_clip(directory, clip: VideoClip) -> None:
+    """Write 8-bit frames clipped to [0, 1]; NaN in a frame raises NumericalError first."""
+    nan_frames = np.isnan(clip.frames.data).any(axis=(1, 2, 3))
+    if nan_frames.any():
+        raise NumericalError(f"clip frame {int(np.argmax(nan_frames))} holds NaN, no pixel value to write")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     data = np.clip(clip.frames.data, 0.0, 1.0)

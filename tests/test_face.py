@@ -25,6 +25,7 @@ from puppetflow.face import (
     bilinear_resize,
     crop_face,
     encode_face_sequence,
+    head_box,
 )
 from puppetflow.rasterize import blend_capsule
 from puppetflow.skeleton import N_JOINTS, Skeleton, load_pose_sequence, save_pose_sequence
@@ -55,23 +56,21 @@ def disc_frame(cx, cy, r, hw=128):
 class TestCropFace:
     def test_contains_disc_and_centered(self):
         cx, cy, r = 70.0, 50.0, 16.0
-        frame = disc_frame(cx, cy, r)
-        crop = crop_face(frame, head_skeleton(cx, cy, spread=r))
-        x0, y0, side = crop.box
+        sk = head_skeleton(cx, cy, spread=r)
+        x0, y0, side = head_box(sk, 128, 128)
         assert x0 <= cx - r and cx + r <= x0 + side
         assert y0 <= cy - r and cy + r <= y0 + side
         # crop center within 5% of the disc center
         assert abs((x0 + side / 2) - cx) <= 0.05 * side
         assert abs((y0 + side / 2) - cy) <= 0.05 * side
-        assert crop.image.shape == (3, FACE_SIZE, FACE_SIZE)
+        assert crop_face(disc_frame(cx, cy, r), sk).image.shape == (3, FACE_SIZE, FACE_SIZE)
 
     def test_corner_clamped(self):
-        frame = disc_frame(3.0, 2.0, 6.0)
-        crop = crop_face(frame, head_skeleton(3.0, 2.0, spread=8.0))
-        x0, y0, side = crop.box
+        sk = head_skeleton(3.0, 2.0, spread=8.0)
+        x0, y0, side = head_box(sk, 128, 128)
         assert x0 >= 0.0 and y0 >= 0.0
         assert x0 + side <= 128.0 and y0 + side <= 128.0
-        assert crop.image.shape == (3, FACE_SIZE, FACE_SIZE)
+        assert crop_face(disc_frame(3.0, 2.0, 6.0), sk).image.shape == (3, FACE_SIZE, FACE_SIZE)
 
     def test_deterministic(self):
         frame = disc_frame(60.0, 60.0, 12.0)
@@ -192,7 +191,7 @@ def augment_in_child(face, seed, conn):
 class TestAugmentFace:
     def crop(self, seed=0):
         rng = np.random.default_rng(seed)
-        return FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8), (0, 0, 64))
+        return FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8))
 
     def test_seeded_reproducibility(self):
         face = self.crop()
@@ -260,7 +259,7 @@ class TestAugmentFace:
         assert rng.standard_normal(4).tolist() == twin.standard_normal(4).tolist()
 
     def test_wrong_crop_size_raises(self):
-        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)), (0, 0, 64))
+        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)))
         with pytest.raises(ShapeError, match="face crop"):
             augment_face(small, np.random.default_rng(0))
 
@@ -269,7 +268,7 @@ class TestAugmentFace:
         # and noise, so their difference over the crop difference is each
         # channel's gain; the median skips any pixel the clip to [0, 1] moved.
         def constant(v):
-            return FaceCrop(Tensor(np.full((3, FACE_SIZE, FACE_SIZE), v, dtype=np.float32)), (0, 0, 64))
+            return FaceCrop(Tensor(np.full((3, FACE_SIZE, FACE_SIZE), v, dtype=np.float32)))
 
         seeds = range(16)
         gains = []
@@ -423,5 +422,4 @@ class TestTemporalDownsampler:
         crops = Tensor(rng.random((5, 3, FACE_SIZE, FACE_SIZE), dtype=np.float32))
         with pt.no_grad():
             seq = encode_face_sequence(crops, enc, basis, ds, frame_ranges(5))
-        assert seq.per_frame.shape == (5, N_COEFF)
         assert seq.downsampled.shape == (2, DOWN_WIDTH)

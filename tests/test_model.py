@@ -10,7 +10,6 @@ from puppetflow.model import (
     AnimationModel,
     DiTConfig,
     LoRAAdapter,
-    _inject_pose,
     lora_forward,
 )
 from puppetflow.packs import build_animation_pack
@@ -148,33 +147,34 @@ class TestForward:
         assert np.array_equal(none, repeated)
 
     def test_reference_tokens_ignore_pose_at_injection(self, setup):
-        cfg, model, pack, x_t, pose, _ = setup
-        model.params["body.w"].data[:] = np.random.default_rng(3).standard_normal(
-            model.params["body.w"].shape
-        ).astype(np.float32)
-        rng = np.random.default_rng(4)
-        tokens = Tensor(rng.standard_normal((pack.condition.shape[1] * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
-        frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
+        # With no layers every op is token-wise, so the reference step's output
+        # sees its own tokens only: pose reaches it only if injection adds it there.
+        cfg, _, pack, x_t, pose, face = setup
+        model = AnimationModel(tiny_cfg(n_layers=0), np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        for name in ("body.w", "final.w"):
+            w = model.params[name]
+            w.data[:] = rng.standard_normal(w.shape).astype(np.float32)
+        moved = Tensor(pose.data.copy())
+        moved.data += rng.standard_normal(pose.shape).astype(np.float32)
         with pt.no_grad():
-            out = _inject_pose(tokens, model.vae.encode_tensor(frames), model.params["body.w"], pack.condition.shape[1])
-            assert np.array_equal(out.data[: cfg.tokens_per_step], tokens.data[: cfg.tokens_per_step])
-            assert np.abs(out.data[cfg.tokens_per_step :] - tokens.data[cfg.tokens_per_step :]).max() > 0
-            # perturb a pose frame: reference tokens stay bit-identical
-            frames2 = Tensor(frames.data.copy())
-            frames2.data[4] += 0.5
-            out2 = _inject_pose(tokens, model.vae.encode_tensor(frames2), model.params["body.w"], pack.condition.shape[1])
-        assert np.array_equal(out2.data[: cfg.tokens_per_step], out.data[: cfg.tokens_per_step])
+            out = model.forward_tokens(x_t, pack, pose, face, 0.5).data
+            out2 = model.forward_tokens(x_t, pack, moved, face, 0.5).data
+        assert np.array_equal(out2[:, 0], out[:, 0])
+        assert (out2[:, 1:] != out[:, 1:]).any(axis=(0, 2, 3)).all()  # every window step moves
 
     def test_zero_body_projection_is_identity(self, setup):
-        cfg, model, pack, x_t, pose, _ = setup
+        cfg, model, pack, x_t, pose, face = setup
         rng = np.random.default_rng(5)
-        tokens = Tensor(rng.standard_normal((pack.condition.shape[1] * cfg.tokens_per_step, cfg.dim)).astype(np.float32))
-        frames = Tensor(rng.random((9, 3, 32, 32)).astype(np.float32))
-        zero_w = Tensor(np.zeros_like(model.params["body.w"].data))
+        for name, w in model.params.items():  # zero-initialised adaLN and head: the output sees the tokens
+            if name.endswith((".ada.w", "final.w")):
+                w.data[:] = 0.1 * rng.standard_normal(w.shape).astype(np.float32)
+        model.params["body.w"].data[:] = 0.0
         with pt.no_grad():
-            out = _inject_pose(tokens, model.vae.encode_tensor(frames), zero_w, pack.condition.shape[1])
-        assert np.array_equal(out.data, tokens.data)
-
+            posed = model.forward_tokens(x_t, pack, pose, face, 0.5).data
+            unposed = model.forward_tokens(x_t, pack, None, face, 0.5).data
+        assert np.abs(unposed).max() > 0
+        assert np.array_equal(posed, unposed)
 
 STEPS = np.repeat(np.arange(4), 4)  # 16 tokens: the reference step and a 3-step window
 KEYS = np.where(STEPS == 0, 3, STEPS - 1)  # the reference step reads the null row

@@ -65,8 +65,8 @@ class TestTapeHoldsOnlyNodeOutputs:
         model = AnimationModel(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         n_frames, side = 5, 8 * cfg.latent_size
-        crops = [face.FaceCrop(Tensor(rng.random((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)),
-                               (0, 0, side)) for _ in range(n_frames)]
+        crops = [face.FaceCrop(Tensor(rng.random((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
+                 for _ in range(n_frames)]
         shape = (LATENT_CHANNELS, latent_count(n_frames), cfg.latent_size, cfg.latent_size)
         latents = rng.standard_normal(shape).astype(np.float32)
         pose = Tensor(rng.standard_normal(shape).astype(np.float32))

@@ -10,7 +10,7 @@ import puppetflow.tensor as pt
 from puppetflow import face, puppet, rasterize
 from puppetflow.model import AnimationModel, DiTConfig
 from puppetflow.train import ADAM_BETAS, ADAM_EPS, adam_update, train_step
-from puppetflow.tensor import AlignmentError
+from puppetflow.tensor import AlignmentError, ConfigError
 from puppetflow.video import LATENT_CHANNELS
 
 from gradcheck import widen
@@ -64,7 +64,7 @@ class TestBenchmarkOracle:
 def test_crop_count_must_match_the_latents(n_crops):
     # 5 latents cover 17 frames; 13 frames give 4 latents, and no crop gives none
     model = AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
-    crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)), (0, 0, 8))
+    crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
     latents = np.zeros((LATENT_CHANNELS, 5, 8, 8), dtype=np.float32)
     rng = np.random.default_rng(3)
     with pytest.raises(AlignmentError, match="face crops"):
@@ -97,6 +97,15 @@ class TestAdam:
         p = pt.param(np.ones(3))
         state = {}
         adam_update({"w": p}, state, 1e-2)
+        assert np.array_equal(p.data, np.ones(3, dtype=np.float32)) and state == {}
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-2, "1e-2", None])
+    def test_learning_rate_not_finite_and_positive_raises_before_any_change(self, lr):
+        p = pt.param(np.ones(3))
+        p.grad = np.ones(3, dtype=np.float32)
+        state = {}
+        with pytest.raises(ConfigError, match="learning rate"):
+            adam_update({"w": p}, state, lr)
         assert np.array_equal(p.data, np.ones(3, dtype=np.float32)) and state == {}
 
 

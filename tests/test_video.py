@@ -1,5 +1,7 @@
 """Latent timeline law, clip/mask file formats, VAE shape contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import puppetflow.tensor as pt
 from puppetflow.face import N_COEFF, TemporalDownsampler
-from puppetflow.tensor import AlignmentError, ShapeError, Tensor
+from puppetflow.tensor import AlignmentError, NumericalError, ShapeError, Tensor
 from puppetflow.vae import ToyVAE
 from puppetflow.video import (
     TEMPORAL_GROUP,
@@ -286,6 +288,15 @@ class TestClipFiles:
         raw = (tmp_path / "c" / "frame_00000.ppm").read_bytes()
         assert raw.startswith(b"P6\n8 8\n255\n")
         assert len(raw) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
+
+    def test_nan_frame_raises_before_any_file_is_written(self, tmp_path):
+        clip = small_clip(t=3, hw=8)
+        clip.frames.data[1, 2, 5, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning either
+            with pytest.raises(NumericalError, match="frame 1 "):
+                save_clip(tmp_path / "c", clip)
+        assert not (tmp_path / "c").exists()
 
     def test_mask_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

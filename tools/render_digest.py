@@ -18,8 +18,8 @@ each framing it retargets a driving pose sequence onto the reference pose of
 another seed, once as generated and once with a wrist hidden in every other
 frame and an ear hidden in all of them. It hashes the `compute_sequence_params`
 ratios, offset and warning count, the `retarget_sequence` joints and their
-rasterization, and the one-frame `compute_sequence_params` and
-`compute_tpose_params` on the first frame pair.
+rasterization, and the one-frame `compute_sequence_params` on the first frame
+pair.
 
 The third line is the clip digest. For each of `CLIP_SEEDS` seeds and each
 framing it hashes a clip of the benchmark's size, `CLIP_FRAMES` frames of
@@ -36,12 +36,7 @@ import numpy as np
 
 from puppetflow import puppet
 from puppetflow.rasterize import rasterize_sequence
-from puppetflow.retarget import (
-    FRAMINGS,
-    compute_sequence_params,
-    compute_tpose_params,
-    retarget_sequence,
-)
+from puppetflow.retarget import FRAMINGS, compute_sequence_params, retarget_sequence
 from puppetflow.skeleton import Skeleton
 
 SEEDS = 40
@@ -112,11 +107,9 @@ def retarget_digest(seeds: int) -> str:
                 put([sk.joints for sk in out])
                 put(rasterize_sequence(out, size, size).data)
                 pair = compute_sequence_params(ref, [seq[0]], framing)
-                tpose = compute_tpose_params(ref, seq[0], framing, ref, seq[1])
-                for p in (pair, tpose):
-                    put(p.ratios)
-                    put(p.offset)
-                    put(len(p.warnings))
+                put(pair.ratios)
+                put(pair.offset)
+                put(len(pair.warnings))
     return h.hexdigest()
 
 
