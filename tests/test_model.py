@@ -149,7 +149,7 @@ class TestForward:
     def test_reference_tokens_ignore_pose_at_injection(self, setup):
         # With no layers every op is token-wise, so the reference step's output
         # sees its own tokens only: pose reaches it only if injection adds it there.
-        cfg, _, pack, x_t, pose, face = setup
+        _, _, pack, x_t, pose, face = setup
         model = AnimationModel(tiny_cfg(n_layers=0), np.random.default_rng(0))
         rng = np.random.default_rng(3)
         for name in ("body.w", "final.w"):
@@ -164,7 +164,7 @@ class TestForward:
         assert (out2[:, 1:] != out[:, 1:]).any(axis=(0, 2, 3)).all()  # every window step moves
 
     def test_zero_body_projection_is_identity(self, setup):
-        cfg, model, pack, x_t, pose, face = setup
+        _, model, pack, x_t, pose, face = setup
         rng = np.random.default_rng(5)
         for name, w in model.params.items():  # zero-initialised adaLN and head: the output sees the tokens
             if name.endswith((".ada.w", "final.w")):
@@ -175,6 +175,7 @@ class TestForward:
             unposed = model.forward_tokens(x_t, pack, None, face, 0.5).data
         assert np.abs(unposed).max() > 0
         assert np.array_equal(posed, unposed)
+
 
 STEPS = np.repeat(np.arange(4), 4)  # 16 tokens: the reference step and a 3-step window
 KEYS = np.where(STEPS == 0, 3, STEPS - 1)  # the reference step reads the null row
