@@ -1,8 +1,11 @@
 """Face conditioning: crop, augment, encode to motion coefficients, downsample.
 
 The crop box comes from the skeleton's head keypoints, so no face detector is
-involved. Each 512x512 crop is squeezed into a small coefficient vector over
-a learned row-orthonormal basis (re-orthonormalized on every forward pass),
+involved. A crop holds its own copy of the source frame and the box, not its
+512x512 pixels: those are a pure function of the two, resampled on each read
+of `.image` (a 128 px float32 frame is 196 KB, its crop's pixels 3.1 MB).
+Each crop is squeezed into a small coefficient vector over a learned
+row-orthonormal basis (re-orthonormalized on every forward pass),
 which together with train-time augmentation keeps identity detail out of the
 expression channel. A stack of causal 1D convolutions then aligns the
 per-frame latents with the latent-video timeline: the output for latent step
@@ -47,7 +50,26 @@ NOISE_HI = 0.05
 
 @dataclass
 class FaceCrop:
+    """A face crop held as pixels, as `augment_face` returns it."""
+
     image: Tensor  # [3, 512, 512], values in [0,1]
+
+
+@dataclass(frozen=True)
+class FrameCrop:
+    """A face crop held as its source frame and box, as `crop_face` returns it.
+
+    `frame` is the crop's own read-only copy of the [3,H,W] frame and `box`
+    its `head_box`. Each read of `.image` resamples the box to FACE_SIZE into
+    a fresh float32 array, the same pixels on every read.
+    """
+
+    frame: np.ndarray
+    box: tuple
+
+    @property
+    def image(self) -> Tensor:
+        return Tensor(bilinear_resize(self.frame, self.box, FACE_SIZE).astype(np.float32, copy=False))
 
 
 def _taps(out_size: int, src_size: int, lo: float, hi: float):
@@ -80,14 +102,21 @@ def bilinear_resize(image: np.ndarray, box, out_size: int) -> np.ndarray:
     columns, then two source rows, with weights (1 - frac, frac) that sum to
     1. Coordinates clamp at the borders (see `_taps`). The x pass gathers
     along the last axis and the y pass gathers whole rows, so neither pass
-    needs a transposed copy.
+    needs a transposed copy. When the y taps read at most half the rows, the
+    x pass runs over only those rows (the sorted taps bound them by their
+    first and last entries). `take` copies such a non-contiguous slice
+    first, so a slice that keeps most rows would cost more than it saves.
     """
     if image.ndim != 3:
         raise ShapeError(f"bilinear_resize: image must be [C,H,W], got {image.shape}")
     x0, y0, side = box
     _, h, w = image.shape
-    cols = _lerp(image, _taps(out_size, w, x0, x0 + side), axis=2)
-    return _lerp(cols, _taps(out_size, h, y0, y0 + side), axis=1)
+    u0, u1, frac = _taps(out_size, h, y0, y0 + side)
+    lo, hi = u0[0], u1[-1] + 1
+    if 2 * (hi - lo) > h:
+        lo, hi = 0, h
+    cols = _lerp(image[:, lo:hi], _taps(out_size, w, x0, x0 + side), axis=2)
+    return _lerp(cols, (u0 - lo, u1 - lo, frac), axis=1)
 
 
 def head_box(sk: Skeleton, height: int, width: int):
@@ -110,22 +139,26 @@ def head_box(sk: Skeleton, height: int, width: int):
     return (x0, y0, side)
 
 
-def crop_face(frame: Tensor, sk: Skeleton) -> FaceCrop | None:
+def crop_face(frame: Tensor, sk: Skeleton) -> FrameCrop | None:
     """Skeleton-guided face crop; None is the no-face signal (fewer than two
     confident head keypoints), in which case callers fall back to the model's
     learned null face latent. A non-finite confident head keypoint raises
-    NumericalError (`head_box`)."""
+    NumericalError (`head_box`).
+
+    The crop keeps a copy of the frame, in the frame's dtype, and the box;
+    its `.image` resamples them on each read (`FrameCrop`)."""
     img = frame.data if isinstance(frame, Tensor) else np.asarray(frame)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"frame must be [3,H,W], got {img.shape}")
     box = head_box(sk, img.shape[1], img.shape[2])
     if box is None:
         return None
-    out = bilinear_resize(img, box, FACE_SIZE)
-    return FaceCrop(Tensor(out.astype(np.float32, copy=False)))
+    own = img.copy()
+    own.flags.writeable = False
+    return FrameCrop(own, box)
 
 
-def augment_face(face: FaceCrop, rng) -> FaceCrop:
+def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
     """Train-time identity-scrambling: rescale, color jitter, additive noise.
 
     Draw order is fixed (scale, 3 gains, 3 biases, sigma, then the float64
@@ -138,13 +171,13 @@ def augment_face(face: FaceCrop, rng) -> FaceCrop:
     clip). The output is bit-identical to the serial computation. `rng` must
     be a `np.random.Generator` that no other thread uses during the call. The
     worker lives only for this call, so no thread outlives it (a forked child
-    inherits none).
+    inherits none). `.image` is read once, so a `FrameCrop` resamples once.
     """
-    if face.image.shape != (3, FACE_SIZE, FACE_SIZE):
-        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
+    img = face.image.data
+    if img.shape != (3, FACE_SIZE, FACE_SIZE):
+        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {img.shape}")
     if not isinstance(rng, np.random.Generator):
         raise ConfigError(f"augment_face: rng must be a numpy Generator, got {type(rng).__name__}")
-    img = face.image.data
     s = float(rng.uniform(*SCALE_RANGE))
     gains = rng.uniform(*GAIN_RANGE, 3).astype(img.dtype)
     biases = rng.uniform(*BIAS_RANGE, 3).astype(img.dtype)

@@ -1,5 +1,6 @@
 """Face cropping, augmentation, motion encoding, temporal alignment."""
 
+import dataclasses
 import hashlib
 import multiprocessing
 import threading
@@ -93,6 +94,41 @@ class TestCropFace:
         with pytest.raises(NumericalError, match="head keypoint"):
             crop_face(disc_frame(60.0, 60.0, 12.0), loaded)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_image_is_the_resampled_head_box_bit_for_bit(self, dtype):
+        frame = np.random.default_rng(4).random((3, 128, 128)).astype(dtype)
+        sk = head_skeleton(70.0, 50.0, spread=12.0)
+        expect = bilinear_resize(frame, head_box(sk, 128, 128), FACE_SIZE).astype(np.float32)
+        got = crop_face(frame, sk).image.data
+        assert got.dtype == np.float32 and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_holds_no_more_bytes_than_its_frame(self, dtype):
+        frame = disc_frame(60.0, 60.0, 12.0).data.astype(dtype)
+        crop = crop_face(frame, head_skeleton(60.0, 60.0))
+        held = [getattr(crop, f.name) for f in dataclasses.fields(crop)]
+        arrays = [a.data if isinstance(a, Tensor) else a for a in held]
+        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) <= frame.nbytes
+
+    def test_writing_into_the_frame_leaves_the_crop_unchanged(self):
+        frame = disc_frame(60.0, 60.0, 12.0)
+        crop = crop_face(frame, head_skeleton(60.0, 60.0))
+        before = crop.image.data.copy()
+        frame.data[...] = 0.5
+        assert np.array_equal(crop.image.data, before)
+
+    def test_writing_into_a_read_leaves_the_next_read_unchanged(self):
+        crop = crop_face(disc_frame(60.0, 60.0, 12.0), head_skeleton(60.0, 60.0))
+        first = crop.image.data
+        before = first.copy()
+        first[...] = 0.5
+        assert np.array_equal(crop.image.data, before)
+
+    def test_augment_reads_a_crop_as_its_pixels(self):
+        crop = crop_face(disc_frame(60.0, 60.0, 12.0), head_skeleton(60.0, 60.0))
+        pixels = FaceCrop(crop.image)
+        assert augment_hash(crop, 9) == augment_hash(pixels, 9)
+
     def test_resize_preserves_constant_images(self):
         img = np.full((3, 32, 32), 0.37, dtype=np.float32)
         out = bilinear_resize(img, (4.0, 6.0, 11.0), 64)
@@ -113,13 +149,16 @@ def dense_resize_matrix(out_size, src_size, lo, hi):
 
 # (source H, W, box, out): crop_face upsampling, the augmentation's zoom in
 # (scale 1.1) and zoom out (scale 0.9, overhangs by 28 px on every side), a box
-# past the top and right edges, and a non-square source.
+# past the top and right edges, a non-square source, and a box past the bottom
+# and left edges. The first, fourth and last read at most half the source rows,
+# so their x pass runs over a row slice.
 RESIZE_CASES = [
     (128, 128, (30.3, 20.7, 40.2), 512),
     (512, 512, (23.273, 23.273, 465.455), 512),
     (512, 512, (-28.444, -28.444, 568.889), 512),
     (128, 128, (100.0, -10.0, 60.0), 512),
     (96, 160, (10.5, 3.2, 70.1), 300),
+    (128, 128, (-6.0, 110.0, 30.0), 512),
 ]
 
 
@@ -154,7 +193,9 @@ class TestBilinearResize:
         assert got.dtype == np.float32 and got.shape == (3, out, out)
         assert np.abs(got - ref).max() <= 4 * np.finfo(np.float32).eps
 
-    @pytest.mark.parametrize("case", RESIZE_CASES[:2], ids=["128-to-512", "512-to-512"])
+    @pytest.mark.parametrize("case", RESIZE_CASES, ids=["128-to-512", "512-to-512", "512-to-512-overhang",
+                                                      "128-to-512-past-top", "96x160-to-300",
+                                                      "128-to-512-past-bottom"])
     def test_bit_exact_with_two_transpose_formula(self, case):
         h, w, (x0, y0, side), out = case
         img = np.random.default_rng(h).random((3, h, w), dtype=np.float32)

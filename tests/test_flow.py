@@ -112,6 +112,23 @@ class TestSampler:
         a = 1 + pack.n_temporal
         np.testing.assert_allclose(out.latents.data, (pack.noise.data - v)[:, a:], atol=1e-6)
 
+    @pytest.mark.parametrize("steps", [1, 2, 5, 10])
+    def test_point_mass_velocity_lands_on_its_target(self, toy, steps):
+        # Oracle from the linear path: x_t = (1-t) x0 + t noise has velocity
+        # (x_t - x0) / t, whose exact flow is the straight line the Euler steps
+        # follow, so every grid of steps from t=1 down to t=dt ends on x0.
+        _, pack, _, _ = toy
+        x0 = np.random.default_rng(steps).standard_normal(pack.noise.shape).astype(np.float32)
+
+        class PointMass:
+            def forward_tokens(self, x, pack, pose_latents, face_down, t):
+                return Tensor((x.data - x0) / np.float32(t))
+
+        out = sample(PointMass(), pack, None, None, steps)
+        a = 1 + pack.n_temporal
+        ulp = np.finfo(np.float32).eps * np.abs(x0).max()
+        np.testing.assert_allclose(out.latents.data, x0[:, a:], rtol=0, atol=4 * ulp)
+
     def test_output_covers_target_range_only(self, toy):
         model, pack, pose, face = toy
         out = sample(model, pack, pose, face, steps=2)

@@ -94,11 +94,17 @@ class TestConfig:
 
 class TestForward:
     def test_zero_adapters_match_plain_backbone(self, setup):
-        # fresh gates and body projection are zero: conditioning paths silent
+        # fresh gates and body projection are zero: conditioning paths silent.
+        # The head starts at zero too, so it is made live, or the output would
+        # be zero whatever reached it.
         cfg, model, pack, x_t, pose, face = setup
+        rng = np.random.default_rng(3)
+        for name in ("final.w", "final.b"):
+            model.params[name].data[:] = rng.standard_normal(model.params[name].shape).astype(np.float32)
         with pt.no_grad():
             plain = model.forward_tokens(x_t, pack, None, None, 0.5).data
             conditioned = model.forward_tokens(x_t, pack, pose, face, 0.5).data
+        assert np.abs(plain).max() > 0.0
         assert np.array_equal(plain, conditioned)
 
     def test_output_shape_matches_noise(self, setup):
