@@ -12,7 +12,7 @@ per-frame latents with the latent-video timeline: the output for latent step
 t sees only pixel frames covered by groups up to t.
 
 Augmentation draws its float64 noise field on one worker thread, in order and
-in chunks, while the calling thread resizes the crop; the output is
+in chunks, while the calling thread reads and resizes the crop; the output is
 bit-identical to a serial draw. The worker lives for one `augment_face` call,
 and `rng` must be a `np.random.Generator` that no other thread uses meanwhile.
 
@@ -166,32 +166,33 @@ def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
     The noise field is drawn on one worker thread, in order, in chunks of
     `_NOISE_CHUNK` values, into a buffer this call owns; the generator sees
     the same calls as one `standard_normal(shape)` and ends in the same state.
-    Meanwhile this thread resizes the crop and applies gain and bias in place,
-    then folds in each chunk as it lands (x sigma in float64, cast, add,
-    clip). The output is bit-identical to the serial computation. `rng` must
-    be a `np.random.Generator` that no other thread uses during the call. The
-    worker lives only for this call, so no thread outlives it (a forked child
-    inherits none). `.image` is read once, so a `FrameCrop` resamples once.
+    Meanwhile this thread reads the crop's pixels once (a `FrameCrop`
+    resamples them here, in the draws' shadow), resizes them and applies gain
+    and bias in place, then folds in each chunk as it lands (x sigma in
+    float64, cast, add, clip). The output is bit-identical to the serial
+    computation. `rng` must be a `np.random.Generator` that no other thread
+    uses during the call. The worker lives only for this call, so no thread
+    outlives it (a forked child inherits none).
     """
-    img = face.image.data
-    if img.shape != (3, FACE_SIZE, FACE_SIZE):
-        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {img.shape}")
+    # a FrameCrop reads as [3, FACE_SIZE, FACE_SIZE]: crop_face checks its frame
+    if isinstance(face, FaceCrop) and face.image.shape != (3, FACE_SIZE, FACE_SIZE):
+        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
     if not isinstance(rng, np.random.Generator):
         raise ConfigError(f"augment_face: rng must be a numpy Generator, got {type(rng).__name__}")
     s = float(rng.uniform(*SCALE_RANGE))
-    gains = rng.uniform(*GAIN_RANGE, 3).astype(img.dtype)
-    biases = rng.uniform(*BIAS_RANGE, 3).astype(img.dtype)
+    gains = rng.uniform(*GAIN_RANGE, 3)
+    biases = rng.uniform(*BIAS_RANGE, 3)
     sigma = float(rng.uniform(0.0, NOISE_HI))
     side = FACE_SIZE / s
     off = (FACE_SIZE - side) / 2.0
-    noise = np.empty(img.size, dtype=np.float64)
+    noise = np.empty(3 * FACE_SIZE * FACE_SIZE, dtype=np.float64)
     starts = range(0, noise.size, _NOISE_CHUNK)
     with ThreadPoolExecutor(max_workers=1) as pool:
         # one worker runs the draws in submission order, so the stream is serial
         draws = [pool.submit(rng.standard_normal, out=noise[a : a + _NOISE_CHUNK]) for a in starts]
-        out = bilinear_resize(img, (off, off, side), FACE_SIZE)
-        out *= gains[:, None, None]
-        out += biases[:, None, None]
+        out = bilinear_resize(face.image.data, (off, off, side), FACE_SIZE)
+        out *= gains.astype(out.dtype)[:, None, None]
+        out += biases.astype(out.dtype)[:, None, None]
         flat = out.reshape(-1)
         for a, draw in zip(starts, draws):
             draw.result()

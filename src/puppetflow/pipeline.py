@@ -3,10 +3,10 @@
 The driving poses are retargeted onto the reference skeleton, drawn as pose
 frames and encoded; the driving faces are cropped and encoded, or replaced by
 the model's null face latent when some frame has no crop. Each crop keeps its
-frame and head box and is resampled to 512 px once, as the crops are stacked. The animation pack
-of the reference image is then sampled for `SAMPLE_STEPS` Euler steps and
-decoded. There is no chaining: a clip is one segment, with no temporal
-guidance.
+frame and head box and is resampled to 512 px once, as the crops are stacked.
+The animation pack of the reference image is then sampled for `SAMPLE_STEPS`
+Euler steps and decoded. There is no chaining: a clip is one segment, with no
+temporal guidance.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ def train_step(model, crops, ref_image, latents: np.ndarray, pose_latents: pt.Te
     `crops` is one crop per clip frame, or None: a `crop_face` result (frame
     and box, resampled as it is augmented) or a pixel `FaceCrop`.
     `ref_image` is [3, H, W]; `latents` and `pose_latents` are the clip's and
-    its pose frames' VAE latents, [C_z, T_z, h, w] each. Crops for another number of latents than T_z raise
-    AlignmentError before any draw. Every parameter that requires grad starts
-    from no gradient, so after the call its `grad` is this clip's alone.
+    its pose frames' VAE latents, [C_z, T_z, h, w] each. Crops for another
+    number of latents than T_z raise AlignmentError before any draw. Every
+    parameter that requires grad starts from no gradient, so after the call
+    its `grad` is this clip's alone.
     """
     if crops is not None and (not crops or latent_count(len(crops)) != latents.shape[1]):
         raise AlignmentError(f"{len(crops)} face crops do not cover {latents.shape[1]} latents")
