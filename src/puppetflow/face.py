@@ -237,7 +237,13 @@ class MotionBasis:
 
 
 class FaceEncoder:
-    """Six stride-2 stages 512 -> 8, pooled, projected to motion coefficients."""
+    """Six stride-2 stages 512 -> 8, pooled, projected to motion coefficients.
+
+    Each stage is a 3x3 conv followed by a SiLU. The SiLU of stages 1-5 is
+    folded into the next stage's conv (`tensor.silu_conv2d`), so the tape
+    holds one [C, H, W] buffer per stage, the conv output, plus the last
+    stage's SiLU output that the pooling reads.
+    """
 
     def __init__(self, rng):
         p = {}
@@ -252,29 +258,31 @@ class FaceEncoder:
     def encode_batch(self, crops: Tensor) -> Tensor:
         """[N,3,512,512] -> [N, N_COEFF] coefficients, one crop at a time.
 
-        Each crop runs the six conv/SiLU stages on its own and is pooled; the
-        head then runs once over the stacked pooled features. The row-blocked
-        conv forward copies at most 2^19 bytes of windows per block, so a
-        batch saves no copy, and its larger activations cost time and memory:
-        for 17 crops on a 2-vCPU Xeon with one BLAS thread, forward plus
-        backward took 134 ms at 265 MB max RSS one crop at a time, and 161 ms
-        at 334 MB as one batched call, with bit-identical coefficients. A
-        crop's conv outputs do not depend on the rest of the batch, so its
-        coefficients match its single-crop encode up to the head GEMM's
-        rounding.
+        Each crop runs `conv2d`, five `silu_conv2d` stages and one `silu` on
+        its own and is pooled; the head then runs once over the stacked pooled
+        features. The tape keeps, per crop, the six conv outputs (1.43 MB in
+        float32) and the last SiLU (8 KB); every other SiLU output lives only
+        inside a conv's forward. The row-blocked conv forward copies at most
+        2^19 bytes of windows per block, so a batch saves no copy, and its
+        larger activations cost time and memory: for 17 crops on a 2-vCPU
+        Xeon with one BLAS thread, forward plus backward took 242-255 ms of
+        CPU at 123 MB max RSS one crop at a time, and 323-436 ms at 252 MB as
+        one batched call, with bit-identical coefficients. A crop's conv
+        outputs do not depend on the rest of the batch, so its coefficients
+        match its single-crop encode up to the head GEMM's rounding.
         """
         if crops.ndim != 4 or crops.shape[0] < 1 or crops.shape[1:] != (3, FACE_SIZE, FACE_SIZE):
             raise ShapeError(f"face crops must be [N>=1,3,{FACE_SIZE},{FACE_SIZE}], got {crops.shape}")
+        p = self.params
         pooled = []
         for i in range(crops.shape[0]):
-            h = pt.slice_axis(crops, 0, i, i + 1)
-            for k in range(6):
-                h = pt.silu(
-                    pt.conv2d(h, self.params[f"conv{k}.w"], self.params[f"conv{k}.b"], stride=2, pad=1)
-                )
+            h = pt.conv2d(pt.slice_axis(crops, 0, i, i + 1), p["conv0.w"], p["conv0.b"], stride=2, pad=1)
+            for k in range(1, 6):
+                h = pt.silu_conv2d(h, p[f"conv{k}.w"], p[f"conv{k}.b"], stride=2, pad=1)
+            h = pt.silu(h)
             pooled.append(pt.mean_axis(pt.reshape(h, (1, _ENC_CHANNELS[-1], 64)), 2))  # GAP over 8x8
         feats = pt.concat(pooled, axis=0)
-        return pt.linear(feats, self.params["head.w"], self.params["head.b"])
+        return pt.linear(feats, p["head.w"], p["head.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -464,21 +464,31 @@ def _sigmoid_np(x):
     return np.divide(1.0, s, out=s)
 
 
+def _silu_np(x):
+    """x * sigmoid(x), built in place in one new buffer."""
+    out = _sigmoid_np(x)
+    out *= x
+    return out
+
+
+def _silu_grad(x, s, g):
+    """g * s * (1 + x (1 - s)), the input gradient of silu at x for output
+    gradient g, from the sigmoid s of x; built in place on s."""
+    t = np.subtract(1.0, s)
+    t *= x
+    t += 1.0
+    s *= g
+    s *= t
+    return s
+
+
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x). Backward recomputes the sigmoid rather than keep it."""
-    out = _sigmoid_np(a.data)
-    out *= a.data
 
     def bwd(g):
-        s = _sigmoid_np(a.data)
-        t = np.subtract(1.0, s)
-        t *= a.data
-        t += 1.0
-        s *= g
-        s *= t  # g * s * (1 + x (1 - s))
-        a.accumulate_grad(s)
+        a.accumulate_grad(_silu_grad(a.data, _sigmoid_np(a.data), g))
 
-    return _make(out, (a,), bwd, "silu")
+    return _make(_silu_np(a.data), (a,), bwd, "silu")
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -682,6 +692,11 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # convolutions
+#
+# `conv2d` and `silu_conv2d` share one input check (`_conv_geometry`), one
+# forward (`_conv_bias_forward`) and the two backward GEMM helpers. A conv
+# node keeps its input, weights and bias; `silu_conv2d` keeps x, not
+# silu(x), which it rebuilds in backward.
 
 
 _COLUMN_BLOCK_BYTES = 2**19  # window copy per GEMM in the conv forward
@@ -742,10 +757,56 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, pad):
     return gw
 
 
+def _conv2d_input_grad(w, g, x_shape, stride, pad):
+    """dL/dx [N,Ci,H,W] of a conv2d from weights w and output gradient g.
+
+    One GEMM of the taps [K*K*Ci, Co] over the output gradient, scattered
+    back into the padded input with one contiguous add per tap; the result
+    is a view of the padded buffer.
+    """
+    n, co, ho, wo = g.shape
+    _, ci, kh, kw = w.shape
+    h, wd = x_shape[2:]
+    taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
+    gcols = np.matmul(taps, g.reshape(n, co, ho * wo)).reshape(n, kh, kw, ci, ho, wo)
+    gxp = np.zeros((n, ci, h + 2 * pad, wd + 2 * pad), dtype=g.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += gcols[:, ky, kx]
+    return gxp[:, :, pad : pad + h, pad : pad + wd]
+
+
 def _check_conv_operands(op, x, w, b):
     if b.shape != (w.shape[0],):
         raise ShapeError(f"{op}: bias {b.shape} does not match {w.shape[0]} output channels")
     _same_dtype(op, x, w, b)
+
+
+def _conv_geometry(op, x, w, b, stride, pad):
+    """-> (Ho, Wo) of a conv of x by w with this stride and pad, after checking
+    that the stride and pad are whole numbers (ConfigError) and that the
+    operands fit together (ShapeError)."""
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ConfigError(f"{op}: stride must be a positive whole number, got {stride!r}")
+    if not isinstance(pad, (int, np.integer)) or pad < 0:
+        raise ConfigError(f"{op}: pad must be a non-negative whole number, got {pad!r}")
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"{op}: shapes {x.shape} and {w.shape} incompatible")
+    _check_conv_operands(op, x, w, b)
+    ho = (x.shape[2] + 2 * pad - w.shape[2]) // stride + 1
+    wo = (x.shape[3] + 2 * pad - w.shape[3]) // stride + 1
+    if ho <= 0 or wo <= 0:
+        raise ShapeError(f"{op}: kernel {w.shape} too large for input {x.shape} with pad {pad}")
+    return ho, wo
+
+
+def _conv_bias_forward(x, w, b, stride, pad, ho, wo):
+    """conv of the array x by w plus bias b, x padded by `pad` zeros first."""
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    out = _conv_forward(xp, w.reshape(co, -1), kh, kw, stride, ho, wo)
+    out += b.reshape(1, co, 1, 1)
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -759,43 +820,49 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     Backward builds no columns. The weight gradient runs one batched GEMM
     per tap of the output gradient against a contiguous shifted slice of the
     padded input's stride phases (`_conv2d_weight_grad`). The input gradient
-    is one GEMM of the taps [K*K*Ci, Co] over the output gradient, scattered
-    back with one contiguous add per tap.
+    is one GEMM of the taps over the output gradient, scattered back with
+    one contiguous add per tap (`_conv2d_input_grad`).
     """
-    if stride <= 0:
-        raise ConfigError(f"conv2d: stride must be positive, got {stride}")
-    if pad < 0:
-        raise ConfigError(f"conv2d: pad must be non-negative, got {pad}")
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape} incompatible")
-    _check_conv_operands("conv2d", x, w, b)
-    n, ci, h, wd = x.shape
-    co, _, kh, kw = w.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} with pad {pad}")
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    out = _conv_forward(xp, w.data.reshape(co, -1), kh, kw, stride, ho, wo)
-    out += b.data.reshape(1, co, 1, 1)
+    ho, wo = _conv_geometry("conv2d", x, w, b, stride, pad)
+    kh, kw = w.shape[2:]
 
     def bwd(g):
-        gf = g.reshape(n, co, ho * wo)
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             w.accumulate_grad(_conv2d_weight_grad(x.data, g, kh, kw, stride, pad))
         if x.requires_grad:
-            taps = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
-            gcols = np.matmul(taps, gf).reshape(n, kh, kw, ci, ho, wo)
-            gxp = np.zeros((n, ci, hp, wp), dtype=g.dtype)
-            for ky in range(kh):
-                for kx in range(kw):
-                    gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += gcols[:, ky, kx]
-            x.accumulate_grad(gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp)
+            x.accumulate_grad(_conv2d_input_grad(w.data, g, x.shape, stride, pad))
 
-    return _make(out, (x, w, b), bwd, "conv2d")
+    return _make(_conv_bias_forward(x.data, w.data, b.data, stride, pad, ho, wo), (x, w, b), bwd, "conv2d")
+
+
+def silu_conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """conv2d(silu(x), w, b, stride, pad) as one tape node, bit for bit.
+
+    The SiLU output is a temporary of the forward, so the tape keeps only x,
+    not x and silu(x), of a conv that follows a SiLU (pre-activation
+    ordering, He et al. 2016). Backward recomputes the sigmoid once (as in
+    gradient checkpointing, Chen et al. 2016), rebuilds silu(x) from it for
+    the weight gradient, and takes the input gradient through `silu`'s
+    formula in `silu`'s op order.
+    """
+    ho, wo = _conv_geometry("silu_conv2d", x, w, b, stride, pad)
+    kh, kw = w.shape[2:]
+
+    def bwd(g):
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        if not (w.requires_grad or x.requires_grad):
+            return
+        s = _sigmoid_np(x.data)
+        if w.requires_grad:
+            w.accumulate_grad(_conv2d_weight_grad(s * x.data, g, kh, kw, stride, pad))
+        if x.requires_grad:
+            x.accumulate_grad(_silu_grad(x.data, s, _conv2d_input_grad(w.data, g, x.shape, stride, pad)))
+
+    out = _conv_bias_forward(_silu_np(x.data), w.data, b.data, stride, pad, ho, wo)
+    return _make(out, (x, w, b), bwd, "silu_conv2d")
 
 
 # Along one axis, a 3x3 kernel over a nearest-2x upsampled input reads, for

@@ -1,7 +1,10 @@
 """Toy causal video autoencoder.
 
-Deterministic (no KL term, no sampling): three stride-2 convolutions give the
-8x spatial factor, then a 1x1 head merges each temporal group into one latent.
+Deterministic (no KL term, no sampling): three stride-2 conv + SiLU stages
+give the 8x spatial factor, then a 1x1 head merges each temporal group into
+one latent. A stage's SiLU is folded into the next stage's conv
+(`tensor.silu_conv2d`), so a tape through the encoder holds each stage's conv
+output and the last SiLU output, not the SiLUs between them.
 The first pixel frame gets its own latent through a dedicated head; every
 later latent covers a group of up to 4 frames. Decoding mirrors this, and the
 frame map's start decides: a map that starts at frame 0 begins with the
@@ -79,10 +82,11 @@ class ToyVAE:
     # -- differentiable cores -------------------------------------------------
 
     def _spatial_encode(self, frames: Tensor) -> Tensor:
-        h = frames
-        for i in range(3):
-            h = pt.silu(pt.conv2d(h, self.params[f"enc{i}.w"], self.params[f"enc{i}.b"], stride=2, pad=1))
-        return h  # [T, FEAT, H/8, W/8]
+        p = self.params
+        h = pt.conv2d(frames, p["enc0.w"], p["enc0.b"], stride=2, pad=1)
+        for i in range(1, 3):
+            h = pt.silu_conv2d(h, p[f"enc{i}.w"], p[f"enc{i}.b"], stride=2, pad=1)
+        return pt.silu(h)  # [T, FEAT, H/8, W/8]
 
     def _spatial_decode(self, feats: Tensor) -> Tensor:
         h = feats

@@ -6,7 +6,7 @@ import pytest
 import puppetflow.tensor as pt
 from puppetflow.tensor import Tensor, WIDE
 
-from gradcheck import grad_check
+from gradcheck import grad_check, widen
 
 
 def wt(rng, shape, scale=1.0):
@@ -138,6 +138,19 @@ def test_conv2d_grads(seed):
         return pt.sum_all(pt.silu(pt.conv2d(x_, w_, b_, stride=2, pad=1)))
 
     assert grad_check(f, [x, w, b], eps=1e-6) <= 1e-6
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_silu_conv2d_grads(stride, pad):
+    rng = np.random.default_rng(420 + 2 * stride + pad)
+    w, b = pt.param(rng.standard_normal((3, 2, 3, 3))), pt.param(rng.standard_normal(3))
+    widen([w, b])
+    x = wt(rng, (2, 2, 5, 6), scale=2.0)
+
+    def f(x_, w_, b_):
+        return pt.sum_all(pt.silu(pt.silu_conv2d(x_, w_, b_, stride=stride, pad=pad)))
+
+    assert grad_check(f, [x, w, b], eps=1e-5) <= 1e-5  # eps as in test_conv2d_grads_every_case
 
 
 # (N, Ci, Co, H, W): odd and non-square frames, a 1x1 input, one channel.

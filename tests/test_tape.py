@@ -2,6 +2,7 @@
 ops that recompute their intermediates in backward match the formulas that
 stored them, bit for bit."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestTapeHoldsOnlyNodeOutputs:
         monkeypatch.setattr(flow, "flow_loss", keep_loss)
         train_step(model, crops, rng.random((3, side, side), dtype=np.float32), latents, pose, rng)
         ops, derived = derived_closure_arrays(losses[-1])
-        assert {"silu", "gelu", "attention", "layer_norm", "conv2d"} <= set(ops)
+        assert {"silu", "gelu", "attention", "layer_norm", "conv2d", "silu_conv2d"} <= set(ops)
         assert derived == []
 
     def test_vae_decode_with_grad(self):
@@ -89,6 +90,43 @@ class TestTapeHoldsOnlyNodeOutputs:
         ops, derived = derived_closure_arrays(vae.decode_tensor(z, frame_ranges(5)))
         assert {"silu", "conv2d", "interleave_phases"} <= set(ops)
         assert derived == []
+
+
+def held_node_arrays(out, *inputs):
+    """[(op, shape)] of the first graph node, in construction order, to hold
+    each distinct buffer the graph's node outputs reach, leaving out the
+    buffers of `inputs` (a node that is a view of a buffer held before it,
+    such as a reshape, adds nothing)."""
+    nodes, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._bwd is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        nodes.append(node)
+    held, buffers = [], {id(root(t.data)) for t in inputs}
+    for node in sorted(nodes, key=lambda n: n._id):
+        if id(root(node.data)) not in buffers:
+            buffers.add(id(root(node.data)))
+            held.append((node._op, node.shape))
+    return held
+
+
+@pytest.mark.parametrize("n_crops", [1, 3])
+def test_face_encoder_tape_holds_conv_outputs_and_the_last_silu(n_crops):
+    """Besides views of the crops, an encode keeps per crop only its six conv
+    outputs and the SiLU of the last one: every other SiLU output is a
+    temporary of the next conv's node."""
+    enc = face.FaceEncoder(np.random.default_rng(0))
+    crops = Tensor(np.random.default_rng(1).random((n_crops, 3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32))
+    held = held_node_arrays(enc.encode_batch(crops), crops)
+    chans, side = face._ENC_CHANNELS, face.FACE_SIZE
+    per_crop = [("conv2d" if k == 0 else "silu_conv2d", (1, chans[k + 1], side >> (k + 1), side >> (k + 1)))
+                for k in range(6)]
+    per_crop.append(("silu", (1, chans[-1], 8, 8)))
+    assert [h for h in held if len(h[1]) == 4] == per_crop * n_crops
+    assert all(len(shape) <= 2 for _, shape in held if len(shape) != 4)  # pooled features and the head
 
 
 # The formulas that kept their intermediates on the tape, as oracles. Each
@@ -252,3 +290,32 @@ class TestFirstAccumulation:
         t.accumulate_grad(g)
         t.accumulate_grad(g)
         assert np.array_equal(g, np.ones(3)) and np.array_equal(t.grad, [2.0, 2.0, 2.0])
+
+
+class TestSiluConv2dIsConvOfSilu:
+    """`silu_conv2d` against the two-node `conv2d(silu(x))`, bit for bit."""
+
+    @pytest.mark.parametrize("trainable", list(itertools.product([False, True], repeat=3)),
+                             ids=lambda t: "".join(n if on else "-" for n, on in zip("xwb", t)))
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_output_and_gradients(self, stride, pad, trainable):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([EDGES, f32(rng, 2 * 3 * 7 * 6 - EDGES.size, scale=3.0)]).reshape(2, 3, 7, 6)
+        arrays = (x, f32(rng, 4, 3, 3, 3), f32(rng, 4))
+
+        def run(op):
+            ins = [Tensor(a.copy(), requires_grad=on) for a, on in zip(arrays, trainable)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # saturation stays silent in both passes
+                y = op(*ins)
+                y.backward(f32(np.random.default_rng(8), *y.shape))
+            return y, ins
+
+        y, ins = run(lambda x, w, b: pt.silu_conv2d(x, w, b, stride=stride, pad=pad))
+        expect, expect_ins = run(lambda x, w, b: pt.conv2d(pt.silu(x), w, b, stride=stride, pad=pad))
+        assert y.dtype == np.float32 and np.array_equal(y.data, expect.data)
+        for t, e, on in zip(ins, expect_ins, trainable):
+            if on:
+                assert t.grad.dtype == np.float32 and np.array_equal(t.grad, e.grad)
+            else:
+                assert t.grad is None and e.grad is None

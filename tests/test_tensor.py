@@ -521,6 +521,19 @@ class TestConv2d:
         with pytest.raises(ConfigError, match="pad"):
             conv2d(wide(np.zeros((1, 2, 8, 8))), wide(np.zeros((4, 2, 3, 3))), wide(np.zeros(4)), pad=-1)
 
+    @pytest.mark.parametrize("op", [conv2d, pt.silu_conv2d], ids=["conv2d", "silu_conv2d"])
+    @pytest.mark.parametrize("kw", [{"stride": 2.5}, {"stride": "2"}, {"stride": 0}, {"pad": 1.5},
+                                    {"pad": np.float64(1.0)}, {"pad": -1}], ids=repr)
+    def test_stride_and_pad_must_be_whole_numbers(self, op, kw):
+        (name,) = kw
+        with pytest.raises(ConfigError, match=name):
+            op(wide(np.zeros((1, 2, 8, 8))), wide(np.zeros((4, 2, 3, 3))), wide(np.zeros(4)), **kw)
+
+    def test_numpy_integer_stride_and_pad_accepted(self):
+        args = wide(np.ones((1, 2, 8, 8))), wide(np.ones((4, 2, 3, 3))), wide(np.zeros(4))
+        got = conv2d(*args, stride=np.int64(2), pad=np.int32(1)).data
+        np.testing.assert_array_equal(got, conv2d(*args, stride=2, pad=1).data)
+
     @pytest.mark.parametrize("bias", [np.zeros(4), np.zeros((3, 1))], ids=["size-4", "3x1"])
     def test_bias_must_match_output_channels(self, bias):
         with pytest.raises(ShapeError, match="bias"):
