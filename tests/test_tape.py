@@ -42,17 +42,25 @@ def closure_arrays(fn):
     return found
 
 
-def derived_closure_arrays(out):
-    """-> ({op: count} of the graph's nodes, [(op, shape)] of float arrays that a
-    backward closure holds and that are neither its node's data, a parent's data,
-    nor a view of one). Integer and bool arrays (indices, splits) are exempt."""
-    ops, derived, seen, stack = {}, [], set(), [out]
+def graph_nodes(out):
+    """The nodes with a backward closure that `out` reaches, in construction order."""
+    nodes, seen, stack = [], set(), [out]
     while stack:
         node = stack.pop()
         if id(node) in seen or node._bwd is None:
             continue
         seen.add(id(node))
         stack.extend(node._parents)
+        nodes.append(node)
+    return sorted(nodes, key=lambda n: n._id)
+
+
+def derived_closure_arrays(out):
+    """-> ({op: count} of the graph's nodes, [(op, shape)] of float arrays that a
+    backward closure holds and that are neither its node's data, a parent's data,
+    nor a view of one). Integer and bool arrays (indices, splits) are exempt."""
+    ops, derived = {}, []
+    for node in graph_nodes(out):
         ops[node._op] = ops.get(node._op, 0) + 1
         own = {id(root(t.data)) for t in (node, *node._parents)}
         derived += [(node._op, a.shape) for a in closure_arrays(node._bwd)
@@ -97,16 +105,8 @@ def held_node_arrays(out, *inputs):
     each distinct buffer the graph's node outputs reach, leaving out the
     buffers of `inputs` (a node that is a view of a buffer held before it,
     such as a reshape, adds nothing)."""
-    nodes, seen, stack = [], set(), [out]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._bwd is None:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        nodes.append(node)
     held, buffers = [], {id(root(t.data)) for t in inputs}
-    for node in sorted(nodes, key=lambda n: n._id):
+    for node in graph_nodes(out):
         if id(root(node.data)) not in buffers:
             buffers.add(id(root(node.data)))
             held.append((node._op, node.shape))
