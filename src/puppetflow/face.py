@@ -139,7 +139,7 @@ def head_box(sk: Skeleton, height: int, width: int):
     return (x0, y0, side)
 
 
-def crop_face(frame: Tensor, sk: Skeleton) -> FrameCrop | None:
+def crop_face(frame: np.ndarray, sk: Skeleton) -> FrameCrop | None:
     """Skeleton-guided face crop; None is the no-face signal (fewer than two
     confident head keypoints), in which case callers fall back to the model's
     learned null face latent. A non-finite confident head keypoint raises
@@ -147,13 +147,12 @@ def crop_face(frame: Tensor, sk: Skeleton) -> FrameCrop | None:
 
     The crop keeps a copy of the frame, in the frame's dtype, and the box;
     its `.image` resamples them on each read (`FrameCrop`)."""
-    img = frame.data if isinstance(frame, Tensor) else np.asarray(frame)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"frame must be [3,H,W], got {img.shape}")
-    box = head_box(sk, img.shape[1], img.shape[2])
+    if not isinstance(frame, np.ndarray) or frame.ndim != 3 or frame.shape[0] != 3:
+        raise ShapeError(f"frame must be a [3,H,W] array, got {type(frame).__name__} {getattr(frame, 'shape', None)}")
+    box = head_box(sk, frame.shape[1], frame.shape[2])
     if box is None:
         return None
-    own = img.copy()
+    own = frame.copy()
     own.flags.writeable = False
     return FrameCrop(own, box)
 

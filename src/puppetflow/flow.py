@@ -70,7 +70,7 @@ def flow_loss(
 def sample(
     model,
     pack: ConditionPack,
-    pose_latents: Tensor | None,
+    pose_latents: Tensor,
     face_down: Tensor | None,
     steps: int,
     face_cfg_scale: float = 1.0,

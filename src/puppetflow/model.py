@@ -115,9 +115,9 @@ class LoRAAdapter:
 
 
 def lora_forward(x: Tensor, w: Tensor, adapter: LoRAAdapter | None, name: str) -> Tensor:
-    """x @ W plus the adapter's low-rank residual when it targets this layer."""
+    """x @ W plus the adapter's low-rank residual for layer `name`, if there is an adapter."""
     y = pt.matmul(x, w)
-    if adapter is not None and f"{name}.down" in adapter.params:
+    if adapter is not None:
         delta = pt.matmul(pt.matmul(x, adapter.params[f"{name}.down"]), adapter.params[f"{name}.up"])
         y = pt.add(y, pt.scale(delta, adapter.scale))
     return y
@@ -251,7 +251,7 @@ class AnimationModel:
         self,
         x_t: Tensor,
         pack: ConditionPack,
-        pose_latents: Tensor | None,
+        pose_latents: Tensor,
         face_down: Tensor | None,
         t: float,
         use_lora: bool = True,
@@ -273,12 +273,13 @@ class AnimationModel:
         tokens = pt.add(tokens, pt.take_rows(self.params["pos.temporal"], step_of_token))
         tokens = pt.add(tokens, pt.take_rows(self.params["pos.spatial"], np.tile(np.arange(tps), n_total)))
 
-        if pose_latents is not None:  # window rows only: the reference step adds zero rows
-            if pose_latents.shape[1] != n_window:
-                raise AlignmentError(f"pose latents cover {pose_latents.shape[1]} steps, window has {n_window}")
-            pose_tokens = pt.matmul(pt.patchify(pose_latents, PATCH), self.params["body.w"])
-            zero_rows = Tensor(np.zeros((tps, cfg.dim), dtype=pose_tokens.dtype))
-            tokens = pt.add(tokens, pt.concat([zero_rows, pose_tokens], axis=0))
+        if not isinstance(pose_latents, Tensor) or pose_latents.shape[1] != n_window:
+            shape = getattr(pose_latents, "shape", None)
+            raise AlignmentError(f"pose latents must cover the {n_window} window steps, got {shape}")
+        # window rows only: the reference step adds zero rows
+        pose_tokens = pt.matmul(pt.patchify(pose_latents, PATCH), self.params["body.w"])
+        zero_rows = Tensor(np.zeros((tps, cfg.dim), dtype=pose_tokens.dtype))
+        tokens = pt.add(tokens, pt.concat([zero_rows, pose_tokens], axis=0))
 
         # face values: one row per window step, then the null row the reference step reads
         null = pt.reshape(self.params["null_face"], (1, DOWN_WIDTH))

@@ -67,11 +67,11 @@ def and_pool_mask(pixel_mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _encode_reference(vae: ToyVAE, ref_image) -> np.ndarray:
-    img = ref_image.data if isinstance(ref_image, Tensor) else np.asarray(ref_image)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"reference image must be [3,H,W], got {img.shape}")
-    return vae.encode_frames(img[None])  # [C_z, 1, h, w]
+def _encode_reference(vae: ToyVAE, ref_image: np.ndarray) -> np.ndarray:
+    if not isinstance(ref_image, np.ndarray) or ref_image.ndim != 3 or ref_image.shape[0] != 3:
+        shape = getattr(ref_image, "shape", None)
+        raise ShapeError(f"reference image must be a [3,H,W] array, got {type(ref_image).__name__} {shape}")
+    return vae.encode_frames(ref_image[None])  # [C_z, 1, h, w]
 
 
 def _assemble_pack(

@@ -382,6 +382,8 @@ def region_weight_map(sk: Skeleton, face_params, height: int, width: int) -> np.
     """[1,H,W] loss weights: 1 everywhere, raised over head/eye/mouth regions
     (max-combined). Regions clip at the canvas, so an off-screen head leaves
     the map uniform."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (height, width)):
+        raise ConfigError(f"region_weight_map: map size {height!r}x{width!r} is not whole or has no pixel")
     geo = face_geometry(sk)
     out = np.ones((1, height, width), dtype=np.float32)
 
@@ -435,10 +437,10 @@ def relight_augment(
     """
     img = np.asarray(ref_frame, dtype=np.float64)
     mask = np.asarray(subject_mask, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3 or mask.shape not in (img.shape[1:], (1, *img.shape[1:])):
-        raise ShapeError(f"relight: need a [3,H,W] frame and an [H,W] or [1,H,W] mask, got {img.shape}, {mask.shape}")
+    if img.ndim != 3 or img.shape[0] != 3 or mask.shape != (1, *img.shape[1:]):
+        raise ShapeError(f"relight: need a [3,H,W] frame and a [1,H,W] mask, got {img.shape}, {mask.shape}")
     h, w = img.shape[1:]
-    mask = mask.reshape(h, w)
+    mask = mask[0]
     bg = sample_background(rng)
     gain = np.ones(3)
     bias = np.zeros(3)

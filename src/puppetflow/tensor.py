@@ -257,6 +257,14 @@ def _same_dtype(op, *ts):
     return d
 
 
+def _check_whole(op, **named):
+    """ConfigError unless each named value is an int or a numpy integer; a
+    tuple is checked entry by entry."""
+    for name, value in named.items():
+        if not all(isinstance(v, (int, np.integer)) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{op}: {name} must be a whole number, got {value!r}")
+
+
 def _trailing_ok(a, b):
     return b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]
 
@@ -334,23 +342,17 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, 2D or stacked 3D with identical leading dim."""
+    """Matrix product of [M, K] and [K, N]."""
     _same_dtype("matmul", a, b)
-    if a.ndim == b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
-    elif a.ndim == b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: stacked shapes {a.shape} x {b.shape} incompatible")
-    else:
-        raise ShapeError(f"matmul: ranks {a.shape} x {b.shape} unsupported")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: {a.shape} x {b.shape} is not [M, K] x [K, N]")
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, b.data.swapaxes(-1, -2)))
+            a.accumulate_grad(np.matmul(g, b.data.T))
         if b.requires_grad:
-            b.accumulate_grad(np.matmul(a.data.swapaxes(-1, -2), g))
+            b.accumulate_grad(np.matmul(a.data.T, g))
 
     return _make(out, (a, b), bwd, "matmul")
 
@@ -377,6 +379,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
+    _check_whole("transpose", axes=axes)
     try:
         out = np.ascontiguousarray(a.data.transpose(axes))
     except ValueError as e:  # repeated, missing or out-of-range axes
@@ -391,6 +394,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def concat(parts, axis: int) -> Tensor:
     parts = list(parts)
+    _check_whole("concat", axis=axis)
     try:
         out = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as e:  # no parts, an axis out of range or mismatched shapes
@@ -413,6 +417,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     result is a view that shares memory with `a`; any other slice is copied
     into a contiguous array by `Tensor`.
     """
+    _check_whole("slice_axis", axis=axis, start=start, stop=stop)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"slice axis {axis} out of range for {a.ndim}-d shape {a.shape}")
     if not (0 <= start <= stop <= a.shape[axis]):
@@ -427,7 +432,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         a.accumulate_grad(full)
 
-    return _make(out, (a,), bwd, "slice")
+    return _make(out, (a,), bwd, "slice_axis")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -436,17 +441,19 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         a.accumulate_grad(np.full_like(a.data, g))
 
-    return _make(out, (a,), bwd, "sum")
+    return _make(out, (a,), bwd, "sum_all")
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
-    try:
-        out = a.data.sum(axis=axis)
+    _check_whole("sum_axis", axis=axis)
+    try:  # over a 1-D input numpy gives a scalar: a 0-d array keeps its dtype
+        out = np.asarray(a.data.sum(axis=axis))
     except ValueError as e:  # numpy's AxisError
         raise ShapeError(f"sum_axis: axis {axis} out of range for shape {a.shape}") from e
+    kept = out.shape  # () over a 1-D input, though the output Tensor holds [1]
 
     def bwd(g):
-        a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+        a.accumulate_grad(np.broadcast_to(np.expand_dims(g.reshape(kept), axis), a.shape).copy())
 
     return _make(out, (a,), bwd, "sum_axis")
 
@@ -623,6 +630,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention: shapes {q.shape}/{k.shape}/{v.shape} inconsistent")
     _same_dtype("attention", q, k, v)
+    _check_whole("attention", heads=heads)
     if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
         raise ConfigError(f"attention: {heads} heads do not divide widths {q.shape[1]} and {v.shape[1]}")
     lq, lk = q.shape[0], k.shape[0]
@@ -786,10 +794,9 @@ def _conv_geometry(op, x, w, b, stride, pad):
     """-> (Ho, Wo) of a conv of x by w with this stride and pad, after checking
     that the stride and pad are whole numbers (ConfigError) and that the
     operands fit together (ShapeError)."""
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ConfigError(f"{op}: stride must be a positive whole number, got {stride!r}")
-    if not isinstance(pad, (int, np.integer)) or pad < 0:
-        raise ConfigError(f"{op}: pad must be a non-negative whole number, got {pad!r}")
+    _check_whole(op, stride=stride, pad=pad)
+    if stride < 1 or pad < 0:
+        raise ConfigError(f"{op}: need stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"{op}: shapes {x.shape} and {w.shape} incompatible")
     _check_conv_operands(op, x, w, b)
@@ -955,8 +962,8 @@ def causal_conv1d(x: Tensor, kernel: Tensor, taps=None) -> Tensor:
 
 
 def _check_patch(dims, patch):
-    if len(dims) != 4 or any(d % p for d, p in zip(dims[1:], patch)):
-        raise ShapeError(f"patchify: dims {tuple(dims)} are not [C, T, H, W] divisible by patch {patch}")
+    if len(dims) != 4 or any(p < 1 or d % p for d, p in zip(dims[1:], patch)):
+        raise ShapeError(f"patchify: dims {tuple(dims)} are not [C, T, H, W] divisible by positive patch {patch}")
 
 
 def patchify(latent: Tensor, patch) -> Tensor:
@@ -986,9 +993,10 @@ _MAGIC = b"WANT"
 _VERSION = 1
 
 
-def dump_tensor(path, t: Tensor | np.ndarray) -> None:
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    arr = np.ascontiguousarray(data, dtype="<f4")
+def dump_tensor(path, t: Tensor) -> None:
+    if not isinstance(t, Tensor):
+        raise ConfigError(f"dump_tensor: need a Tensor, got {type(t).__name__}")
+    arr = np.ascontiguousarray(t.data, dtype="<f4")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, arr.ndim))

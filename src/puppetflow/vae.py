@@ -32,7 +32,6 @@ from .video import (
     LatentVideo,
     VideoClip,
     frame_ranges,
-    is_frame_run,
 )
 
 FEAT = 32  # spatial feature width at the bottleneck
@@ -98,9 +97,9 @@ class ToyVAE:
 
     def encode_tensor(self, frames: Tensor) -> Tensor:
         """[T,3,H,W] -> [C_z,T_z,H/8,W/8] over frame_ranges(T), differentiable."""
-        t, _, hh, ww = frames.shape
-        if hh % SPATIAL_FACTOR or ww % SPATIAL_FACTOR:
-            raise ShapeError(f"frame size {hh}x{ww} not divisible by spatial factor {SPATIAL_FACTOR}")
+        if frames.ndim != 4 or frames.shape[2] % SPATIAL_FACTOR or frames.shape[3] % SPATIAL_FACTOR:
+            raise ShapeError(f"frames {frames.shape} are not [T,3,H,W] with sides divisible by {SPATIAL_FACTOR}")
+        t = frames.shape[0]
         feats = self._spatial_encode(frames)
         head = pt.slice_axis(feats, 0, 0, 1)
         parts = [pt.conv2d(head, self.params["enc_first.w"], self.params["enc_first.b"])]
@@ -124,10 +123,7 @@ class ToyVAE:
         The map must be a run of frame_ranges with one range per latent;
         latent 0 is the one-frame latent exactly when the map starts at 0.
         """
-        if len(frame_map) != z.shape[1]:
-            raise ShapeError(f"frame_map has {len(frame_map)} ranges for {z.shape[1]} latents")
-        if not is_frame_run(frame_map):
-            raise ShapeError(f"frame_map {list(frame_map)} is not a run of frame_ranges")
+        LatentVideo(z, frame_map)  # raises ShapeError unless the map fits z
         scale = Tensor(np.broadcast_to(self.latent_scale.astype(z.dtype), z.shape))
         shift = Tensor(np.broadcast_to(self.latent_shift.astype(z.dtype), z.shape))
         z = pt.add(pt.mul(z, scale), shift)

@@ -194,15 +194,13 @@ def load_clip(directory) -> VideoClip:
 
 
 def save_masks(directory, masks: np.ndarray) -> None:
-    """masks: [T, 1, H, W] or [T, H, W] binary arrays."""
-    if masks.ndim == 4 and masks.shape[1] == 1:
-        masks = masks[:, 0]
-    if masks.ndim != 3:
-        raise ShapeError(f"masks must be [T,1,H,W] or [T,H,W], got {masks.shape}")
+    """masks: [T, 1, H, W] binary arrays, as `load_masks` returns them."""
+    if masks.ndim != 4 or masks.shape[1] != 1:
+        raise ShapeError(f"masks must be [T,1,H,W], got {masks.shape}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i in range(masks.shape[0]):
-        _write_pnm(directory / f"mask_{i:05d}.pgm", b"P5", (masks[i] > 0.5) * 255)
+        _write_pnm(directory / f"mask_{i:05d}.pgm", b"P5", (masks[i, 0] > 0.5) * 255)
 
 
 def load_masks(directory, frames: int) -> np.ndarray:

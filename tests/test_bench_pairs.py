@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
@@ -37,7 +39,7 @@ def test_summary_carries_pairs_wins_and_calibration():
     assert s["median_change_pct"] == round(100 * (0.39 / 0.405 - 1), 1)
     assert s["parent_op_p50_s"]["median"] == 0.405
     assert s["parent_peak_rss_mb_median"] == 80.0 and s["change_peak_rss_mb_median"] == 81.0
-    assert s["calibration"] == CALIBRATION
+    assert s["calibration"] == CALIBRATION and s["calibration_agrees"] is True
     assert s["host"].startswith("2-CPU x86_64 ") and s["host"].endswith("1 BLAS thread(s)")
     assert s["by_metric"]["op_p50_s"] == {"better": "lower", "change_wins": "3/4",
                                           "median_change_pct": s["median_change_pct"]}
@@ -65,6 +67,15 @@ def test_metrics_outside_the_end_to_end_list_get_no_wins():
     s = bench_pairs.summarise([1, 2], runs, "subject line", CALIBRATION, {"op_p50_s": "lower", "peak_rss_mb": "lower"})
     assert list(s["by_metric"]) == ["op_p50_s", "peak_rss_mb"]
     assert set(s["quartiles"]["change"]) == {"op_p50_s", "peak_rss_mb", "frames_per_s", "expr_err"}
+
+
+@pytest.mark.parametrize("after, agrees", [(2.6e-4, True), (2.4e-4, True), (2.2e-4, True), (2.7e-4, False),
+                                           (3.24e-4, False), (2.1e-4, False)])
+def test_calibration_band(capsys, after, agrees):
+    calibration = {"before": dict(CALIBRATION["before"], gemm_s=2.4e-4), "after": dict(CALIBRATION["after"], gemm_s=after)}
+    assert bench_pairs.calibration_agrees(calibration) is agrees
+    warned = capsys.readouterr().err
+    assert ("outside the 10% band" in warned) is not agrees
 
 
 def test_calibration_times_both_kernels():

@@ -51,7 +51,7 @@ def head_skeleton(cx, cy, spread=10.0, conf=1.0):
 def disc_frame(cx, cy, r, hw=128):
     img = np.zeros((3, hw, hw))
     blend_capsule(img, (cx, cy), (cx, cy), r, (1.0, 0.8, 0.6))
-    return Tensor(img.astype(np.float32))
+    return img.astype(np.float32)
 
 
 class TestCropFace:
@@ -85,6 +85,12 @@ class TestCropFace:
         sk.confidence[(1, 2, 3, 4),] = 0.0  # only the nose remains
         assert crop_face(disc_frame(60.0, 60.0, 12.0), sk) is None
 
+    @pytest.mark.parametrize("frame", [Tensor(disc_frame(60.0, 60.0, 12.0)), disc_frame(60.0, 60.0, 12.0)[:2],
+                                       disc_frame(60.0, 60.0, 12.0).tolist()], ids=["tensor", "two-channels", "list"])
+    def test_frame_must_be_an_rgb_array(self, frame):
+        with pytest.raises(ShapeError, match=r"frame must be a \[3,H,W\] array"):
+            crop_face(frame, head_skeleton(60.0, 60.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_head_keypoint_from_file_raises(self, tmp_path, bad):
         sk = head_skeleton(60.0, 60.0)
@@ -104,7 +110,7 @@ class TestCropFace:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_holds_no_more_bytes_than_its_frame(self, dtype):
-        frame = disc_frame(60.0, 60.0, 12.0).data.astype(dtype)
+        frame = disc_frame(60.0, 60.0, 12.0).astype(dtype)
         crop = crop_face(frame, head_skeleton(60.0, 60.0))
         held = [getattr(crop, f.name) for f in dataclasses.fields(crop)]
         arrays = [a.data if isinstance(a, Tensor) else a for a in held]
@@ -114,7 +120,7 @@ class TestCropFace:
         frame = disc_frame(60.0, 60.0, 12.0)
         crop = crop_face(frame, head_skeleton(60.0, 60.0))
         before = crop.image.data.copy()
-        frame.data[...] = 0.5
+        frame[...] = 0.5
         assert np.array_equal(crop.image.data, before)
 
     def test_writing_into_a_read_leaves_the_next_read_unchanged(self):

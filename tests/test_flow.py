@@ -8,7 +8,7 @@ from puppetflow.face import DOWN_WIDTH, N_COEFF
 from puppetflow.flow import FlowState, flow_loss, make_flow_state, sample
 from puppetflow.model import AnimationModel
 from puppetflow.packs import build_animation_pack
-from puppetflow.tensor import ConditioningError, ConfigError, Tensor
+from puppetflow.tensor import AlignmentError, ConditioningError, ConfigError, ShapeError, Tensor
 
 from gradcheck import grad_check, widen
 from test_model import tiny_cfg
@@ -63,6 +63,29 @@ class TestFlowLoss:
         base = flow_loss(pred, target, mask, np.ones_like(mask)).item()
         doubled = flow_loss(pred, target, mask, w).item()
         assert doubled == pytest.approx(2.0 * base, rel=1e-6)
+
+    def test_region_weighted_loss_equals_the_per_cell_formula(self):
+        # sum over generated cells of weight * squared error, over C times
+        # the generated cell count (unweighted), in float64
+        pred, target, mask = self.setup_case(6)
+        mask[0, 2, 1, 0] = 1.0  # a preserved cell inside the window
+        w = 1.0 + np.random.default_rng(7).random(mask.shape).astype(np.float32) * 3.0
+        c, t, h, wd = pred.shape
+        total, cells = 0.0, 0
+        for ti in range(t):
+            for y in range(h):
+                for x in range(wd):
+                    if mask[0, ti, y, x] == 0.0:
+                        cells += 1
+                        err = pred.data[:, ti, y, x].astype(np.float64) - target[:, ti, y, x]
+                        total += float(w[0, ti, y, x]) * float((err * err).sum())
+        assert flow_loss(pred, target, mask, w).item() == pytest.approx(total / (c * cells), rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 2, 2), (3, 4, 2, 2), (4, 2, 2)], ids=["fewer-steps", "per-channel", "3d"])
+    def test_region_weights_of_another_shape_raise_shape_error(self, shape):
+        pred, target, mask = self.setup_case(6)
+        with pytest.raises(ShapeError, match="weights"):
+            flow_loss(pred, target, mask, np.ones(shape, dtype=np.float32))
 
     def test_preserved_positions_contribute_nothing(self):
         pred, target, mask = self.setup_case(3)
@@ -177,6 +200,11 @@ class TestSampler:
         model, pack, pose, face = toy
         with pytest.raises(ConfigError, match="step"):
             sample(model, pack, pose, face, steps=2.5)
+
+    def test_missing_pose_latents_raise(self, toy):
+        model, pack, _, face = toy
+        with pytest.raises(AlignmentError, match="pose latents"):
+            sample(model, pack, None, face, steps=1)
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_face_guidance_scale_rejected(self, toy, scale):

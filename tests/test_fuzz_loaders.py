@@ -44,7 +44,7 @@ def damaged(draw, valid: bytes):
 def _valid_tensor_file() -> bytes:
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "t.want"
-        dump_tensor(p, np.arange(6, dtype=np.float32).reshape(2, 3))
+        dump_tensor(p, Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
         return p.read_bytes()
 
 

@@ -63,6 +63,13 @@ def test_unary_ops(name, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_mean_of_a_vector_grads(seed):
+    # a 1-D reduction gives a 0-d output, which stays float64
+    x = wt(np.random.default_rng(150 + seed), (6,))
+    assert grad_check(lambda t: pt.sum_all(pt.mul(pt.mean_axis(t, 0), pt.mean_axis(t, 0))), [x]) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_layer_norm_grads(seed):
     rng = np.random.default_rng(200 + seed)
     x, g, b = wt(rng, (3, 6)), wt(rng, (6,)), wt(rng, (6,))
@@ -329,7 +336,7 @@ def test_backward_visits_reverse_construction_order():
     a = pt.mul(x, x)
     b = pt.silu(a)
     c = pt.sum_all(b)
-    for node, name in ((a, "mul"), (b, "silu"), (c, "sum")):
+    for node, name in ((a, "mul"), (b, "silu"), (c, "sum_all")):
         orig = node._bwd
 
         def wrapped(g, orig=orig, name=name):
@@ -338,7 +345,7 @@ def test_backward_visits_reverse_construction_order():
 
         node._bwd = wrapped
     c.backward()
-    assert calls == ["sum", "silu", "mul"]
+    assert calls == ["sum_all", "silu", "mul"]
 
 
 def test_backward_keeps_leaf_grads_only_and_repeats_exactly():

@@ -226,6 +226,13 @@ class TestGuidanceAlignment:
             )
 
 
+@pytest.mark.parametrize("ref", [Tensor(ref_image()), ref_image()[:1], ref_image().tolist()],
+                         ids=["tensor", "one-channel", "list"])
+def test_reference_must_be_an_rgb_array(vae, ref):
+    with pytest.raises(ShapeError, match=r"reference image must be a \[3,H,W\] array"):
+        build_animation_pack(vae, ref, 2, None, np.random.default_rng(0))
+
+
 class TestTemporalUse:
     def test_extremes(self):
         rng = np.random.default_rng(0)

@@ -232,7 +232,7 @@ class TestInputErrors:
     def sample(self):
         return generate_scene(2, 1, "half_body", 32)
 
-    @pytest.mark.parametrize("mask_shape", [(1, 32, 31), (31, 32), (2, 32, 32), (32 * 32,)])
+    @pytest.mark.parametrize("mask_shape", [(1, 32, 31), (31, 32), (2, 32, 32), (32 * 32,), (32, 32)])
     def test_relight_mask_of_wrong_shape(self, sample, mask_shape):
         with pytest.raises(ShapeError, match="mask"):
             relight_augment(sample.clip.frames.data[0], np.ones(mask_shape), np.random.default_rng(0))
@@ -241,6 +241,12 @@ class TestInputErrors:
     def test_relight_frame_not_rgb(self, sample, frame_shape):
         with pytest.raises(ShapeError, match="frame"):
             relight_augment(np.zeros(frame_shape), sample.masks[0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("height, width", [(32.0, 32), (32, np.float64(32.0)), (0, 32), (32, -1)],
+                             ids=["float-height", "float-width", "zero-height", "negative-width"])
+    def test_region_weight_map_size_must_be_whole_and_positive(self, sample, height, width):
+        with pytest.raises(ConfigError, match="map size"):
+            region_weight_map(sample.poses[0], sample.face_params[0], height, width)
 
     @pytest.mark.parametrize("frame_shape", [(3, 32, 24), (32, 32), (4, 32, 32)])
     def test_readout_frame_not_square_rgb(self, sample, frame_shape):

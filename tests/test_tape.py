@@ -96,7 +96,7 @@ class TestTapeHoldsOnlyNodeOutputs:
         z = Tensor(np.random.default_rng(1).standard_normal((LATENT_CHANNELS, 2, 3, 3)).astype(np.float32),
                    requires_grad=True)
         ops, derived = derived_closure_arrays(vae.decode_tensor(z, frame_ranges(5)))
-        assert {"silu", "conv2d", "interleave_phases"} <= set(ops)
+        assert {"silu", "conv2d", "interleave_phases", "slice_axis"} <= set(ops)
         assert derived == []
 
 

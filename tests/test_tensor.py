@@ -70,12 +70,10 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             matmul(wide(np.zeros((2, 3))), wide(np.zeros((4, 5))))
 
-    def test_stacked_matches_per_slice(self):
-        a = rng(5).standard_normal((3, 4, 5))
-        b = rng(6).standard_normal((3, 5, 2))
-        out = matmul(wide(a), wide(b))
-        for i in range(3):
-            np.testing.assert_allclose(out.data[i], a[i] @ b[i], atol=1e-12)
+    def test_stacked_operands_raise_shape_error(self):
+        for a, b in (((3, 4, 5), (3, 5, 2)), ((4, 5), (3, 5, 2)), ((3, 4, 5), (5, 2)), ((5,), (5, 2))):
+            with pytest.raises(ShapeError, match=r"not \[M, K\] x \[K, N\]"):
+                matmul(wide(np.zeros(a)), wide(np.zeros(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +415,7 @@ SHAPE_OP_ERRORS = {
     "concat-single-axis": lambda a: pt.concat([a], axis=-4),
     "sum_axis-axis": lambda a: pt.sum_axis(a, 3),
     "patchify-3d": lambda a: pt.patchify(a, (1, 1, 1)),
+    "patchify-zero-patch": lambda a: pt.patchify(pt.reshape(a, (1, 2, 3, 4)), (1, 0, 2)),
 }
 
 
@@ -424,6 +423,38 @@ SHAPE_OP_ERRORS = {
 def test_shape_ops_raise_shape_error(case):
     with pytest.raises(ShapeError):
         SHAPE_OP_ERRORS[case](wide(np.zeros((2, 3, 4))))
+
+
+# an axis, a bound or a head count that is not a whole number, which numpy or
+# Python would reject with a raw TypeError or silently truncate
+NON_INTEGER_ERRORS = {
+    "slice_axis-axis": lambda a: pt.slice_axis(a, 1.0, 0, 1),
+    "slice_axis-start": lambda a: pt.slice_axis(a, 1, 0.5, 2),
+    "slice_axis-stop": lambda a: pt.slice_axis(a, 1, 0, np.float64(2.0)),
+    "sum_axis-axis": lambda a: pt.sum_axis(a, 1.0),
+    "mean_axis-axis": lambda a: pt.mean_axis(a, np.float32(1.0)),
+    "concat-axis": lambda a: pt.concat([a, a], axis=1.0),
+    "transpose-axes": lambda a: pt.transpose(a, (0, 1.0, 2)),
+    "transpose-string-axes": lambda a: pt.transpose(a, "012"),
+    "attention-heads": lambda a: pt.attention(*[pt.reshape(a, (6, 4))] * 3, heads=2.0),
+    "attention-string-heads": lambda a: pt.attention(*[pt.reshape(a, (6, 4))] * 3, heads="2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_ERRORS))
+def test_non_integer_axes_bounds_and_heads_raise_config_error(case):
+    with pytest.raises(ConfigError, match="must be a whole number"):
+        NON_INTEGER_ERRORS[case](wide(np.zeros((2, 3, 4))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, WIDE])
+@pytest.mark.parametrize("op", [pt.sum_axis, pt.mean_axis], ids=["sum_axis", "mean_axis"])
+def test_reducing_a_vector_keeps_its_dtype(op, dtype):
+    x = Tensor(np.arange(3.0, dtype=dtype), requires_grad=True)
+    out = op(x, 0)
+    out.backward()
+    assert out.size == 1 and out.dtype == dtype
+    np.testing.assert_array_equal(x.grad, np.full(3, 1.0 if op is pt.sum_axis else 1.0 / 3.0, dtype=dtype))
 
 
 class TestSliceAxis:
@@ -618,8 +649,9 @@ class TestProfileOps:
         with pt.profile_ops() as prof:
             y = linear(x, w, b)
             pt.mean_axis(y, 0)
+            pt.sum_all(pt.slice_axis(y, 0, 1, 3))
         calls = {op: st.calls for op, st in prof.ops.items()}
-        assert calls == {"reshape": 2, "matmul": 1, "add": 1, "sum_axis": 1, "scale": 1}
+        assert calls == {"reshape": 2, "matmul": 1, "add": 1, "sum_axis": 1, "scale": 1, "slice_axis": 1, "sum_all": 1}
         assert prof.ops["matmul"].out_bytes == 6 * 3 * 8
         assert prof.ops["sum_axis"].out_bytes == 3 * 8
         assert all(st.bwd_s == 0.0 for st in prof.ops.values())
@@ -638,7 +670,7 @@ class TestProfileOps:
             loss.backward()
             pt.scale(x, 2.0)
         assert prof.ops["slow_double"].bwd_s >= 0.05
-        assert prof.ops["silu"].bwd_s < 0.05 and prof.ops["sum"].bwd_s < 0.05
+        assert prof.ops["silu"].bwd_s < 0.05 and prof.ops["sum_all"].bwd_s < 0.05
         # the op after backward is not charged with the replay
         assert prof.ops["scale"].fwd_s < 0.05
         assert "slow_double" in prof.table().splitlines()[1]
@@ -788,6 +820,11 @@ class TestDumpFormat:
             cut.write_bytes(raw[:n])
             with pytest.raises(ShapeError, match=rf"expected \d+ bytes, file has {n}$"):
                 load_tensor(cut)
+
+    def test_array_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="need a Tensor"):
+            dump_tensor(tmp_path / "t.want", np.zeros((2, 3), dtype=np.float32))
+        assert not (tmp_path / "t.want").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.want"

@@ -89,7 +89,7 @@ def test_crop_count_must_match_the_latents(n_crops):
     latents = np.zeros((LATENT_CHANNELS, 5, 8, 8), dtype=np.float32)
     rng = np.random.default_rng(3)
     with pytest.raises(AlignmentError, match="face crops"):
-        train_step(model, [crop] * n_crops, np.zeros((3, 64, 64), dtype=np.float32), latents, None, rng)
+        train_step(model, [crop] * n_crops, np.zeros((3, 64, 64), dtype=np.float32), latents, pt.Tensor(latents), rng)
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state  # nothing drawn
 
 

@@ -247,6 +247,12 @@ class TestToyVAE:
         with pytest.raises(ShapeError):
             vae.encode(VideoClip(Tensor(np.zeros((2, 3, 12, 12), dtype=np.float32))))
 
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (1, 2, 3, 16, 16), (2, 3, 12, 16)], ids=["3d", "5d", "indivisible"])
+    def test_encode_tensor_rejects_bad_frames(self, shape):
+        vae = ToyVAE(np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=r"not \[T,3,H,W\]"):
+            vae.encode_tensor(Tensor(np.zeros(shape, dtype=np.float32)))
+
     def test_encode_deterministic(self):
         vae = ToyVAE(np.random.default_rng(0))
         clip = small_clip(t=5, seed=9)
@@ -369,7 +375,7 @@ class TestClipFiles:
             load_masks(tmp_path / "m", 2.5)
         assert load_masks(tmp_path / "m", np.int64(2)).shape == (2, 1, 4, 4)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4), (1, 1, 1, 4, 4), (4,)])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4), (1, 1, 1, 4, 4), (4,), (2, 4, 4)])
     def test_save_masks_of_wrong_shape_raises(self, tmp_path, shape):
         with pytest.raises(ShapeError, match="masks must be"):
             save_masks(tmp_path / "m", np.ones(shape, dtype=np.float32))

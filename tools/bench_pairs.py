@@ -27,7 +27,11 @@ in a fresh interpreter of the change checkout with the benchmark's BLAS
 threads: the CPU model and the MHz of each CPU from /proc/cpuinfo, and the
 median times of one float32 GEMM of the `train` step's MLP shape and of the
 benchmark's `pace_kernel`. Two sets under the same host string whose
-calibrations differ ran on hosts of different speed.
+calibrations differ ran on hosts of different speed. `calibration_agrees`
+records whether the before and after GEMM medians lie within
+`CALIBRATION_BAND` of each other; when they do not, the host changed speed
+during the set, a warning goes to stderr, and the set's medians should be
+compared with no other set's.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import sys
 from pathlib import Path
 
 METRIC = "op_p50_s"
+CALIBRATION_BAND = 0.10  # largest gap between a set's two GEMM medians, relative to the smaller one
 # Run in the change checkout. The GEMM is [384, 128] @ [128, 512]: the first
 # MLP layer of a default-config train step (384 tokens, dim 128, hidden 512).
 CALIBRATE = """
@@ -124,6 +129,17 @@ def calibrate(checkout: Path):
             **{name: sig(s) for name, s in json.loads(proc.stdout).items()}}
 
 
+def calibration_agrees(calibration) -> bool:
+    """Whether the `before` and `after` GEMM medians differ by at most
+    CALIBRATION_BAND of the smaller one; warns on stderr when they do not."""
+    before, after = calibration["before"]["gemm_s"], calibration["after"]["gemm_s"]
+    agrees = abs(after - before) <= CALIBRATION_BAND * min(before, after)
+    if not agrees:
+        print(f"warning: calibration GEMM went from {before:.3g} s to {after:.3g} s, outside the "
+              f"{CALIBRATION_BAND:.0%} band; compare this set's medians with no other set's", file=sys.stderr)
+    return agrees
+
+
 def header(workload, seconds, unit):
     """The fields of a new bench file, before its first set."""
     return {
@@ -169,6 +185,7 @@ def summarise(seeds, runs, subject, calibration, better):
         "change": side_commit([r for r, _ in runs["change"]], "change"),
         "host": host(runs["change"][0][0]["env"]),
         "calibration": calibration,
+        "calibration_agrees": calibration_agrees(calibration),
         "seeds": f"{seeds[0]}-{seeds[-1]}",
         "pairs": pairs,
         f"parent_{METRIC}": quartiles(p50["parent"]),

@@ -57,10 +57,10 @@ def _hasher():
     return h, put
 
 
-def digest(seeds: int) -> str:
+def digest() -> str:
     h, put = _hasher()
     for size in (64, 128):
-        for seed in range(seeds):
+        for seed in range(SEEDS):
             sample = puppet.generate_scene(seed, 3, FRAMINGS[seed % 3], size)
             scene, skin = sample.scene, sample.scene.colors["skin"]
             put(sample.clip.frames.data)
@@ -91,10 +91,10 @@ def _partly_hidden(seq: list[Skeleton]) -> list[Skeleton]:
     return out
 
 
-def retarget_digest(seeds: int) -> str:
+def retarget_digest() -> str:
     h, put = _hasher()
     size = RETARGET_SIZE
-    for seed in range(seeds):
+    for seed in range(RETARGET_SEEDS):
         for framing in FRAMINGS:
             drive = puppet.generate_scene(seed, RETARGET_FRAMES, framing, size).poses
             ref = puppet.generate_scene(seed + 1000, 1, framing, size).poses[0]
@@ -113,9 +113,9 @@ def retarget_digest(seeds: int) -> str:
     return h.hexdigest()
 
 
-def clip_digest(seeds: int) -> str:
+def clip_digest() -> str:
     h, put = _hasher()
-    for seed in range(seeds):
+    for seed in range(CLIP_SEEDS):
         for framing in FRAMINGS:
             sample = puppet.generate_scene(seed, CLIP_FRAMES, framing, CLIP_SIZE)
             put(sample.clip.frames.data)
@@ -125,6 +125,6 @@ def clip_digest(seeds: int) -> str:
 
 
 if __name__ == "__main__":
-    print(digest(SEEDS))
-    print(retarget_digest(RETARGET_SEEDS))
-    print(clip_digest(CLIP_SEEDS))
+    print(digest())
+    print(retarget_digest())
+    print(clip_digest())
