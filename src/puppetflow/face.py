@@ -1,9 +1,13 @@
 """Face conditioning: crop, augment, encode to motion coefficients, downsample.
 
 The crop box comes from the skeleton's head keypoints, so no face detector is
-involved. A crop holds its own copy of the source frame and the box, not its
-512x512 pixels: those are a pure function of the two, resampled on each read
-of `.image` (a 128 px float32 frame is 196 KB, its crop's pixels 3.1 MB).
+involved. A crop holds its own copy of the window of the source frame that
+its box's bilinear taps read, with the window's origin, the frame's size and
+the box, not its 512x512 pixels: those are a pure function of these,
+resampled on each read of `.image` (a 23-57 px head box in a 128 px float32
+frame holds a 6-32 KB window, against 196 KB for the frame and 3.1 MB for the
+crop's pixels). The resample writes its output in blocks of rows, through
+about 1 MB of scratch.
 Each crop is squeezed into a small coefficient vector over a learned
 row-orthonormal basis (re-orthonormalized on every forward pass),
 which together with train-time augmentation keeps identity detail out of the
@@ -40,6 +44,7 @@ N_COEFF = 20  # motion coefficients per frame
 DOWN_WIDTH = 64  # channel width after temporal downsampling
 _ENC_CHANNELS = (3, 4, 8, 8, 16, 16, 32)
 _NOISE_CHUNK = 2**16  # float64 noise values per worker draw
+_BLOCK_BYTES = 2**18  # bytes of one block of resample scratch
 # augmentation: zoom, per-channel gain and bias, each uniform over its range,
 # and additive Gaussian noise whose sigma is uniform over [0, NOISE_HI)
 SCALE_RANGE = (0.9, 1.1)
@@ -57,66 +62,129 @@ class FaceCrop:
 
 @dataclass(frozen=True)
 class FrameCrop:
-    """A face crop held as its source frame and box, as `crop_face` returns it.
+    """A face crop held as the window of its frame that its box reads, as
+    `crop_face` returns it.
 
-    `frame` is the crop's own read-only copy of the [3,H,W] frame and `box`
-    its `head_box`. Each read of `.image` resamples the box to FACE_SIZE into
-    a fresh float32 array, the same pixels on every read.
+    `window` is the crop's own read-only copy of the rows and columns of the
+    [3,H,W] frame that the FACE_SIZE bilinear taps of `box` (its `head_box`)
+    read, `origin` is the frame (row, column) of the window's first pixel and
+    `size` the frame's (H, W). Each read of `.image` computes the taps in
+    frame coordinates, shifts their indices by `origin` and resamples into a
+    fresh float32 array: the pixels of `bilinear_resize(frame, box,
+    FACE_SIZE)`, the same on every read.
     """
 
-    frame: np.ndarray
+    window: np.ndarray
+    origin: tuple
+    size: tuple
     box: tuple
 
     @property
     def image(self) -> Tensor:
-        return Tensor(bilinear_resize(self.frame, self.box, FACE_SIZE).astype(np.float32, copy=False))
+        out = np.empty((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)
+        return Tensor(_resample(self.window, self.origin, self.size, self.box, out))
 
 
 def _taps(out_size: int, src_size: int, lo: float, hi: float):
-    """Bilinear taps (u0, u1, frac) of each output pixel over the span [lo, hi).
+    """Bilinear taps (u0, frac) of each output pixel over the span [lo, hi).
 
     Pixel-center convention; coordinates clamp at the borders, so boxes that
-    overhang the frame replicate edge pixels.
+    overhang the frame replicate edge pixels. Each output pixel blends source
+    pixels u0 and min(u0 + 1, src_size - 1); u0 never decreases.
     """
     u = lo + (np.arange(out_size) + 0.5) * (hi - lo) / out_size - 0.5
     u = np.clip(u, 0.0, src_size - 1.0)
     u0 = np.floor(u).astype(np.intp)
-    return u0, np.minimum(u0 + 1, src_size - 1), u - u0
+    return u0, u - u0
 
 
-def _lerp(a: np.ndarray, taps, axis: int) -> np.ndarray:
-    """Blend two gathered slices of `a` along `axis` for each output index."""
-    u0, u1, frac = taps
-    out = a.take(u0, axis=axis)
-    step = a.take(u1, axis=axis)
-    step -= out
-    step *= frac.astype(a.dtype).reshape((-1,) + (1,) * (a.ndim - 1 - axis))
-    out += step
+def _span(out_size: int, src_size: int, lo: float, side: float):
+    """The source indices [first, stop) that the taps over [lo, lo + side) read."""
+    u0, _ = _taps(out_size, src_size, lo, lo + side)
+    return int(u0[0]), min(int(u0[-1]) + 2, src_size)
+
+
+def _resample(src: np.ndarray, origin, size, box, out: np.ndarray) -> np.ndarray:
+    """Write the bilinear resample of the square `box` (x0, y0, side) into
+    `out` [C,n,n] and return it.
+
+    `src` [C,h,w] is the window of a frame of `size` (H, W) whose first pixel
+    sits at frame (row, column) `origin`; it must hold every pixel the taps
+    read (`_span`). The taps are computed in frame coordinates and only their
+    indices shift, so a window gives the pixels of its whole frame. The
+    arithmetic runs in `src`'s dtype and the last add casts into `out`.
+
+    Every output pixel blends two source columns, then two source rows, as
+    a + (b - a) * frac. The y pass fills `out` in blocks of output rows: the
+    x pass runs over the source rows a block reads, each row's step to the
+    next is taken once, and the steps and bases are gathered per output row
+    into scratch of about `_BLOCK_BYTES` each. A read holds `out` and about
+    1 MB, never a second `out`-sized array.
+    """
+    c, n = out.shape[0], out.shape[1]
+    (top, left), (h, w), (x0, y0, side) = origin, size, box
+    ux, fx = _taps(n, w, x0, x0 + side)
+    uy, fy = _taps(n, h, y0, y0 + side)
+    ux -= left
+    uy -= top
+    ux1 = np.minimum(ux + 1, src.shape[2] - 1)
+    fx = fx.astype(src.dtype)
+    fy = fy.astype(src.dtype)[:, None]
+    k = max(1, _BLOCK_BYTES // (c * n * src.itemsize))  # output rows per block
+    blocks = [(r, min(r + k, n)) for r in range(0, n, k)]
+    reads = [(int(uy[r0]), min(int(uy[r1 - 1]) + 2, src.shape[1])) for r0, r1 in blocks]
+    m = max(hi - lo for lo, hi in reads)
+    xbase, cols = np.empty((2, c * m * n), dtype=src.dtype)
+    ybase, step = np.empty((2, c * k * n), dtype=src.dtype)
+    weight = np.empty((k, n), dtype=src.dtype)
+
+    def rows_of(buf, rows):  # a contiguous [C, rows, n] view of a flat buffer
+        return buf[: c * rows * n].reshape(c, rows, n)
+
+    for (r0, r1), (lo, hi) in zip(blocks, reads):
+        # x pass over the block's source rows
+        a, x = rows_of(xbase, hi - lo), rows_of(cols, hi - lo)
+        # every index is in range; "clip" spares take's buffered bounds check
+        np.take(src[:, lo:hi], ux, axis=2, out=a, mode="clip")
+        np.take(src[:, lo:hi], ux1, axis=2, out=x, mode="clip")
+        x -= a
+        x *= fx
+        x += a
+        # y pass: a's rows become each source row's step to the next (zero
+        # at the last, where the tap clamps), gathered per output row
+        np.subtract(x[:, 1:], x[:, :-1], out=a[:, :-1])
+        np.subtract(x[:, -1:], x[:, -1:], out=a[:, -1:])
+        u = uy[r0:r1] - lo
+        d, b, f = rows_of(step, r1 - r0), rows_of(ybase, r1 - r0), weight[: r1 - r0]
+        np.take(a, u, axis=1, out=d, mode="clip")
+        f[...] = fy[r0:r1]  # a full-width row of weights multiplies faster than a broadcast column
+        d *= f
+        np.take(x, u, axis=1, out=b, mode="clip")
+        np.add(d, b, out=out[:, r0:r1])
     return out
 
 
 def bilinear_resize(image: np.ndarray, box, out_size: int) -> np.ndarray:
-    """Resample a square box (x0, y0, side) of [C,H,W] to [C,out,out].
+    """Resample a square box (x0, y0, side) of [C,H,W] to [C,out,out] in the
+    image's dtype.
 
     Separable two-tap interpolation: every output pixel blends two source
     columns, then two source rows, with weights (1 - frac, frac) that sum to
-    1. Coordinates clamp at the borders (see `_taps`). The x pass gathers
-    along the last axis and the y pass gathers whole rows, so neither pass
-    needs a transposed copy. When the y taps read at most half the rows, the
-    x pass runs over only those rows (the sorted taps bound them by their
-    first and last entries). `take` copies such a non-contiguous slice
-    first, so a slice that keeps most rows would cost more than it saves.
+    1. Coordinates clamp at the borders (see `_taps`), and `_resample` writes
+    the output in blocks of rows. An `out_size` that is not a whole number of
+    at least 1, or a side that is not positive, raises ConfigError; a box
+    entry that is not finite raises NumericalError.
     """
     if image.ndim != 3:
         raise ShapeError(f"bilinear_resize: image must be [C,H,W], got {image.shape}")
-    x0, y0, side = box
-    _, h, w = image.shape
-    u0, u1, frac = _taps(out_size, h, y0, y0 + side)
-    lo, hi = u0[0], u1[-1] + 1
-    if 2 * (hi - lo) > h:
-        lo, hi = 0, h
-    cols = _lerp(image[:, lo:hi], _taps(out_size, w, x0, x0 + side), axis=2)
-    return _lerp(cols, (u0 - lo, u1 - lo, frac), axis=1)
+    if not isinstance(out_size, (int, np.integer)) or out_size < 1:
+        raise ConfigError(f"bilinear_resize: out_size must be a whole number of at least 1, got {out_size!r}")
+    if not np.isfinite(box).all():
+        raise NumericalError(f"bilinear_resize: non-finite box {tuple(box)}")
+    if box[2] <= 0:
+        raise ConfigError(f"bilinear_resize: box side must be positive, got {box[2]!r}")
+    out = np.empty((image.shape[0], out_size, out_size), dtype=image.dtype)
+    return _resample(image, (0, 0), image.shape[1:], box, out)
 
 
 def head_box(sk: Skeleton, height: int, width: int):
@@ -145,16 +213,20 @@ def crop_face(frame: np.ndarray, sk: Skeleton) -> FrameCrop | None:
     learned null face latent. A non-finite confident head keypoint raises
     NumericalError (`head_box`).
 
-    The crop keeps a copy of the frame, in the frame's dtype, and the box;
-    its `.image` resamples them on each read (`FrameCrop`)."""
+    The crop keeps a copy of the window of the frame that its box's taps
+    read, in the frame's dtype, with the window's origin, the frame's size
+    and the box; its `.image` resamples them on each read (`FrameCrop`)."""
     if not isinstance(frame, np.ndarray) or frame.ndim != 3 or frame.shape[0] != 3:
         raise ShapeError(f"frame must be a [3,H,W] array, got {type(frame).__name__} {getattr(frame, 'shape', None)}")
-    box = head_box(sk, frame.shape[1], frame.shape[2])
+    _, h, w = frame.shape
+    box = head_box(sk, h, w)
     if box is None:
         return None
-    own = frame.copy()
-    own.flags.writeable = False
-    return FrameCrop(own, box)
+    x0, y0, side = box
+    (top, bottom), (left, right) = _span(FACE_SIZE, h, y0, side), _span(FACE_SIZE, w, x0, side)
+    window = frame[:, top:bottom, left:right].copy()
+    window.flags.writeable = False
+    return FrameCrop(window, (top, left), (h, w), box)
 
 
 def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
@@ -168,10 +240,11 @@ def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
     Meanwhile this thread reads the crop's pixels once (a `FrameCrop`
     resamples them here, in the draws' shadow), resizes them and applies gain
     and bias in place, then folds in each chunk as it lands (x sigma in
-    float64, cast, add, clip). The output is bit-identical to the serial
-    computation. `rng` must be a `np.random.Generator` that no other thread
-    uses during the call. The worker lives only for this call, so no thread
-    outlives it (a forked child inherits none).
+    float64, cast into one chunk buffer, add, clip). The output is
+    bit-identical to the serial computation. `rng` must be a
+    `np.random.Generator` that no other thread uses during the call. The
+    worker lives only for this call, so no thread outlives it (a forked child
+    inherits none).
     """
     # a FrameCrop reads as [3, FACE_SIZE, FACE_SIZE]: crop_face checks its frame
     if isinstance(face, FaceCrop) and face.image.shape != (3, FACE_SIZE, FACE_SIZE):
@@ -193,12 +266,13 @@ def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
         out *= gains.astype(out.dtype)[:, None, None]
         out += biases.astype(out.dtype)[:, None, None]
         flat = out.reshape(-1)
+        scaled = np.empty(_NOISE_CHUNK, dtype=out.dtype)
         for a, draw in zip(starts, draws):
             draw.result()
-            chunk = noise[a : a + _NOISE_CHUNK]
-            chunk *= sigma
             part = flat[a : a + _NOISE_CHUNK]
-            part += chunk.astype(out.dtype)
+            buf = scaled[: part.size]
+            np.multiply(noise[a : a + _NOISE_CHUNK], sigma, out=buf)
+            part += buf
             np.clip(part, 0.0, 1.0, out=part)
     return FaceCrop(Tensor(out.astype(np.float32, copy=False)))
 

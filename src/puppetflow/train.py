@@ -25,8 +25,9 @@ ADAM_EPS = 1e-8
 def train_step(model, crops, ref_image, latents: np.ndarray, pose_latents: pt.Tensor, rng) -> float:
     """Gradients of the flow loss on one clip; returns the loss.
 
-    `crops` is one crop per clip frame, or None: a `crop_face` result (frame
-    and box, resampled as it is augmented) or a pixel `FaceCrop`.
+    `crops` is one crop per clip frame, or None: a `crop_face` result (the
+    window of its frame that its head box reads, resampled as it is
+    augmented) or a pixel `FaceCrop`.
     `ref_image` is [3, H, W]; `latents` and `pose_latents` are the clip's and
     its pose frames' VAE latents, [C_z, T_z, h, w] each. Crops for another
     number of latents than T_z raise AlignmentError before any draw. Every

@@ -109,12 +109,39 @@ class TestCropFace:
         assert got.dtype == np.float32 and np.array_equal(got, expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_holds_no_more_bytes_than_its_frame(self, dtype):
+    def test_holds_no_more_bytes_than_its_window(self, dtype):
         frame = disc_frame(60.0, 60.0, 12.0).astype(dtype)
-        crop = crop_face(frame, head_skeleton(60.0, 60.0))
+        sk = head_skeleton(60.0, 60.0)
+        x0, y0, side = head_box(sk, 128, 128)
+        crop = crop_face(frame, sk)
         held = [getattr(crop, f.name) for f in dataclasses.fields(crop)]
         arrays = [a.data if isinstance(a, Tensor) else a for a in held]
-        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) <= frame.nbytes
+        # the rows and columns the FACE_SIZE taps read: first u0 to last u1
+        rows, cols = (tap_span(128, lo, side) for lo in (y0, x0))
+        window = 3 * rows * cols * frame.itemsize
+        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) <= window < frame.nbytes / 10
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(128, 128), (96, 160)], ids=["128x128", "96x160"])
+    @pytest.mark.parametrize("edge", ["left", "right", "top", "bottom"])
+    def test_edge_clamped_box_reads_bit_for_bit(self, edge, hw, dtype):
+        # head_box clamps the box inside the frame, so it touches the edge and
+        # the window ends there; the oracle resamples the whole frame
+        h, w = hw
+        cx, cy = {"left": (2.0, h / 2), "right": (w - 2.0, h / 2),
+                  "top": (w / 2, 2.0), "bottom": (w / 2, h - 2.0)}[edge]
+        sk = head_skeleton(cx, cy, spread=12.0)
+        x0, y0, side = box = head_box(sk, h, w)
+        assert {"left": x0, "right": w - x0 - side, "top": y0, "bottom": h - y0 - side}[edge] == 0.0
+        frame = np.random.default_rng(h + w).random((3, h, w)).astype(dtype)
+        got = crop_face(frame, sk).image.data
+        assert got.dtype == np.float32
+        assert np.array_equal(got, two_transpose_resize(frame, box, FACE_SIZE).astype(np.float32))
+
+    def test_peak_of_one_read_is_its_output_and_block_scratch(self):
+        crop = crop_face(np.random.default_rng(2).random((3, 128, 128), dtype=np.float32),
+                         head_skeleton(64.0, 64.0, spread=20.0))
+        assert traced_peak(lambda: crop.image) <= 3 * FACE_SIZE * FACE_SIZE * 4 + BLOCK_ALLOWANCE
 
     def test_writing_into_the_frame_leaves_the_crop_unchanged(self):
         frame = disc_frame(60.0, 60.0, 12.0)
@@ -141,6 +168,26 @@ class TestCropFace:
         np.testing.assert_allclose(out, 0.37, atol=1e-6)
 
 
+# Bytes a resample may trace beyond its output: its blocks of row scratch.
+BLOCK_ALLOWANCE = 1.5e6
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def tap_span(src_size, lo, side):
+    """How many source pixels the FACE_SIZE taps over [lo, lo + side) read."""
+    u = np.clip(lo + (np.arange(FACE_SIZE) + 0.5) * side / FACE_SIZE - 0.5, 0.0, src_size - 1.0)
+    u0 = np.floor(u).astype(np.intp)
+    return min(u0.max() + 1, src_size - 1) + 1 - u0.min()
+
+
 def dense_resize_matrix(out_size, src_size, lo, hi):
     """[out, src] float64 bilinear weights: pixel centres, clamped, rows sum to 1."""
     rows = np.arange(out_size)
@@ -156,8 +203,7 @@ def dense_resize_matrix(out_size, src_size, lo, hi):
 # (source H, W, box, out): crop_face upsampling, the augmentation's zoom in
 # (scale 1.1) and zoom out (scale 0.9, overhangs by 28 px on every side), a box
 # past the top and right edges, a non-square source, and a box past the bottom
-# and left edges. The first, fourth and last read at most half the source rows,
-# so their x pass runs over a row slice.
+# and left edges.
 RESIZE_CASES = [
     (128, 128, (30.3, 20.7, 40.2), 512),
     (512, 512, (23.273, 23.273, 465.455), 512),
@@ -210,6 +256,29 @@ class TestBilinearResize:
     def test_rejects_image_without_channel_axis(self):
         with pytest.raises(ShapeError, match=r"\[C,H,W\]"):
             bilinear_resize(np.zeros((32, 32), dtype=np.float32), (0.0, 0.0, 16.0), 8)
+
+    @pytest.mark.parametrize("box, out, error", [
+        ((0.0, 0.0, 16.0), 0, ConfigError),
+        ((0.0, 0.0, 16.0), -3, ConfigError),
+        ((0.0, 0.0, 16.0), 2.5, ConfigError),
+        ((0.0, 0.0, 0.0), 8, ConfigError),
+        ((0.0, 0.0, -4.0), 8, ConfigError),
+        ((np.nan, 0.0, 16.0), 8, NumericalError),
+        ((0.0, np.nan, 16.0), 8, NumericalError),
+        ((0.0, 0.0, np.nan), 8, NumericalError),
+        ((0.0, 0.0, np.inf), 8, NumericalError),
+        ((-np.inf, 0.0, 16.0), 8, NumericalError),
+    ], ids=["out-0", "out-negative", "out-fraction", "side-0", "side-negative", "x0-nan", "y0-nan",
+            "side-nan", "side-inf", "x0-inf"])
+    def test_bad_box_or_size_raises_package_error(self, box, out, error):
+        with pytest.raises(error, match="bilinear_resize"):
+            bilinear_resize(np.zeros((3, 32, 32), dtype=np.float32), box, out)
+
+    def test_peak_of_a_zoom_is_its_output_and_block_scratch(self):
+        img = np.random.default_rng(1).random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)
+        side = FACE_SIZE / 1.05
+        box = ((FACE_SIZE - side) / 2.0,) * 2 + (side,)
+        assert traced_peak(lambda: bilinear_resize(img, box, FACE_SIZE)) <= img.nbytes + BLOCK_ALLOWANCE
 
 
 def serial_augment(img, rng):
