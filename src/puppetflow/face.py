@@ -2,12 +2,13 @@
 
 The crop box comes from the skeleton's head keypoints, so no face detector is
 involved. A crop holds its own copy of the window of the source frame that
-its box's bilinear taps read, with the window's origin, the frame's size and
-the box, not its 512x512 pixels: those are a pure function of these,
-resampled on each read of `.image` (a 23-57 px head box in a 128 px float32
-frame holds a 6-32 KB window, against 196 KB for the frame and 3.1 MB for the
-crop's pixels). The resample writes its output in blocks of rows, through
-about 1 MB of scratch.
+its box's bilinear taps read, with the window's origin and the box, not its
+512x512 pixels: those are a pure function of these, resampled on each read
+of `.image` (a 23-57 px head box in a 128 px float32 frame holds a 6-32 KB
+window, against 196 KB for the frame and 3.1 MB for the crop's pixels). One
+resample, `_resample`, has two callers: `FrameCrop.image` and the
+augmentation's zoom. It writes its output in blocks of rows, through about
+1 MB of scratch.
 Each crop is squeezed into a small coefficient vector over a learned
 row-orthonormal basis (re-orthonormalized on every forward pass),
 which together with train-time augmentation keeps identity detail out of the
@@ -63,56 +64,63 @@ class FaceCrop:
 @dataclass(frozen=True)
 class FrameCrop:
     """A face crop held as the window of its frame that its box reads, as
-    `crop_face` returns it.
+    `crop_face` returns it: the one crop form that `augment_face` and
+    `train.train_step` take.
 
     `window` is the crop's own read-only copy of the rows and columns of the
     [3,H,W] frame that the FACE_SIZE bilinear taps of `box` (its `head_box`)
-    read, `origin` is the frame (row, column) of the window's first pixel and
-    `size` the frame's (H, W). Each read of `.image` computes the taps in
-    frame coordinates, shifts their indices by `origin` and resamples into a
-    fresh float32 array: the pixels of `bilinear_resize(frame, box,
-    FACE_SIZE)`, the same on every read.
+    read, and `origin` is the frame (row, column) of the window's first
+    pixel. Each read of `.image` resamples them into a fresh float32 array
+    (`_resample`, whose other caller is the augmentation's zoom), the same on
+    every read. Pixels at FACE_SIZE are the crop over themselves, with origin
+    (0, 0) and box (0, 0, FACE_SIZE), whose taps read them back bit for bit.
     """
 
     window: np.ndarray
     origin: tuple
-    size: tuple
     box: tuple
 
     @property
     def image(self) -> Tensor:
         out = np.empty((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)
-        return Tensor(_resample(self.window, self.origin, self.size, self.box, out))
+        return Tensor(_resample(self.window, self.origin, self.box, out))
 
 
-def _taps(out_size: int, src_size: int, lo: float, hi: float):
-    """Bilinear taps (u0, frac) of each output pixel over the span [lo, hi).
+def _taps(out_size: int, first: int, size: int, lo: float, hi: float):
+    """Bilinear taps (u0, frac) of each output pixel over the frame span
+    [lo, hi), read from a window of `size` pixels that starts at frame index
+    `first`.
 
-    Pixel-center convention; coordinates clamp at the borders, so boxes that
-    overhang the frame replicate edge pixels. Each output pixel blends source
-    pixels u0 and min(u0 + 1, src_size - 1); u0 never decreases.
+    Pixel-center convention in frame coordinates; coordinates clamp to the
+    window's first and last pixel, so boxes that overhang it replicate edge
+    pixels. `u0` counts from the window's start: each output pixel blends
+    window pixels u0 and min(u0 + 1, size - 1), and u0 never decreases.
     """
     u = lo + (np.arange(out_size) + 0.5) * (hi - lo) / out_size - 0.5
-    u = np.clip(u, 0.0, src_size - 1.0)
+    u = np.clip(u, float(first), first + size - 1.0)
     u0 = np.floor(u).astype(np.intp)
-    return u0, u - u0
+    return u0 - first, u - u0
 
 
 def _span(out_size: int, src_size: int, lo: float, side: float):
-    """The source indices [first, stop) that the taps over [lo, lo + side) read."""
-    u0, _ = _taps(out_size, src_size, lo, lo + side)
+    """The source indices [first, stop) that the taps over [lo, lo + side) read.
+
+    The span stops at the frame's edge exactly where a tap clamps, so taps
+    clamped to the span's first and last index are those clamped to the frame.
+    """
+    u0, _ = _taps(out_size, 0, src_size, lo, lo + side)
     return int(u0[0]), min(int(u0[-1]) + 2, src_size)
 
 
-def _resample(src: np.ndarray, origin, size, box, out: np.ndarray) -> np.ndarray:
+def _resample(src: np.ndarray, origin, box, out: np.ndarray) -> np.ndarray:
     """Write the bilinear resample of the square `box` (x0, y0, side) into
     `out` [C,n,n] and return it.
 
-    `src` [C,h,w] is the window of a frame of `size` (H, W) whose first pixel
-    sits at frame (row, column) `origin`; it must hold every pixel the taps
-    read (`_span`). The taps are computed in frame coordinates and only their
-    indices shift, so a window gives the pixels of its whole frame. The
-    arithmetic runs in `src`'s dtype and the last add casts into `out`.
+    `src` [C,h,w] is a window whose first pixel sits at frame (row, column)
+    `origin`. The taps are computed in frame coordinates and clamped to the
+    window (`_taps`), so a window that holds every pixel the frame's taps
+    read (`_span`) gives the pixels of its whole frame. The arithmetic runs
+    in `src`'s dtype and the last add casts into `out`.
 
     Every output pixel blends two source columns, then two source rows, as
     a + (b - a) * frac. The y pass fills `out` in blocks of output rows: the
@@ -122,11 +130,9 @@ def _resample(src: np.ndarray, origin, size, box, out: np.ndarray) -> np.ndarray
     1 MB, never a second `out`-sized array.
     """
     c, n = out.shape[0], out.shape[1]
-    (top, left), (h, w), (x0, y0, side) = origin, size, box
-    ux, fx = _taps(n, w, x0, x0 + side)
-    uy, fy = _taps(n, h, y0, y0 + side)
-    ux -= left
-    uy -= top
+    (top, left), (x0, y0, side) = origin, box
+    ux, fx = _taps(n, left, src.shape[2], x0, x0 + side)
+    uy, fy = _taps(n, top, src.shape[1], y0, y0 + side)
     ux1 = np.minimum(ux + 1, src.shape[2] - 1)
     fx = fx.astype(src.dtype)
     fy = fy.astype(src.dtype)[:, None]
@@ -164,29 +170,6 @@ def _resample(src: np.ndarray, origin, size, box, out: np.ndarray) -> np.ndarray
     return out
 
 
-def bilinear_resize(image: np.ndarray, box, out_size: int) -> np.ndarray:
-    """Resample a square box (x0, y0, side) of [C,H,W] to [C,out,out] in the
-    image's dtype.
-
-    Separable two-tap interpolation: every output pixel blends two source
-    columns, then two source rows, with weights (1 - frac, frac) that sum to
-    1. Coordinates clamp at the borders (see `_taps`), and `_resample` writes
-    the output in blocks of rows. An `out_size` that is not a whole number of
-    at least 1, or a side that is not positive, raises ConfigError; a box
-    entry that is not finite raises NumericalError.
-    """
-    if image.ndim != 3:
-        raise ShapeError(f"bilinear_resize: image must be [C,H,W], got {image.shape}")
-    if not isinstance(out_size, (int, np.integer)) or out_size < 1:
-        raise ConfigError(f"bilinear_resize: out_size must be a whole number of at least 1, got {out_size!r}")
-    if not np.isfinite(box).all():
-        raise NumericalError(f"bilinear_resize: non-finite box {tuple(box)}")
-    if box[2] <= 0:
-        raise ConfigError(f"bilinear_resize: box side must be positive, got {box[2]!r}")
-    out = np.empty((image.shape[0], out_size, out_size), dtype=image.dtype)
-    return _resample(image, (0, 0), image.shape[1:], box, out)
-
-
 def head_box(sk: Skeleton, height: int, width: int):
     """Square crop box around confident head keypoints, or None if fewer than 2.
 
@@ -214,8 +197,8 @@ def crop_face(frame: np.ndarray, sk: Skeleton) -> FrameCrop | None:
     NumericalError (`head_box`).
 
     The crop keeps a copy of the window of the frame that its box's taps
-    read, in the frame's dtype, with the window's origin, the frame's size
-    and the box; its `.image` resamples them on each read (`FrameCrop`)."""
+    read, in the frame's dtype, with the window's origin and the box; its
+    `.image` resamples them on each read (`FrameCrop`)."""
     if not isinstance(frame, np.ndarray) or frame.ndim != 3 or frame.shape[0] != 3:
         raise ShapeError(f"frame must be a [3,H,W] array, got {type(frame).__name__} {getattr(frame, 'shape', None)}")
     _, h, w = frame.shape
@@ -226,10 +209,10 @@ def crop_face(frame: np.ndarray, sk: Skeleton) -> FrameCrop | None:
     (top, bottom), (left, right) = _span(FACE_SIZE, h, y0, side), _span(FACE_SIZE, w, x0, side)
     window = frame[:, top:bottom, left:right].copy()
     window.flags.writeable = False
-    return FrameCrop(window, (top, left), (h, w), box)
+    return FrameCrop(window, (top, left), box)
 
 
-def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
+def augment_face(face: FrameCrop, rng) -> FaceCrop:
     """Train-time identity-scrambling: rescale, color jitter, additive noise.
 
     Draw order is fixed (scale, 3 gains, 3 biases, sigma, then the float64
@@ -237,18 +220,18 @@ def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
     The noise field is drawn on one worker thread, in order, in chunks of
     `_NOISE_CHUNK` values, into a buffer this call owns; the generator sees
     the same calls as one `standard_normal(shape)` and ends in the same state.
-    Meanwhile this thread reads the crop's pixels once (a `FrameCrop`
-    resamples them here, in the draws' shadow), resizes them and applies gain
-    and bias in place, then folds in each chunk as it lands (x sigma in
-    float64, cast into one chunk buffer, add, clip). The output is
-    bit-identical to the serial computation. `rng` must be a
+    Meanwhile this thread reads the crop's pixels once (resampled here, in
+    the draws' shadow), zooms them and applies gain and bias in place, then
+    folds in each chunk as it lands (x sigma in float64, cast into one chunk
+    buffer, add, clip). The output is bit-identical to the serial
+    computation. `face` must be a `crop_face` result (a `FrameCrop`), or
+    ConfigError is raised before any draw; `rng` must be a
     `np.random.Generator` that no other thread uses during the call. The
     worker lives only for this call, so no thread outlives it (a forked child
     inherits none).
     """
-    # a FrameCrop reads as [3, FACE_SIZE, FACE_SIZE]: crop_face checks its frame
-    if isinstance(face, FaceCrop) and face.image.shape != (3, FACE_SIZE, FACE_SIZE):
-        raise ShapeError(f"face crop must be [3,{FACE_SIZE},{FACE_SIZE}], got {face.image.shape}")
+    if not isinstance(face, FrameCrop):
+        raise ConfigError(f"augment_face: face must be a crop_face result, got {type(face).__name__}")
     if not isinstance(rng, np.random.Generator):
         raise ConfigError(f"augment_face: rng must be a numpy Generator, got {type(rng).__name__}")
     s = float(rng.uniform(*SCALE_RANGE))
@@ -262,7 +245,8 @@ def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
     with ThreadPoolExecutor(max_workers=1) as pool:
         # one worker runs the draws in submission order, so the stream is serial
         draws = [pool.submit(rng.standard_normal, out=noise[a : a + _NOISE_CHUNK]) for a in starts]
-        out = bilinear_resize(face.image.data, (off, off, side), FACE_SIZE)
+        img = face.image.data
+        out = _resample(img, (0, 0), (off, off, side), np.empty_like(img))
         out *= gains.astype(out.dtype)[:, None, None]
         out += biases.astype(out.dtype)[:, None, None]
         flat = out.reshape(-1)
@@ -274,7 +258,7 @@ def augment_face(face: FaceCrop | FrameCrop, rng) -> FaceCrop:
             np.multiply(noise[a : a + _NOISE_CHUNK], sigma, out=buf)
             part += buf
             np.clip(part, 0.0, 1.0, out=part)
-    return FaceCrop(Tensor(out.astype(np.float32, copy=False)))
+    return FaceCrop(Tensor(out))
 
 
 # ---------------------------------------------------------------------------

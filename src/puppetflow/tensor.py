@@ -158,11 +158,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd", "_op", "_id")
 
     def __init__(self, data, requires_grad=False, _parents=(), _bwd=None, _op="leaf"):
-        if not isinstance(data, np.ndarray):
-            data = np.asarray(data, dtype=NARROW)
+        if not isinstance(data, np.ndarray):  # a numpy float scalar keeps its precision
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.floating) else NARROW)
         if data.dtype not in (WIDE, NARROW):
             raise ConfigError(f"unsupported dtype {data.dtype}; use float32 or float64")
-        self.data = np.ascontiguousarray(data)
+        # ascontiguousarray would give a 0-d array one dimension
+        self.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -436,7 +437,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    out = a.data.sum()
 
     def bwd(g):
         a.accumulate_grad(np.full_like(a.data, g))
@@ -446,14 +447,13 @@ def sum_all(a: Tensor) -> Tensor:
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     _check_whole("sum_axis", axis=axis)
-    try:  # over a 1-D input numpy gives a scalar: a 0-d array keeps its dtype
-        out = np.asarray(a.data.sum(axis=axis))
+    try:
+        out = a.data.sum(axis=axis)
     except ValueError as e:  # numpy's AxisError
         raise ShapeError(f"sum_axis: axis {axis} out of range for shape {a.shape}") from e
-    kept = out.shape  # () over a 1-D input, though the output Tensor holds [1]
 
     def bwd(g):
-        a.accumulate_grad(np.broadcast_to(np.expand_dims(g.reshape(kept), axis), a.shape).copy())
+        a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
 
     return _make(out, (a,), bwd, "sum_axis")
 

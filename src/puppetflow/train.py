@@ -25,9 +25,10 @@ ADAM_EPS = 1e-8
 def train_step(model, crops, ref_image, latents: np.ndarray, pose_latents: pt.Tensor, rng) -> float:
     """Gradients of the flow loss on one clip; returns the loss.
 
-    `crops` is one crop per clip frame, or None: a `crop_face` result (the
-    window of its frame that its head box reads, resampled as it is
-    augmented) or a pixel `FaceCrop`.
+    `crops` is one `crop_face` result per clip frame (the window of its
+    frame that its head box reads, resampled as it is augmented), or None;
+    any other crop raises ConfigError (`face.augment_face`). The augmented
+    crops fill one preallocated [T, 3, FACE_SIZE, FACE_SIZE] stack in turn.
     `ref_image` is [3, H, W]; `latents` and `pose_latents` are the clip's and
     its pose frames' VAE latents, [C_z, T_z, h, w] each. Crops for another
     number of latents than T_z raise AlignmentError before any draw. Every
@@ -41,7 +42,9 @@ def train_step(model, crops, ref_image, latents: np.ndarray, pose_latents: pt.Te
             p.zero_grad()
     face_down = None  # no crops: the model's null face latent
     if crops is not None:
-        augmented = np.stack([face.augment_face(c, rng).image.data for c in crops])
+        augmented = np.empty((len(crops), 3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)
+        for i, c in enumerate(crops):
+            augmented[i] = face.augment_face(c, rng).image.data
         face_down = face.encode_face_sequence(pt.Tensor(augmented), model.face_encoder, model.basis,
                                               model.downsampler, frame_ranges(len(crops))).downsampled
     pack = packs.build_animation_pack(model.vae, ref_image, latents.shape[1], None, rng)

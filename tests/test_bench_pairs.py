@@ -42,7 +42,7 @@ def test_summary_carries_pairs_wins_and_calibration():
     assert s["calibration"] == CALIBRATION and s["calibration_agrees"] is True
     assert s["host"].startswith("2-CPU x86_64 ") and s["host"].endswith("1 BLAS thread(s)")
     assert s["by_metric"]["op_p50_s"] == {"better": "lower", "change_wins": "3/4",
-                                          "median_change_pct": s["median_change_pct"]}
+                                          "median_change_pct": s["median_change_pct"], "claimable": False}
 
 
 def test_every_end_to_end_metric_gets_wins_in_its_own_direction():
@@ -55,11 +55,31 @@ def test_every_end_to_end_metric_gets_wins_in_its_own_direction():
     m = s["by_metric"]
     assert list(m) == ["op_p50_s", "peak_rss_mb", "frames_per_s", "expr_err"]  # only metrics the runs report
     assert m["peak_rss_mb"] == {"better": "lower", "change_wins": "3/4",
-                                "median_change_pct": round(100 * (451.0 / 501.5 - 1), 1)}
+                                "median_change_pct": round(100 * (451.0 / 501.5 - 1), 1), "claimable": False}
     assert m["frames_per_s"] == {"better": "higher", "change_wins": "2/4",
-                                 "median_change_pct": round(100 * (40.5 / 40.75 - 1), 1)}
+                                 "median_change_pct": round(100 * (40.5 / 40.75 - 1), 1), "claimable": False}
     assert m["op_p50_s"]["change_wins"] == "0/4"  # a tie is no win
-    assert m["expr_err"] == {"better": "lower", "change_wins": "0/4", "median_change_pct": None}
+    assert m["expr_err"] == {"better": "lower", "change_wins": "0/4", "median_change_pct": None,
+                             "claimable": False}
+
+
+def test_a_gain_is_claimable_from_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_parent_spread():
+    # the parent's op_p50_s quartiles are 0.40225 and 0.40675 (0.0045 apart); frames_per_s's 40.225 and 40.675
+    seeds = list(range(1, 11))
+    parent = [0.40 + 0.001 * k for k in range(10)]  # median 0.4045
+    wide = [p - 0.01 for p in parent[:9]] + [parent[9] + 0.01]  # 9/10 wins, median 0.3945
+    narrow = [p - 0.004 for p in parent]  # 10/10 wins, median 0.4005: within the parent's spread
+    fps = [40.0 + 0.1 * k for k in range(10)]
+    runs = {"parent": [run("aaa", p, 80.0, f) for p, f in zip(parent, fps)],
+            "change": [run("bbb", c, 80.0, f + 2.0) for c, f in zip(wide, fps)]}
+    m = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION, BETTER)["by_metric"]
+    assert (m["op_p50_s"]["change_wins"], m["op_p50_s"]["claimable"]) == ("9/10", True)
+    assert (m["frames_per_s"]["change_wins"], m["frames_per_s"]["claimable"]) == ("10/10", True)
+    assert m["peak_rss_mb"]["claimable"] is False  # every pair a tie
+    runs["change"] = [run("bbb", c, 80.0, f - 2.0) for c, f in zip(narrow, fps)]
+    m = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION, BETTER)["by_metric"]
+    assert (m["op_p50_s"]["change_wins"], m["op_p50_s"]["claimable"]) == ("10/10", False)
+    assert (m["frames_per_s"]["change_wins"], m["frames_per_s"]["claimable"]) == ("0/10", False)
 
 
 def test_metrics_outside_the_end_to_end_list_get_no_wins():

@@ -20,10 +20,11 @@ from puppetflow.face import (
     SCALE_RANGE,
     FaceCrop,
     FaceEncoder,
+    FrameCrop,
     MotionBasis,
     TemporalDownsampler,
+    _resample,
     augment_face,
-    bilinear_resize,
     crop_face,
     encode_face_sequence,
     head_box,
@@ -46,6 +47,17 @@ def head_skeleton(cx, cy, spread=10.0, conf=1.0):
     joints[4] = (cx + spread, cy)
     c = np.full(N_JOINTS, conf)
     return Skeleton(joints, c)
+
+
+def pixel_crop(pixels):
+    """[3, FACE_SIZE, FACE_SIZE] pixels as the crop over themselves, whose
+    identity taps read them back bit for bit."""
+    return FrameCrop(pixels, (0, 0), (0, 0, FACE_SIZE))
+
+
+def resample(img, box, out):
+    """The bilinear resample of `box` over the whole of `img`, in its dtype."""
+    return _resample(img, (0, 0), box, np.empty((img.shape[0], out, out), dtype=img.dtype))
 
 
 def disc_frame(cx, cy, r, hw=128):
@@ -104,7 +116,7 @@ class TestCropFace:
     def test_image_is_the_resampled_head_box_bit_for_bit(self, dtype):
         frame = np.random.default_rng(4).random((3, 128, 128)).astype(dtype)
         sk = head_skeleton(70.0, 50.0, spread=12.0)
-        expect = bilinear_resize(frame, head_box(sk, 128, 128), FACE_SIZE).astype(np.float32)
+        expect = resample(frame, head_box(sk, 128, 128), FACE_SIZE).astype(np.float32)
         got = crop_face(frame, sk).image.data
         assert got.dtype == np.float32 and np.array_equal(got, expect)
 
@@ -123,16 +135,18 @@ class TestCropFace:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hw", [(128, 128), (96, 160)], ids=["128x128", "96x160"])
-    @pytest.mark.parametrize("edge", ["left", "right", "top", "bottom"])
+    @pytest.mark.parametrize("edge", ["left", "right", "top", "bottom", "top-left", "bottom-right"])
     def test_edge_clamped_box_reads_bit_for_bit(self, edge, hw, dtype):
-        # head_box clamps the box inside the frame, so it touches the edge and
-        # the window ends there; the oracle resamples the whole frame
+        # head_box clamps the box inside the frame, so it touches the edge (two
+        # edges at a corner) and the window ends there, where the taps clamp
+        # to the window; the oracle resamples the whole frame
         h, w = hw
-        cx, cy = {"left": (2.0, h / 2), "right": (w - 2.0, h / 2),
-                  "top": (w / 2, 2.0), "bottom": (w / 2, h - 2.0)}[edge]
+        cx = {"left": 2.0, "right": w - 2.0}.get(edge.split("-")[-1], w / 2)
+        cy = {"top": 2.0, "bottom": h - 2.0}.get(edge.split("-")[0], h / 2)
         sk = head_skeleton(cx, cy, spread=12.0)
         x0, y0, side = box = head_box(sk, h, w)
-        assert {"left": x0, "right": w - x0 - side, "top": y0, "bottom": h - y0 - side}[edge] == 0.0
+        gaps = {"left": x0, "right": w - x0 - side, "top": y0, "bottom": h - y0 - side}
+        assert all(gaps[e] == 0.0 for e in edge.split("-"))
         frame = np.random.default_rng(h + w).random((3, h, w)).astype(dtype)
         got = crop_face(frame, sk).image.data
         assert got.dtype == np.float32
@@ -159,12 +173,16 @@ class TestCropFace:
 
     def test_augment_reads_a_crop_as_its_pixels(self):
         crop = crop_face(disc_frame(60.0, 60.0, 12.0), head_skeleton(60.0, 60.0))
-        pixels = FaceCrop(crop.image)
-        assert augment_hash(crop, 9) == augment_hash(pixels, 9)
+        assert augment_hash(crop, 9) == augment_hash(pixel_crop(crop.image.data), 9)
+
+    def test_pixel_crop_reads_back_bit_for_bit(self):
+        pixels = np.random.default_rng(3).random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)
+        got = pixel_crop(pixels).image.data
+        assert got is not pixels and np.array_equal(got, pixels)
 
     def test_resize_preserves_constant_images(self):
         img = np.full((3, 32, 32), 0.37, dtype=np.float32)
-        out = bilinear_resize(img, (4.0, 6.0, 11.0), 64)
+        out = resample(img, (4.0, 6.0, 11.0), 64)
         np.testing.assert_allclose(out, 0.37, atol=1e-6)
 
 
@@ -231,6 +249,8 @@ def two_transpose_resize(img, box, out):
 
 
 class TestBilinearResize:
+    """`_resample` over a whole image, as the augmentation's zoom calls it."""
+
     @pytest.mark.parametrize("case", RESIZE_CASES, ids=[f"{h}x{w}-to-{o}-{i}" for i, (h, w, _, o) in enumerate(RESIZE_CASES)])
     def test_matches_dense_float64_oracle(self, case):
         # Each pass computes a + frac*(b - a) in float32: at most 4 roundings
@@ -241,7 +261,7 @@ class TestBilinearResize:
         wy = dense_resize_matrix(out, h, y0, y0 + side)
         wx = dense_resize_matrix(out, w, x0, x0 + side)
         ref = np.stack([wy @ img[c].astype(np.float64) @ wx.T for c in range(3)])
-        got = bilinear_resize(img, box, out)
+        got = resample(img, box, out)
         assert got.dtype == np.float32 and got.shape == (3, out, out)
         assert np.abs(got - ref).max() <= 4 * np.finfo(np.float32).eps
 
@@ -251,34 +271,13 @@ class TestBilinearResize:
     def test_bit_exact_with_two_transpose_formula(self, case):
         h, w, (x0, y0, side), out = case
         img = np.random.default_rng(h).random((3, h, w), dtype=np.float32)
-        assert np.array_equal(bilinear_resize(img, (x0, y0, side), out), two_transpose_resize(img, (x0, y0, side), out))
-
-    def test_rejects_image_without_channel_axis(self):
-        with pytest.raises(ShapeError, match=r"\[C,H,W\]"):
-            bilinear_resize(np.zeros((32, 32), dtype=np.float32), (0.0, 0.0, 16.0), 8)
-
-    @pytest.mark.parametrize("box, out, error", [
-        ((0.0, 0.0, 16.0), 0, ConfigError),
-        ((0.0, 0.0, 16.0), -3, ConfigError),
-        ((0.0, 0.0, 16.0), 2.5, ConfigError),
-        ((0.0, 0.0, 0.0), 8, ConfigError),
-        ((0.0, 0.0, -4.0), 8, ConfigError),
-        ((np.nan, 0.0, 16.0), 8, NumericalError),
-        ((0.0, np.nan, 16.0), 8, NumericalError),
-        ((0.0, 0.0, np.nan), 8, NumericalError),
-        ((0.0, 0.0, np.inf), 8, NumericalError),
-        ((-np.inf, 0.0, 16.0), 8, NumericalError),
-    ], ids=["out-0", "out-negative", "out-fraction", "side-0", "side-negative", "x0-nan", "y0-nan",
-            "side-nan", "side-inf", "x0-inf"])
-    def test_bad_box_or_size_raises_package_error(self, box, out, error):
-        with pytest.raises(error, match="bilinear_resize"):
-            bilinear_resize(np.zeros((3, 32, 32), dtype=np.float32), box, out)
+        assert np.array_equal(resample(img, (x0, y0, side), out), two_transpose_resize(img, (x0, y0, side), out))
 
     def test_peak_of_a_zoom_is_its_output_and_block_scratch(self):
         img = np.random.default_rng(1).random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)
         side = FACE_SIZE / 1.05
         box = ((FACE_SIZE - side) / 2.0,) * 2 + (side,)
-        assert traced_peak(lambda: bilinear_resize(img, box, FACE_SIZE)) <= img.nbytes + BLOCK_ALLOWANCE
+        assert traced_peak(lambda: resample(img, box, FACE_SIZE)) <= img.nbytes + BLOCK_ALLOWANCE
 
 
 def serial_augment(img, rng):
@@ -289,7 +288,7 @@ def serial_augment(img, rng):
     biases = rng.uniform(*BIAS_RANGE, 3).astype(img.dtype)
     sigma = float(rng.uniform(0.0, NOISE_HI))
     side = FACE_SIZE / s
-    ref = bilinear_resize(img, ((FACE_SIZE - side) / 2.0,) * 2 + (side,), FACE_SIZE)
+    ref = resample(img, ((FACE_SIZE - side) / 2.0,) * 2 + (side,), FACE_SIZE)
     ref = ref * gains[:, None, None] + biases[:, None, None]
     ref = ref + (rng.standard_normal(ref.shape) * sigma).astype(img.dtype)
     return np.clip(ref, 0.0, 1.0).astype(np.float32)
@@ -307,7 +306,7 @@ def augment_in_child(face, seed, conn):
 class TestAugmentFace:
     def crop(self, seed=0):
         rng = np.random.default_rng(seed)
-        return FaceCrop(Tensor(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8))
+        return pixel_crop(rng.random((3, FACE_SIZE, FACE_SIZE), dtype=np.float32) * 0.8)
 
     def test_seeded_reproducibility(self):
         face = self.crop()
@@ -374,17 +373,19 @@ class TestAugmentFace:
         twin.standard_normal((3, FACE_SIZE, FACE_SIZE))
         assert rng.standard_normal(4).tolist() == twin.standard_normal(4).tolist()
 
-    def test_wrong_crop_size_raises(self):
-        small = FaceCrop(Tensor(np.zeros((3, 64, 64), dtype=np.float32)))
-        with pytest.raises(ShapeError, match="face crop"):
-            augment_face(small, np.random.default_rng(0))
+    def test_pixel_face_crop_raises_config_error(self):
+        pixels = FaceCrop(Tensor(np.zeros((3, FACE_SIZE, FACE_SIZE), dtype=np.float32)))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="crop_face result"):
+            augment_face(pixels, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # nothing drawn
 
     def test_mean_gain_within_3_sigma(self):
         # Two constant crops augmented with the same seed share zoom, bias
         # and noise, so their difference over the crop difference is each
         # channel's gain; the median skips any pixel the clip to [0, 1] moved.
         def constant(v):
-            return FaceCrop(Tensor(np.full((3, FACE_SIZE, FACE_SIZE), v, dtype=np.float32)))
+            return pixel_crop(np.full((3, FACE_SIZE, FACE_SIZE), v, dtype=np.float32))
 
         seeds = range(16)
         gains = []

@@ -16,6 +16,7 @@ from puppetflow.train import train_step
 from puppetflow.vae import ToyVAE
 from puppetflow.video import LATENT_CHANNELS, frame_ranges, latent_count
 
+from test_face import pixel_crop
 from test_model import tiny_cfg
 
 
@@ -74,7 +75,7 @@ class TestTapeHoldsOnlyNodeOutputs:
         model = AnimationModel(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         n_frames, side = 5, 8 * cfg.latent_size
-        crops = [face.FaceCrop(Tensor(rng.random((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
+        crops = [pixel_crop(rng.random((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32))
                  for _ in range(n_frames)]
         shape = (LATENT_CHANNELS, latent_count(n_frames), cfg.latent_size, cfg.latent_size)
         latents = rng.standard_normal(shape).astype(np.float32)

@@ -457,6 +457,19 @@ def test_reducing_a_vector_keeps_its_dtype(op, dtype):
     np.testing.assert_array_equal(x.grad, np.full(3, 1.0 if op is pt.sum_axis else 1.0 / 3.0, dtype=dtype))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, WIDE])
+@pytest.mark.parametrize("op", [pt.sum_all, lambda a: pt.sum_axis(a, 0)], ids=["sum_all", "sum_axis"])
+def test_reducing_to_a_scalar_gives_numpys_0d_shape(op, dtype):
+    # 0-d arithmetic gives numpy scalars, which keep their precision on the tape
+    x = Tensor(np.arange(3.0, dtype=dtype), requires_grad=True)
+    out = op(x)
+    assert out.shape == np.sum(x.data, axis=0).shape == () and out.dtype == dtype and out.item() == 3.0
+    y = pt.scale(pt.add_scalar(out, 1.0), 2.0)
+    assert y.shape == () and y.dtype == dtype
+    y.backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0, dtype=dtype))
+
+
 class TestSliceAxis:
     def test_leading_axis_slice_is_a_view(self):
         a = wide(rng(60).standard_normal((4, 3, 5)))

@@ -15,6 +15,7 @@ from puppetflow.tensor import AlignmentError, ConfigError
 from puppetflow.video import LATENT_CHANNELS
 
 from gradcheck import widen
+from test_face import pixel_crop
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import bench  # noqa: E402
@@ -85,12 +86,21 @@ def test_reference_gradients_match_the_recorded_digest(tmp_path):
 def test_crop_count_must_match_the_latents(n_crops):
     # 5 latents cover 17 frames; 13 frames give 4 latents, and no crop gives none
     model = AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
-    crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
+    crop = pixel_crop(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32))
     latents = np.zeros((LATENT_CHANNELS, 5, 8, 8), dtype=np.float32)
     rng = np.random.default_rng(3)
     with pytest.raises(AlignmentError, match="face crops"):
         train_step(model, [crop] * n_crops, np.zeros((3, 64, 64), dtype=np.float32), latents, pt.Tensor(latents), rng)
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state  # nothing drawn
+
+
+def test_pixel_face_crops_raise_config_error():
+    model = AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
+    crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
+    latents = np.zeros((LATENT_CHANNELS, 2, 8, 8), dtype=np.float32)
+    with pytest.raises(ConfigError, match="crop_face result"):
+        train_step(model, [crop] * 5, np.zeros((3, 64, 64), dtype=np.float32), latents, pt.Tensor(latents),
+                   np.random.default_rng(3))
 
 
 class TestAdam:

@@ -18,9 +18,12 @@ percent; each pair also carries every end-to-end metric of both runs, and
 the same wins and median change for every end-to-end metric, a win being a
 pair whose change is better in the direction `better` of the change
 checkout's `BENCHMARK.json` (lower or higher); the median change stays the
-signed change of the value, so -5.0 is a fall either way. The set's two
-commits come from the run records and its host from the change's first
-record.
+signed change of the value, so -5.0 is a fall either way. Each entry also
+says whether a gain in that metric is `claimable`: the set has at least ten
+pairs, the change wins at least nine tenths of them (a tie is no win), and
+the medians differ in the better direction by more than the distance between
+the parent's quartiles. The set's two commits come from the run records and
+its host from the change's first record.
 
 Each set also records a host calibration, taken before and after the pairs
 in a fresh interpreter of the change checkout with the benchmark's BLAS
@@ -155,12 +158,16 @@ def header(workload, seconds, unit):
 
 def compare(parent, change, better):
     """The change's values against the parent's, pair by pair: the direction `better`
-    ("lower" or "higher"), the wins as "k/n" and the median change in percent (None
-    from a zero parent median)."""
+    ("lower" or "higher"), the wins as "k/n", the median change in percent (None
+    from a zero parent median) and whether a gain is claimable (module docstring)."""
+    n = len(parent)
     wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
     mp, mc = statistics.median(parent), statistics.median(change)
-    return {"better": better, "change_wins": f"{wins}/{len(parent)}",
-            "median_change_pct": round(100.0 * (mc / mp - 1.0), 1) if mp else None}
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = mp - mc if better == "lower" else mc - mp
+    return {"better": better, "change_wins": f"{wins}/{n}",
+            "median_change_pct": round(100.0 * (mc / mp - 1.0), 1) if mp else None,
+            "claimable": n >= 10 and 10 * wins >= 9 * n and gain > q3 - q1}
 
 
 def summarise(seeds, runs, subject, calibration, better):
@@ -242,7 +249,8 @@ def main(argv=None):
           f"parent {s[f'parent_{METRIC}']}, change {s[f'change_{METRIC}']}")
     for name, c in s["by_metric"].items():
         pct = "n/a" if c["median_change_pct"] is None else f"{c['median_change_pct']:+.1f}%"
-        print(f"  {name} ({c['better']} is better): {c['change_wins']} pairs won, median {pct}")
+        claim = ", gain claimable" if c["claimable"] else ""
+        print(f"  {name} ({c['better']} is better): {c['change_wins']} pairs won, median {pct}{claim}")
     return 0
 
 
