@@ -10,16 +10,16 @@ The modules, bottom up:
 - `skeleton`, `retarget`, `rasterize`: pose sequences, retargeting onto a
   reference character, and drawing poses as conditioning frames.
 - `face`: face crops, augmentation, a motion-coefficient encoder and its
-  causal temporal downsampler.
+  causal temporal downsampler, and a clip's face condition.
 - `packs`: the (noise, condition, mask) latent packs for animation and
   replacement.
 - `model`: the diffusion transformer with pose injection, face blocks and a
   low-rank relighting adapter; `flow`: the flow-matching loss and Euler
   sampling.
 - `puppet`: procedural puppet scenes, the synthetic corpus.
-- `train`: one training step on a cached clip, and the Adam update;
-  `pipeline`: a driving video and a reference character to an output video,
-  one segment with no chaining.
+- `train`: a scene prepared once as a training clip, one step on it, the
+  Adam update and `fit`, their loop over chosen roles; `pipeline`: a driving
+  video and a reference character to an output video, one unchained segment.
 """
 
 __version__ = "0.1.0"

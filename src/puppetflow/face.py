@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as pt
 from .skeleton import CONF_THRESHOLD, HEAD_JOINTS, Skeleton
 from .tensor import AlignmentError, ConfigError, NumericalError, ShapeError, Tensor
-from .video import TEMPORAL_GROUP, is_frame_run
+from .video import TEMPORAL_GROUP, frame_ranges, is_frame_run
 
 FACE_SIZE = 512
 CROP_EXPANSION = 1.8
@@ -64,8 +64,8 @@ class FaceCrop:
 @dataclass(frozen=True)
 class FrameCrop:
     """A face crop held as the window of its frame that its box reads, as
-    `crop_face` returns it: the one crop form that `augment_face` and
-    `train.train_step` take.
+    `crop_face` returns it: the one crop form that `augment_face` takes and
+    a `train.Clip` holds.
 
     `window` is the crop's own read-only copy of the rows and columns of the
     [3,H,W] frame that the FACE_SIZE bilinear taps of `box` (its `head_box`)
@@ -210,6 +210,13 @@ def crop_face(frame: np.ndarray, sk: Skeleton) -> FrameCrop | None:
     window = frame[:, top:bottom, left:right].copy()
     window.flags.writeable = False
     return FrameCrop(window, (top, left), box)
+
+
+def crop_clip(frames: np.ndarray, poses) -> list[FrameCrop] | None:
+    """Every [T,3,H,W] frame's `crop_face` under its skeleton, or None when
+    some frame has none: the clip then takes the model's null face latent."""
+    crops = [crop_face(f, sk) for f, sk in zip(frames, poses)]
+    return None if any(c is None for c in crops) else crops
 
 
 def augment_face(face: FrameCrop, rng) -> FaceCrop:
@@ -397,3 +404,15 @@ def encode_face_sequence(
     coeffs = encoder.encode_batch(crops)
     latents = pt.matmul(coeffs, basis.orthonormal())
     return FaceLatentSequence(downsampler(latents, frame_map))
+
+
+def face_condition(model, images, n: int) -> Tensor:
+    """The face condition [T_z, DOWN_WIDTH] of a clip's `n` face images
+    ([3,FACE_SIZE,FACE_SIZE] each, from any iterable), read in order into one
+    preallocated float32 stack and encoded over `frame_ranges(n)` by `model`'s
+    face encoder, basis and downsampler."""
+    stack = np.empty((n, 3, FACE_SIZE, FACE_SIZE), dtype=np.float32)
+    for row, image in zip(stack, images, strict=True):
+        row[...] = image
+    return encode_face_sequence(Tensor(stack), model.face_encoder, model.basis, model.downsampler,
+                                frame_ranges(n)).downsampled

@@ -12,7 +12,7 @@ import puppetflow.tensor as pt
 from puppetflow import face, flow
 from puppetflow.model import AnimationModel
 from puppetflow.tensor import LN_EPS, Tensor
-from puppetflow.train import train_step
+from puppetflow.train import Clip, train_step
 from puppetflow.vae import ToyVAE
 from puppetflow.video import LATENT_CHANNELS, frame_ranges, latent_count
 
@@ -87,7 +87,7 @@ class TestTapeHoldsOnlyNodeOutputs:
             return losses[-1]
 
         monkeypatch.setattr(flow, "flow_loss", keep_loss)
-        train_step(model, crops, rng.random((3, side, side), dtype=np.float32), latents, pose, rng)
+        train_step(model, Clip(latents, pose, rng.random((3, side, side), dtype=np.float32), crops), rng)
         ops, derived = derived_closure_arrays(losses[-1])
         assert {"silu", "gelu", "attention", "layer_norm", "conv2d", "silu_conv2d"} <= set(ops)
         assert derived == []

@@ -1,17 +1,19 @@
-"""The training step against the benchmark's copy, the Adam update, and one-clip overfitting."""
+"""Clip preparation and the training step against the benchmark's copies, the
+Adam update, the `fit` loop, and one-clip overfitting."""
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import puppetflow.tensor as pt
-from puppetflow import face, puppet, rasterize
+from puppetflow import face, puppet
 from puppetflow.model import AnimationModel, DiTConfig
-from puppetflow.train import ADAM_BETAS, ADAM_EPS, adam_update, train_step
-from puppetflow.tensor import AlignmentError, ConfigError
+from puppetflow.train import ADAM_BETAS, ADAM_EPS, Clip, adam_update, fit, prepare_clip, train_step
+from puppetflow.tensor import AlignmentError, ConfigError, ShapeError
 from puppetflow.video import LATENT_CHANNELS
 
 from gradcheck import widen
@@ -29,16 +31,20 @@ def grad_norm(params):
     return float(np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params if p.grad is not None)))
 
 
+def as_clip(item):
+    """A benchmark `TrainItem` as the package's record."""
+    return Clip(item.latents, item.pose, item.ref_image, item.crops)
+
+
 class TestBenchmarkOracle:
-    """`train_step` is `bench.Train._step` with the item's fields as arguments."""
+    """`train_step` is `bench.Train._step` on the item's fields as a `Clip`."""
 
     def test_reference_step_bit_for_bit(self, tmp_path):
         wl = bench.Train(7, tmp_path)
         item = wl.reference
         expect = wl._step(item, np.random.default_rng(bench.REFERENCE_SEED))
         expect_grads = grads(wl.model)
-        loss = train_step(wl.model, item.crops, item.ref_image, item.latents, item.pose,
-                          np.random.default_rng(bench.REFERENCE_SEED))
+        loss = train_step(wl.model, as_clip(item), np.random.default_rng(bench.REFERENCE_SEED))
         assert loss == expect == bench.REFERENCE_LOSS
         for name, g in grads(wl.model).items():
             if expect_grads[name] is None:
@@ -53,18 +59,33 @@ class TestBenchmarkOracle:
         frozen = wl.model.named_params(("face",)).values()
         for p in frozen:
             p.requires_grad = False
-        item = wl.reference
-        loss = train_step(wl.model, item.crops, item.ref_image, item.latents, item.pose,
-                          np.random.default_rng(bench.REFERENCE_SEED))
+        loss = train_step(wl.model, as_clip(wl.reference), np.random.default_rng(bench.REFERENCE_SEED))
         assert loss == bench.REFERENCE_LOSS  # freezing changes no forward value
         assert all(p.grad is None for p in frozen)
         assert all(p.grad is None for p in wl.model.named_params(("vae",)).values())
         assert all(p.grad is not None for p in wl.model.named_params(("base",)).values())
 
+    def test_prepare_clip_equals_the_benchmark_cache(self, tmp_path):
+        wl = bench.Train(7, tmp_path)
+        sample = puppet.generate_scene(bench.REFERENCE_SEED, bench.FRAMES, bench.FRAMINGS[0], bench.SIZE)
+        clip, item = prepare_clip(wl.model, sample), wl.reference
+        assert same_bits(clip.latents, item.latents)
+        assert same_bits(clip.pose_latents.data, item.pose.data)
+        assert same_bits(clip.ref_image, item.ref_image)
+        assert len(clip.crops) == len(item.crops) == bench.FRAMES
+        for got, want in zip(clip.crops, item.crops):
+            assert same_bits(got.window, want.window) and got.origin == want.origin and got.box == want.box
+        assert not np.shares_memory(clip.ref_image, sample.clip.frames.data)  # the frame, not a view of the clip
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 # sha256 over the name and gradient bytes of each parameter that has a
-# gradient, in `named_params` order, after the reference step. The oracle above compares two callers of
-# the same tape ops; this pins what they compute. It is a digest of float32
+# gradient, in `named_params` order, after the reference step from the scene
+# through `prepare_clip` and `train_step`. The oracles above compare the
+# package with the benchmark's copies of the same ops; this pins what they compute. It is a digest of float32
 # gradients through BLAS matmuls, so another numpy or BLAS build may round
 # differently; where a change means to move it, record the new digest here
 # together with the reason.
@@ -73,7 +94,9 @@ RECORDED_GRADS = "c3a42914313ce953578876063ca3d44678376baff3b7b04b03ff7ef7723911
 
 def test_reference_gradients_match_the_recorded_digest(tmp_path):
     wl = bench.Train(7, tmp_path)
-    wl._step(wl.reference, np.random.default_rng(bench.REFERENCE_SEED))
+    sample = puppet.generate_scene(bench.REFERENCE_SEED, bench.FRAMES, bench.FRAMINGS[0], bench.SIZE)
+    loss = train_step(wl.model, prepare_clip(wl.model, sample), np.random.default_rng(bench.REFERENCE_SEED))
+    assert loss == bench.REFERENCE_LOSS
     h = hashlib.sha256()
     for name, p in wl.model.named_params().items():
         if p.grad is not None:  # the frozen VAE's parameters have none
@@ -83,24 +106,45 @@ def test_reference_gradients_match_the_recorded_digest(tmp_path):
 
 
 @pytest.mark.parametrize("n_crops", [0, 13])
+def tiny_model():
+    return AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
+
+
+def blank_clip(n_latents, crops):
+    """A `Clip` of zero latents for a 64 px tiny model."""
+    latents = np.zeros((LATENT_CHANNELS, n_latents, 8, 8), dtype=np.float32)
+    return Clip(latents, pt.Tensor(latents), np.zeros((3, 64, 64), dtype=np.float32), crops)
+
+
+@pytest.mark.parametrize("n_crops", [0, 13])
 def test_crop_count_must_match_the_latents(n_crops):
     # 5 latents cover 17 frames; 13 frames give 4 latents, and no crop gives none
-    model = AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
     crop = pixel_crop(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32))
-    latents = np.zeros((LATENT_CHANNELS, 5, 8, 8), dtype=np.float32)
-    rng = np.random.default_rng(3)
+    assert len(blank_clip(5, [crop] * 17).crops) == 17
     with pytest.raises(AlignmentError, match="face crops"):
-        train_step(model, [crop] * n_crops, np.zeros((3, 64, 64), dtype=np.float32), latents, pt.Tensor(latents), rng)
-    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state  # nothing drawn
+        blank_clip(5, [crop] * n_crops)
 
 
 def test_pixel_face_crops_raise_config_error():
-    model = AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
     crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
-    latents = np.zeros((LATENT_CHANNELS, 2, 8, 8), dtype=np.float32)
+    rng = np.random.default_rng(3)
     with pytest.raises(ConfigError, match="crop_face result"):
-        train_step(model, [crop] * 5, np.zeros((3, 64, 64), dtype=np.float32), latents, pt.Tensor(latents),
-                   np.random.default_rng(3))
+        train_step(tiny_model(), blank_clip(2, [crop] * 5), rng)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state  # nothing drawn
+
+
+@pytest.mark.parametrize("shape, error", [
+    ((LATENT_CHANNELS, 3, 8, 8), AlignmentError),
+    ((LATENT_CHANNELS, 2, 4, 4), ShapeError),
+    ((LATENT_CHANNELS + 1, 2, 8, 8), ShapeError),
+    ((LATENT_CHANNELS, 2, 8), ShapeError),
+])
+def test_pose_latents_unlike_the_latents_raise(shape, error):
+    """The forward rejects pose latents of another shape, so `Clip` needs no check of its own."""
+    clip = blank_clip(2, None)
+    with pytest.raises(error):
+        train_step(tiny_model(), replace(clip, pose_latents=pt.Tensor(np.zeros(shape, dtype=np.float32))),
+                   np.random.default_rng(0))
 
 
 class TestAdam:
@@ -140,6 +184,58 @@ class TestAdam:
         assert np.array_equal(p.data, np.ones(3, dtype=np.float32)) and state == {}
 
 
+class TestFit:
+    ROLES = ("base", "face")
+
+    @staticmethod
+    def model_with_lora():
+        model = tiny_model()
+        model.attach_lora(np.random.default_rng(2))
+        return model
+
+    def test_equals_hand_written_steps_bit_for_bit(self):
+        """Three steps over two clips, one with crops and one under the null face latent."""
+        got_model, want_model = self.model_with_lora(), self.model_with_lora()
+        start = {n: p.data.copy() for n, p in got_model.named_params().items()}
+        clips = [prepare_clip(got_model, puppet.generate_scene(3, 5, "half_body", 64)),
+                 replace(prepare_clip(got_model, puppet.generate_scene(4, 5, "full_body", 64)), crops=None)]
+        assert clips[0].crops is not None
+        losses = fit(got_model, self.ROLES, clips, 3, 1e-3, np.random.default_rng(1))
+
+        for name, p in want_model.named_params().items():
+            p.requires_grad = want_model.role_of(name) in self.ROLES
+        params, state, rng, want = want_model.named_params(self.ROLES), {}, np.random.default_rng(1), []
+        for clip in (clips[0], clips[1], clips[0]):
+            want.append(train_step(want_model, clip, rng))
+            adam_update(params, state, 1e-3)
+
+        assert losses == want and len(losses) == 3
+        wanted = want_model.named_params()
+        for name, p in got_model.named_params().items():
+            assert same_bits(p.data, wanted[name].data), name
+            trained = got_model.role_of(name) in self.ROLES
+            assert p.requires_grad == trained, name
+            if not trained:
+                assert same_bits(p.data, start[name]), name
+        assert {got_model.role_of(n) for n in start} - set(self.ROLES) == {"vae", "lora"}
+
+    @pytest.mark.parametrize("change", [
+        {"clips": []},
+        {"steps": 0}, {"steps": -1}, {"steps": 2.0}, {"steps": "2"}, {"steps": None},
+        {"roles": ("base", "lora")}, {"roles": ("head",)}, {"roles": "base"},
+        {"lr": float("nan")}, {"lr": 0.0}, {"lr": None},
+    ])
+    def test_bad_input_raises_config_error_before_any_change(self, change):
+        model = tiny_model()  # no LoRA attached: the model has no "lora" role
+        args = {"roles": ("base",), "clips": [blank_clip(2, None)], "steps": 2, "lr": 1e-3} | change
+        before = {n: (p.requires_grad, p.data.copy()) for n, p in model.named_params().items()}
+        with pytest.raises(ConfigError):
+            fit(model, args["roles"], args["clips"], args["steps"], args["lr"], np.random.default_rng(0))
+        for name, p in model.named_params().items():
+            assert p.requires_grad == before[name][0] and same_bits(p.data, before[name][1]), name
+            assert p.grad is None, name
+
+
 OVERFIT_STEPS = 200
 # The probe loss starts at 1.942 and reads 0.297 after 200 steps (float32,
 # OpenBLAS 0.3.31 on an x86_64 Xeon); the bound leaves room for other BLAS
@@ -148,26 +244,19 @@ OVERFIT_BOUND = 0.35
 
 
 def overfit_one_clip():
-    """Train the base role on one 9-frame clip; -> (probe loss before, after, all weights)."""
+    """Train the base role on one 9-frame clip under the null face latent;
+    -> (probe loss before, after, all weights)."""
     model = AnimationModel(DiTConfig(n_layers=2, dim=64, n_heads=2, latent_size=16), np.random.default_rng(0))
-    for name, p in model.named_params().items():
-        p.requires_grad = model.role_of(name) == "base"
     sample = puppet.generate_scene(11, 9, "half_body", 128)
     raw = model.vae.encode_frames(sample.clip.frames.data)
     model.vae.set_latent_stats(raw.mean(axis=(1, 2, 3)), raw.std(axis=(1, 2, 3)))
-    latents = model.vae.encode_frames(sample.clip.frames.data)
-    with pt.no_grad():
-        pose = model.vae.encode_tensor(rasterize.rasterize_sequence(sample.poses, 128, 128))
-    ref = sample.clip.frames.data[0]
+    clip = replace(prepare_clip(model, sample), crops=None)
 
     def probe():  # the flow loss at one fixed (noise, t)
-        return train_step(model, None, ref, latents, pose, np.random.default_rng(99))
+        return train_step(model, clip, np.random.default_rng(99))
 
     before = probe()
-    params, state, rng = model.named_params(("base",)), {}, np.random.default_rng(1)
-    for _ in range(OVERFIT_STEPS):
-        train_step(model, None, ref, latents, pose, rng)
-        adam_update(params, state, 3e-3)
+    fit(model, ("base",), [clip], OVERFIT_STEPS, 3e-3, np.random.default_rng(1))
     return before, probe(), {n: p.data.copy() for n, p in model.named_params().items()}
 
 
