@@ -31,6 +31,10 @@ def grad_norm(params):
     return float(np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params if p.grad is not None)))
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def as_clip(item):
     """A benchmark `TrainItem` as the package's record."""
     return Clip(item.latents, item.pose, item.ref_image, item.crops)
@@ -78,17 +82,13 @@ class TestBenchmarkOracle:
         assert not np.shares_memory(clip.ref_image, sample.clip.frames.data)  # the frame, not a view of the clip
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 # sha256 over the name and gradient bytes of each parameter that has a
 # gradient, in `named_params` order, after the reference step from the scene
 # through `prepare_clip` and `train_step`. The oracles above compare the
-# package with the benchmark's copies of the same ops; this pins what they compute. It is a digest of float32
-# gradients through BLAS matmuls, so another numpy or BLAS build may round
-# differently; where a change means to move it, record the new digest here
-# together with the reason.
+# package with the benchmark's copies of the same ops; this pins what they
+# compute. It is a digest of float32 gradients through BLAS matmuls, so
+# another numpy or BLAS build may round differently; where a change means to
+# move it, record the new digest here together with the reason.
 RECORDED_GRADS = "c3a42914313ce953578876063ca3d44678376baff3b7b04b03ff7ef7723911e2"
 
 
@@ -105,7 +105,6 @@ def test_reference_gradients_match_the_recorded_digest(tmp_path):
     assert h.hexdigest() == RECORDED_GRADS
 
 
-@pytest.mark.parametrize("n_crops", [0, 13])
 def tiny_model():
     return AnimationModel(DiTConfig(n_layers=2, dim=16, n_heads=2, latent_size=8), np.random.default_rng(0))
 
