@@ -21,7 +21,7 @@ SAMPLE_STEPS = 10
 
 
 def animate(model, ref_image, ref_skeleton, clip: VideoClip, poses, framing: str, rng) -> VideoClip:
-    """The output clip, one frame per driving frame; `rng` draws the pack noise."""
+    """The output clip, one frame per driving frame at the driving frame rate; `rng` draws the pack noise."""
     if len(poses) != clip.length:
         raise AlignmentError(f"{len(poses)} driving poses for {clip.length} driving frames")
     with pt.no_grad():
@@ -34,4 +34,5 @@ def animate(model, ref_image, ref_skeleton, clip: VideoClip, poses, framing: str
             model, (c.image.data for c in crops), clip.length)
         pack = packs.build_animation_pack(model.vae, ref_image, latent_count(clip.length), None, rng,
                                           window_frames=clip.length)
-        return model.vae.decode(flow.sample(model, pack, pose_latents, face_down, SAMPLE_STEPS))
+        out = model.vae.decode(flow.sample(model, pack, pose_latents, face_down, SAMPLE_STEPS))
+    return VideoClip(out.frames, clip.frame_rate)

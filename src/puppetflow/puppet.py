@@ -84,7 +84,6 @@ class PuppetScene:
     """Everything needed to re-render the clip deterministically."""
 
     seed: int
-    framing: str
     size: int
     limb_lengths: np.ndarray  # [16] px
     colors: dict  # part name -> rgb
@@ -341,7 +340,6 @@ def generate_scene(seed: int, frames: int, framing: str, size: int = 128) -> Sce
 
     scene = PuppetScene(
         seed=seed,
-        framing=framing,
         size=size,
         limb_lengths=lengths,
         colors=colors,
@@ -419,7 +417,6 @@ RAMP_HI = 0.15  # the brightness ramp's amplitude is uniform over [0, RAMP_HI)
 @dataclass
 class RelightResult:
     image: np.ndarray  # [3, H, W]
-    background: Background
     applied: bool
 
 
@@ -451,14 +448,14 @@ def relight_augment(
         gain = 1.0 + CAST_STRENGTH * (mean - 0.5)
         bias = BIAS_STRENGTH * (mean - 0.5)
     if mask.max() < 0.5:
-        return RelightResult(img.astype(np.float32), bg, applied=False)
+        return RelightResult(img.astype(np.float32), applied=False)
     xs, ys = np.arange(w), np.arange(h)[:, None]
     proj = (xs * np.cos(theta) + ys * np.sin(theta)) / np.hypot(h, w)
     proj = (proj - proj.min()) / max(proj.max() - proj.min(), 1e-9)
     ramp = 1.0 + ramp_amp * (proj - 0.5)
     subject = np.clip(img * gain.reshape(3, 1, 1) * ramp + bias.reshape(3, 1, 1), 0.0, 1.0)
     out = np.where(mask >= 0.5, subject, bg.render(h, w))
-    return RelightResult(out.astype(np.float32), bg, applied=True)
+    return RelightResult(out.astype(np.float32), applied=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import face, flow, packs, rasterize
 from . import tensor as pt
-from .tensor import AlignmentError, ConfigError
-from .video import latent_count
+from .tensor import AlignmentError, ConfigError, ShapeError
+from .video import LATENT_CHANNELS, SPATIAL_FACTOR, latent_count
 
 ADAM_BETAS = (0.9, 0.999)  # decay of the first and second moment estimates
 ADAM_EPS = 1e-8
@@ -32,8 +32,9 @@ class Clip:
     `latents` are the clip's VAE latents [C_z, T_z, h, w] and `pose_latents`
     those of its pose frames, a `Tensor` of the same shape; `ref_image` is the
     [3, H, W] reference frame, its own array; `crops` is one `crop_face`
-    result per clip frame, or None. Crops for another number of latents than
-    T_z raise AlignmentError.
+    result per clip frame, or None. Latents that are not [LATENT_CHANNELS,
+    T_z, H/8, W/8] for the reference frame raise ShapeError, and crops for
+    another number of latents than T_z raise AlignmentError.
     """
 
     latents: np.ndarray
@@ -42,8 +43,12 @@ class Clip:
     crops: list | None
 
     def __post_init__(self):
-        if self.crops is not None and (not self.crops or latent_count(len(self.crops)) != self.latents.shape[1]):
-            raise AlignmentError(f"{len(self.crops)} face crops do not cover {self.latents.shape[1]} latents")
+        ref, lat = self.ref_image.shape, self.latents.shape
+        if (len(ref) != 3 or ref[0] != 3 or len(lat) != 4 or lat[0] != LATENT_CHANNELS or lat[1] < 1
+                or (lat[2] * SPATIAL_FACTOR, lat[3] * SPATIAL_FACTOR) != ref[1:]):
+            raise ShapeError(f"latents {lat} are not [{LATENT_CHANNELS}, T_z, H/8, W/8] for a [3, H, W] reference {ref}")
+        if self.crops is not None and (not self.crops or latent_count(len(self.crops)) != lat[1]):
+            raise AlignmentError(f"{len(self.crops)} face crops do not cover {lat[1]} latents")
 
 
 def prepare_clip(model, sample) -> Clip:

@@ -1,5 +1,6 @@
 """The pair-set summary of tools/bench_pairs.py, built from recorded runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import bench_pairs  # noqa: E402
 ENV = {"nproc": 2, "machine": "x86_64", "python": "3.11.7", "numpy": "2.4.6",
        "blas": "scipy-openblas 0.3.31", "blas_threads": 1}
 CALIBRATION = {
-    side: {"cpu_model": "Test CPU", "cpu_mhz": [2100.0, 2100.0], "gemm_s": gemm, "pace_kernel_s": 6.2e-4}
+    side: {"cpu_mhz": [2100.0, 2100.0], "gemm_s": gemm, "pace_kernel_s": 6.2e-4}
     for side, gemm in (("before", 2.4e-4), ("after", 2.5e-4))
 }
 
@@ -33,16 +34,32 @@ def test_summary_carries_pairs_wins_and_calibration():
             "change": [run("bbb", c, 81.0) for c in (0.38, 0.43, 0.40, 0.37)]}
     s = bench_pairs.summarise(seeds, runs, "subject line", CALIBRATION, BETTER)
     assert (s["version"], s["parent"], s["change"], s["seeds"]) == ("subject line", "aaa", "bbb", "5-8")
-    assert [(p["seed"], p["first"], p["parent"], p["change"]) for p in s["pairs"]] == [
+    assert [(p["seed"], p["first"], p["metrics"]["parent"]["op_p50_s"], p["metrics"]["change"]["op_p50_s"])
+            for p in s["pairs"]] == [
         (5, "parent", 0.40, 0.38), (6, "change", 0.42, 0.43), (7, "parent", 0.41, 0.40), (8, "change", 0.39, 0.37)]
-    assert s["change_wins"] == "3/4"
-    assert s["median_change_pct"] == round(100 * (0.39 / 0.405 - 1), 1)
-    assert s["parent_op_p50_s"]["median"] == 0.405
-    assert s["parent_peak_rss_mb_median"] == 80.0 and s["change_peak_rss_mb_median"] == 81.0
+    assert s["quartiles"]["parent"]["op_p50_s"]["median"] == 0.405
+    assert s["quartiles"]["parent"]["peak_rss_mb"]["median"] == 80.0
+    assert s["quartiles"]["change"]["peak_rss_mb"]["median"] == 81.0
     assert s["calibration"] == CALIBRATION and s["calibration_agrees"] is True
     assert s["host"].startswith("2-CPU x86_64 ") and s["host"].endswith("1 BLAS thread(s)")
     assert s["by_metric"]["op_p50_s"] == {"better": "lower", "change_wins": "3/4",
-                                          "median_change_pct": s["median_change_pct"], "claimable": False}
+                                          "median_change_pct": round(100 * (0.39 / 0.405 - 1), 1), "claimable": False}
+
+
+def test_a_set_states_each_metric_once_per_pair_side():
+    """No pair, top-level field, calibration or file header repeats a number the set holds elsewhere."""
+    parent = [(0.4012345, 80.12345), (0.4023456, 80.23456), (0.4034567, 80.34567)]
+    runs = {"parent": [run("aaa", p, rss) for p, rss in parent],
+            "change": [run("bbb", p - 0.01, rss + 1.0) for p, rss in parent]}
+    s = bench_pairs.summarise([1, 2, 3], runs, "subject line", CALIBRATION, BETTER)
+    assert list(s) == ["version", "parent", "change", "host", "calibration", "calibration_agrees", "seeds",
+                       "pairs", "quartiles", "by_metric"]
+    assert all(list(p) == ["seed", "first", "metrics"] for p in s["pairs"])
+    text = json.dumps(s)
+    for _, result in runs["parent"] + runs["change"]:
+        for name in ("op_p50_s", "peak_rss_mb"):
+            assert text.count(repr(result["metrics"][name]["value"])) == 1, name
+    assert list(bench_pairs.header("train", 30)) == ["workload", "command", "method", "sets"]
 
 
 def test_every_end_to_end_metric_gets_wins_in_its_own_direction():
@@ -100,5 +117,5 @@ def test_calibration_band(capsys, after, agrees):
 
 def test_calibration_times_both_kernels():
     c = bench_pairs.calibrate(ROOT)
-    assert set(c) == {"cpu_model", "cpu_mhz", "gemm_s", "pace_kernel_s"}
+    assert set(c) == {"cpu_mhz", "gemm_s", "pace_kernel_s"}  # the CPU model is in the set's host
     assert c["gemm_s"] > 0 and c["pace_kernel_s"] > 0

@@ -48,6 +48,16 @@ def test_one_output_frame_per_driving_frame(tiny):
     assert np.isfinite(out.frames.data).all()
 
 
+def test_output_keeps_the_driving_frame_rate(tiny, tmp_path):
+    """`vae.decode` knows no frame rate; the output takes the driving clip's, and saves it."""
+    model, drive, ref = tiny
+    out = animate(model, ref.clip.frames.data[0], ref.poses[0], video.VideoClip(drive.clip.frames, 24.0),
+                  drive.poses, "half_body", np.random.default_rng(0))
+    assert out.frame_rate == 24.0
+    video.save_clip(tmp_path, out)
+    assert video.load_clip(tmp_path).frame_rate == 24.0
+
+
 # sha256 of the frames below. The segment test above compares two callers of
 # the same crop, sampler and model code; this pins what they compute. It is a
 # digest of float32 output through BLAS matmuls, so another numpy or BLAS build

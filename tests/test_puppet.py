@@ -173,7 +173,8 @@ class TestRelight:
         subject = mask[0] >= 0.5
         assert subject.any() and not subject.all()
         assert np.array_equal(res.image[:, subject], frame[:, subject])
-        bg = res.background.render(64, 64).astype(np.float32)
+        # the new background is relight_augment's first draw from its generator
+        bg = puppet.sample_background(np.random.default_rng(1)).render(64, 64).astype(np.float32)
         assert np.array_equal(res.image[:, ~subject], bg[:, ~subject])
 
     def test_empty_mask_returns_the_frame_unapplied_without_a_warning(self):

@@ -124,6 +124,18 @@ def test_crop_count_must_match_the_latents(n_crops):
         blank_clip(5, [crop] * n_crops)
 
 
+@pytest.mark.parametrize("latents, ref_size", [
+    ((LATENT_CHANNELS, 2, 4, 4), 64),
+    ((LATENT_CHANNELS, 2, 8, 8), 32),
+    ((LATENT_CHANNELS + 1, 2, 8, 8), 64),
+], ids=["4x4-grid-for-64px", "8x8-grid-for-32px", "extra-channel"])
+def test_latents_that_do_not_fit_the_reference_raise_shape_error(latents, ref_size):
+    """Each of these reached `train_step`'s concatenate and raised numpy's own ValueError there."""
+    lat = np.zeros(latents, dtype=np.float32)
+    with pytest.raises(ShapeError, match="latents"):
+        Clip(lat, pt.Tensor(lat), np.zeros((3, ref_size, ref_size), dtype=np.float32), None)
+
+
 def test_pixel_face_crops_raise_config_error():
     crop = face.FaceCrop(pt.Tensor(np.zeros((3, face.FACE_SIZE, face.FACE_SIZE), dtype=np.float32)))
     rng = np.random.default_rng(3)

@@ -10,26 +10,32 @@ own length. A run that is not `correct` or reports a failed op stops the tool
 before anything is written.
 
 The summary is one set appended to the `sets` of `BENCH_<workload>.json` in
-the change checkout; the file is made, with the workload, metric, command and
-method, if it is missing. A set holds every pair's `op_p50_s`, each side's
-quartiles (linear interpolation), the change's wins and the median change in
-percent; each pair also carries every end-to-end metric of both runs, and
-`quartiles` gives each side's quartiles of every metric. `by_metric` gives
-the same wins and median change for every end-to-end metric, a win being a
-pair whose change is better in the direction `better` of the change
-checkout's `BENCHMARK.json` (lower or higher); the median change stays the
-signed change of the value, so -5.0 is a fall either way. Each entry also
-says whether a gain in that metric is `claimable`: the set has at least ten
-pairs, the change wins at least nine tenths of them (a tie is no win), and
-the medians differ in the better direction by more than the distance between
-the parent's quartiles. The set's two commits come from the run records and
-its host from the change's first record.
+the change checkout; the file is made, with the workload, command and method,
+if it is missing. A set states each number once: the two commits (from the
+run records), the host (from the change's first record), the calibration
+below, the seeds, and per pair its `seed`, the side that ran `first` and
+every end-to-end metric of both runs (`metrics`). `quartiles` gives each
+side's quartiles of every metric (linear interpolation). `by_metric` compares
+the sides in each metric of the change checkout's `BENCHMARK.json`: its
+direction `better` (lower or higher), the change's wins, a win being a pair
+whose change is better in that direction (a tie is no win), the median change
+in percent, signed as the value moves, so -5.0 is a fall either way, and
+whether a gain is `claimable`: the set has at least ten pairs, the change
+wins at least nine tenths of them, and the medians differ in the better
+direction by more than the distance between the parent's quartiles. The tool
+prints one line per `by_metric` entry.
+
+Sets written before that rule carry copies: each pair's rounded `op_p50_s` as
+`parent` and `change`, top-level `op_p50_s` quartiles, wins and median change
+and `peak_rss_mb` medians, each calibration's CPU model, and a file header
+naming `op_p50_s` and its unit. Each number is also in `metrics`,
+`quartiles`, `by_metric` or `host`.
 
 Each set also records a host calibration, taken before and after the pairs
 in a fresh interpreter of the change checkout with the benchmark's BLAS
-threads: the CPU model and the MHz of each CPU from /proc/cpuinfo, and the
-median times of one float32 GEMM of the `train` step's MLP shape and of the
-benchmark's `pace_kernel`. Two sets under the same host string whose
+threads: the MHz of each CPU from /proc/cpuinfo (its model is in `host`),
+and the median times of one float32 GEMM of the `train` step's MLP shape and
+of the benchmark's `pace_kernel`. Two sets under the same host string whose
 calibrations differ ran on hosts of different speed. `calibration_agrees`
 records whether the before and after GEMM medians lie within
 `CALIBRATION_BAND` of each other; when they do not, the host changed speed
@@ -46,7 +52,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRIC = "op_p50_s"
 CALIBRATION_BAND = 0.10  # largest gap between a set's two GEMM medians, relative to the smaller one
 # Run in the change checkout. The GEMM is [384, 128] @ [128, 512]: the first
 # MLP layer of a default-config train step (384 tokens, dim 128, hidden 512).
@@ -122,14 +127,12 @@ def host(env):
 
 
 def calibrate(checkout: Path):
-    """The host calibration: CPU model and MHz, and the GEMM and pace-kernel medians."""
+    """The host calibration: CPU MHz, and the GEMM and pace-kernel medians."""
     proc = subprocess.run([sys.executable, "-c", CALIBRATE], cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-4000:])
         raise SystemExit(f"{checkout}: calibration exited with {proc.returncode}")
-    model, mhz = cpuinfo()
-    return {"cpu_model": model, "cpu_mhz": mhz,
-            **{name: sig(s) for name, s in json.loads(proc.stdout).items()}}
+    return {"cpu_mhz": cpuinfo()[1], **{name: sig(s) for name, s in json.loads(proc.stdout).items()}}
 
 
 def calibration_agrees(calibration) -> bool:
@@ -143,12 +146,10 @@ def calibration_agrees(calibration) -> bool:
     return agrees
 
 
-def header(workload, seconds, unit):
+def header(workload, seconds):
     """The fields of a new bench file, before its first set."""
     return {
         "workload": workload,
-        "metric": METRIC,
-        "unit": unit,
         "command": f"python3 perfbench/run.py --workload {workload} --seed SEED --seconds {seconds:g}",
         "method": ("alternating parent/change pairs, parent first on odd seeds; every run reported "
                    "correct with no failed op; quartiles by linear interpolation"),
@@ -176,16 +177,11 @@ def summarise(seeds, runs, subject, calibration, better):
     and `better` maps each end-to-end metric to "lower" or "higher"."""
     values = {side: [{k: m["value"] for k, m in result["metrics"].items()} for _, result in runs[side]]
               for side in ("parent", "change")}
-    pairs = []
-    for k, seed in enumerate(seeds):
-        pairs.append({"seed": seed, "first": "parent" if seed % 2 else "change",
-                      "parent": sig(values["parent"][k][METRIC]),
-                      "change": sig(values["change"][k][METRIC]),
-                      "metrics": {side: values[side][k] for side in ("parent", "change")}})
+    pairs = [{"seed": seed, "first": "parent" if seed % 2 else "change",
+              "metrics": {side: values[side][k] for side in values}} for k, seed in enumerate(seeds)]
     names = list(values["change"][0])
     series = {n: {side: [v[n] for v in values[side]] for side in values} for n in names}
     by_metric = {n: compare(series[n]["parent"], series[n]["change"], better[n]) for n in names if n in better}
-    p50, rss = series[METRIC], series["peak_rss_mb"]
     return {
         "version": subject,
         "parent": side_commit([r for r, _ in runs["parent"]], "parent"),
@@ -195,12 +191,6 @@ def summarise(seeds, runs, subject, calibration, better):
         "calibration_agrees": calibration_agrees(calibration),
         "seeds": f"{seeds[0]}-{seeds[-1]}",
         "pairs": pairs,
-        f"parent_{METRIC}": quartiles(p50["parent"]),
-        f"change_{METRIC}": quartiles(p50["change"]),
-        "change_wins": by_metric[METRIC]["change_wins"],
-        "median_change_pct": by_metric[METRIC]["median_change_pct"],
-        "parent_peak_rss_mb_median": sig(statistics.median(rss["parent"])),
-        "change_peak_rss_mb_median": sig(statistics.median(rss["change"])),
         "quartiles": {side: {n: quartiles(series[n][side]) for n in names} for side in ("parent", "change")},
         "by_metric": by_metric,
     }
@@ -235,18 +225,17 @@ def main(argv=None):
         for side in order:
             record, result = run_once(getattr(args, side), args.workload, seed, seconds)
             runs[side].append((record, result))
-            print(f"seed {seed} {side}: {METRIC} {result['metrics'][METRIC]['value']:.4f}", file=sys.stderr)
+            print(f"seed {seed} {side}: " + ", ".join(f"{name} {m['value']:.4g}" for name, m in
+                                                     result["metrics"].items()), file=sys.stderr)
     subject = subprocess.run(["git", "log", "-1", "--format=%s"], cwd=args.change,
                              capture_output=True, text=True).stdout.strip()
     calibration = {"before": before, "after": calibrate(args.change)}
     s = summarise(args.seeds, runs, subject or "change checkout", calibration, better)
     out = args.change / f"BENCH_{args.workload}.json"
-    unit = runs["change"][0][1]["metrics"][METRIC]["unit"]
-    bench = json.loads(out.read_text()) if out.is_file() else header(args.workload, seconds, unit)
+    bench = json.loads(out.read_text()) if out.is_file() else header(args.workload, seconds)
     bench["sets"].append(s)
     out.write_text(json.dumps(bench, indent=1) + "\n")
-    print(f"{out}: {s['change_wins']} pairs won, median {s['median_change_pct']:+.1f}%, "
-          f"parent {s[f'parent_{METRIC}']}, change {s[f'change_{METRIC}']}")
+    print(f"{out}:")
     for name, c in s["by_metric"].items():
         pct = "n/a" if c["median_change_pct"] is None else f"{c['median_change_pct']:+.1f}%"
         claim = ", gain claimable" if c["claimable"] else ""
