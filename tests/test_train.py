@@ -130,7 +130,7 @@ def test_crop_count_must_match_the_latents(n_crops):
     ((LATENT_CHANNELS + 1, 2, 8, 8), 64),
 ], ids=["4x4-grid-for-64px", "8x8-grid-for-32px", "extra-channel"])
 def test_latents_that_do_not_fit_the_reference_raise_shape_error(latents, ref_size):
-    """Each of these reached `train_step`'s concatenate and raised numpy's own ValueError there."""
+    """Latents must be [LATENT_CHANNELS, T_z, H/8, W/8] for a [3, H, W] reference frame."""
     lat = np.zeros(latents, dtype=np.float32)
     with pytest.raises(ShapeError, match="latents"):
         Clip(lat, pt.Tensor(lat), np.zeros((3, ref_size, ref_size), dtype=np.float32), None)
